@@ -28,7 +28,6 @@ from .llm import (
     PricingTable,
     ReplayProvider,
     complete,
-    estimate_cost,
 )
 from .metrics import (
     PARSE_ERROR_LABEL,
@@ -56,7 +55,7 @@ from .runner import (
     run_abcde,
     run_threading,
 )
-from .windowing import Window, WindowConfig, make_window, window_sequence
+from .windowing import Window, WindowConfig, make_window
 
 __version__ = "0.1.0"
 
@@ -89,7 +88,6 @@ __all__ = [
     "cohens_kappa",
     "complete",
     "corpus_stats",
-    "estimate_cost",
     "evaluate_run",
     "load_corpus",
     "macro_f1",
@@ -107,5 +105,4 @@ __all__ = [
     "thread_stats",
     "tradeoff_report",
     "validate_thread_graph",
-    "window_sequence",
 ]

@@ -87,7 +87,7 @@ def _pricing(config: dict) -> PricingTable | None:
     path = config.get("pricing")
     if not path:
         return None
-    return PricingTable.from_json(Path(path).read_text(encoding="utf-8"))
+    return PricingTable.from_json(path)
 
 
 def _cache(config: dict) -> CompletionCache | None:
@@ -197,7 +197,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
         eval_path = runs_dir / run_id / "eval.json"
         if eval_path.exists():
             d = json.loads(eval_path.read_text(encoding="utf-8"))
-            result = _eval_from_dict(d)
+            result = runner_mod.EvalResult.from_dict(d)
         else:
             result = runner_mod.evaluate_run(log, corpus)
         entries.append((label, log, result))
@@ -215,31 +215,6 @@ def _cmd_report(args: argparse.Namespace) -> int:
     return 0
 
 
-def _eval_from_dict(d: dict) -> runner_mod.EvalResult:
-    from . import metrics
-
-    def summary(s):
-        return metrics.MetricSummary(mean=s["mean"], std=s["std"], values=tuple(s["values"]))
-
-    agg = metrics.AggregateReport(
-        accuracy=summary(d["aggregate"]["accuracy"]),
-        macro_f1=summary(d["aggregate"]["macro_f1"]),
-        kappa=summary(d["aggregate"]["kappa"]),
-        n_conversations=d["aggregate"]["n_conversations"],
-    )
-    per_conv = {
-        tid: metrics.MetricReport(
-            accuracy=rep["accuracy"], macro_f1=rep["macro_f1"], kappa=rep["kappa"],
-            n=rep["n"], n_classes=rep["n_classes"],
-        )
-        for tid, rep in d["per_conversation"].items()
-    }
-    return runner_mod.EvalResult(
-        run_id=d["run_id"], task=d["task"], per_conversation=per_conv, aggregate=agg,
-        code_letter=d.get("code_letter"), slices=d.get("slices"),
-    )
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="threadlab")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -253,7 +228,8 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--model", help="model id override")
             p.add_argument("--window", type=int, help="window size override")
             p.add_argument("--transcripts", help="comma-separated transcript ids")
-            p.add_argument("--concurrency", type=int, default=runner_mod.DEFAULT_CONCURRENCY)
+            p.add_argument("--concurrency", type=int, default=runner_mod.DEFAULT_CONCURRENCY,
+                           help="most provider calls in flight at once")
 
     p = sub.add_parser("ingest", help="load a corpus, validate it, print statistics")
     p.add_argument("--corpus")

@@ -18,7 +18,7 @@ import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Mapping, Protocol
+from typing import Mapping, Protocol
 
 import requests
 
@@ -102,6 +102,11 @@ class PricingTable:
             return self.rates[model_id]
         except KeyError:
             raise UnknownModelPricing(model_id) from None
+
+    def cost(self, model_id: str, input_tokens: int, output_tokens: int) -> float:
+        """Dollar cost of a token count at the model's per-million rates."""
+        rate_in, rate_out = self.rate(model_id)
+        return input_tokens * rate_in / 1e6 + output_tokens * rate_out / 1e6
 
 
 @dataclass(frozen=True)
@@ -312,7 +317,8 @@ class HttpProvider:
 
     Retries 429 and 5xx responses (and connection errors) with exponential
     backoff plus jitter; auth failures and context overflows surface
-    immediately. At most ``max_in_flight`` requests run concurrently.
+    immediately. The caller's concurrency is the only limit on requests in
+    flight.
     """
 
     name = "http"
@@ -320,12 +326,10 @@ class HttpProvider:
     def __init__(
         self,
         retry: RetryPolicy = RetryPolicy(),
-        max_in_flight: int = 4,
         session: requests.Session | None = None,
         timeout_s: float = 120.0,
     ):
         self._retry = retry
-        self._semaphore = threading.Semaphore(max_in_flight)
         self._session = session or requests.Session()
         self._timeout_s = timeout_s
         self._rng = random.Random()
@@ -355,36 +359,39 @@ class HttpProvider:
         headers = self._headers(model)
         body = self._body(prompt, model)
         last_throttle = False
-        with self._semaphore:
-            for attempt in range(self._retry.max_attempts):
-                if attempt:
-                    time.sleep(self._retry.delay(attempt - 1, self._rng))
-                started = time.perf_counter()
-                try:
-                    resp = self._session.post(
-                        model.endpoint, headers=headers, json=body, timeout=self._timeout_s
-                    )
-                except requests.RequestException:
-                    last_throttle = False
-                    continue
-                latency_ms = int((time.perf_counter() - started) * 1000)
-                if resp.status_code in (401, 403):
-                    raise AuthError(f"provider rejected credentials ({resp.status_code})")
-                if resp.status_code == 400 and any(
-                    marker in resp.text.lower() for marker in _CONTEXT_OVERFLOW_MARKERS
-                ):
-                    raise ContextOverflow(resp.text[:500])
-                if resp.status_code == 429:
-                    last_throttle = True
-                    continue
-                if resp.status_code >= 500:
-                    last_throttle = False
-                    continue
-                if resp.status_code != 200:
-                    raise TransportError(
-                        f"unexpected status {resp.status_code}: {resp.text[:500]}"
-                    )
-                return self._parse_response(resp.json(), latency_ms)
+        for attempt in range(self._retry.max_attempts):
+            if attempt:
+                time.sleep(self._retry.delay(attempt - 1, self._rng))
+            started = time.perf_counter()
+            try:
+                resp = self._session.post(
+                    model.endpoint, headers=headers, json=body, timeout=self._timeout_s
+                )
+            except requests.RequestException:
+                last_throttle = False
+                continue
+            latency_ms = int((time.perf_counter() - started) * 1000)
+            if resp.status_code in (401, 403):
+                raise AuthError(f"provider rejected credentials ({resp.status_code})")
+            if resp.status_code == 400 and any(
+                marker in resp.text.lower() for marker in _CONTEXT_OVERFLOW_MARKERS
+            ):
+                raise ContextOverflow(resp.text[:500])
+            if resp.status_code == 429:
+                last_throttle = True
+                continue
+            if resp.status_code >= 500:
+                last_throttle = False
+                continue
+            if resp.status_code != 200:
+                raise TransportError(
+                    f"unexpected status {resp.status_code}: {resp.text[:500]}"
+                )
+            try:
+                payload = resp.json()
+            except ValueError:
+                raise TransportError(f"non-JSON completion body: {resp.text[:300]}") from None
+            return self._parse_response(payload, latency_ms)
         if last_throttle:
             raise RateLimited(f"gave up after {self._retry.max_attempts} attempts")
         raise TransportError(f"gave up after {self._retry.max_attempts} attempts")
@@ -447,14 +454,3 @@ def complete(
     if cache is not None:
         cache.put(record)
     return record
-
-
-def estimate_cost(
-    records: Iterable[CompletionRecord], pricing: PricingTable, model_id: str
-) -> float:
-    """Dollar cost of a batch of completions at the model's per-million rates."""
-    rate_in, rate_out = pricing.rate(model_id)
-    total = 0.0
-    for rec in records:
-        total += rec.input_tokens * rate_in / 1e6 + rec.output_tokens * rate_out / 1e6
-    return total

@@ -64,8 +64,7 @@ def _model_row(condition: str, log: RunLog, result: EvalResult,
     cost = log.cost_usd
     if cost is None and pricing is not None:
         try:
-            rate_in, rate_out = pricing.rate(log.spec.model.model_id)
-            cost = log.input_tokens * rate_in / 1e6 + log.output_tokens * rate_out / 1e6
+            cost = pricing.cost(log.spec.model.model_id, log.input_tokens, log.output_tokens)
         except UnknownModelPricing:
             cost = None
     if cost is None:

@@ -15,14 +15,14 @@ import json
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from operator import attrgetter
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from . import metrics, outparse, prompts
 from .corpus import CodeSet, GoldAnnotations, ThreadLabel, Transcript, parse_respond_line
 from .llm import (
     CompletionCache,
-    CompletionRecord,
     ContextOverflow,
     ModelConfig,
     PricingTable,
@@ -33,7 +33,7 @@ from .llm import (
     prompt_digest,
 )
 from .metrics import PARSE_ERROR_LABEL
-from .windowing import WindowConfig, make_window
+from .windowing import Window, WindowConfig, make_window
 
 TASKS = ("threading", "abcde")
 STRATEGIES = ("all_at_once", "window")
@@ -211,7 +211,7 @@ class RunLog:
     output_tokens: int = 0
     cost_usd: float | None = None
     failed_transcripts: tuple[str, ...] = ()
-    n_fallback_labels: int = 0  # parse failures replaced by "-" when fed forward
+    n_fallback_labels: int = 0  # "-" labels put in place of failed predictions later prompts read
 
     def to_jsonl(self) -> str:
         lines = [json.dumps({"kind": "meta", "run_id": self.run_id, "spec": self.spec.as_dict()})]
@@ -294,37 +294,6 @@ def _gold_thread_canonical(g: GoldAnnotations, index: int) -> str:
     return label.canonical()
 
 
-@dataclass
-class _TranscriptResult:
-    records: list[UtteranceRecord]
-    failed: bool = False
-    n_fallbacks: int = 0
-
-
-def _record_for(
-    t_id: str,
-    index: int,
-    rec: CompletionRecord | None,
-    outcome: outparse.ParseOutcome | None,
-    predicted: str,
-    gold: str,
-    fail_reason: str | None = None,
-    prompt_hash: str = "",
-) -> UtteranceRecord:
-    return UtteranceRecord(
-        transcript_id=t_id,
-        index=index,
-        prompt_hash=rec.prompt_hash if rec else prompt_hash,
-        predicted=predicted,
-        gold=gold,
-        ok=outcome.ok if outcome else False,
-        fail_reason=outcome.reason if outcome else fail_reason,
-        input_tokens=rec.input_tokens if rec else 0,
-        output_tokens=rec.output_tokens if rec else 0,
-        latency_ms=rec.latency_ms if rec else 0,
-    )
-
-
 def _resolve_shots(
     spec: ExperimentSpec, corpus: Corpus, exclude: str
 ) -> list[tuple[Transcript, GoldAnnotations]]:
@@ -346,92 +315,6 @@ def _resolve_shots(
         if tid == exclude:
             raise RunnerError(f"shot transcript {tid!r} is also the target")
     return [corpus[tid] for tid in ids]
-
-
-# ---------------------------------------------------------------------------
-# Threading runs
-# ---------------------------------------------------------------------------
-
-
-def _thread_transcript_window(
-    spec: ExperimentSpec,
-    t: Transcript,
-    g: GoldAnnotations,
-    provider: Provider,
-    cache: CompletionCache | None,
-    strictness: str,
-) -> _TranscriptResult:
-    assert spec.window is not None
-    out = _TranscriptResult(records=[])
-    feedback: dict[int, ThreadLabel] = {}
-    if spec.window.feedback == "gold":
-        feedback.update(g.thread)
-    for i in range(1, len(t) + 1):
-        w = make_window(t, i, spec.window, labels=feedback)
-        p = prompts.render_thread_window(w, template_dir=spec.template_dir)
-        gold_label = _gold_thread_canonical(g, i)
-        try:
-            rec = complete(p, spec.model, provider, cache)
-        except (RateLimited, TransportError) as exc:
-            out.records.append(
-                _record_for(t.id, i, None, None, PARSE_ERROR_LABEL, gold_label,
-                            fail_reason=type(exc).__name__,
-                            prompt_hash=prompt_digest(spec.model, p.text))
-            )
-            if spec.window.feedback == "self":
-                feedback[i] = ThreadLabel.new_thread()
-                out.n_fallbacks += 1
-            continue
-        outcome = outparse.parse_thread_response(
-            rec.response_text, i, t[i].speaker, strictness
-        )
-        if outcome.ok:
-            predicted = outcome.value.label.canonical()
-            # Feed the canonical form back so the prompt stream is a pure
-            # function of the logged predictions, whatever order the model
-            # wrote split targets in.
-            label = parse_respond_line(predicted)
-        else:
-            label = ThreadLabel.new_thread()  # fed forward so later windows stay labeled
-            predicted = PARSE_ERROR_LABEL
-            out.n_fallbacks += 1
-        if spec.window.feedback == "self":
-            feedback[i] = label
-        out.records.append(_record_for(t.id, i, rec, outcome, predicted, gold_label))
-    return out
-
-
-def _thread_transcript_all_at_once(
-    spec: ExperimentSpec,
-    t: Transcript,
-    g: GoldAnnotations,
-    corpus: Corpus,
-    provider: Provider,
-    cache: CompletionCache | None,
-    strictness: str,
-) -> _TranscriptResult:
-    out = _TranscriptResult(records=[])
-    shots = _resolve_shots(spec, corpus, exclude=t.id)
-    p = prompts.render_thread_all_at_once(t, shots, template_dir=spec.template_dir)
-    golds = {i: _gold_thread_canonical(g, i) for i in range(1, len(t) + 1)}
-    try:
-        rec = complete(p, spec.model, provider, cache)
-    except ContextOverflow:
-        out.failed = True
-        h = prompt_digest(spec.model, p.text)
-        for i in range(1, len(t) + 1):
-            out.records.append(
-                _record_for(t.id, i, None, None, PARSE_ERROR_LABEL, golds[i],
-                            fail_reason="ContextOverflow", prompt_hash=h)
-            )
-        return out
-    block = outparse.parse_block_response(
-        rec.response_text, [(u.index, u.speaker) for u in t.utterances], "thread", strictness
-    )
-    for u, outcome in zip(t.utterances, block.outcomes):
-        predicted = outcome.value.label.canonical() if outcome.ok else PARSE_ERROR_LABEL
-        out.records.append(_record_for(t.id, u.index, rec, outcome, predicted, golds[u.index]))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -488,86 +371,63 @@ def _gold_codes_canonical(g: GoldAnnotations, index: int) -> str:
     return g.codes_at(index).canonical()
 
 
-def _code_transcript_window(
-    spec: ExperimentSpec,
-    t: Transcript,
-    g: GoldAnnotations,
-    thread_labels: Mapping[int, ThreadLabel] | None,
-    provider: Provider,
-    cache: CompletionCache | None,
-    strictness: str,
-) -> _TranscriptResult:
-    assert spec.window is not None
-    out = _TranscriptResult(records=[])
-    cfg = WindowConfig(n=spec.window.n, feedback="none")
-    threaded = thread_labels is not None
-    variant = "abcde_window_threaded" if threaded else "abcde_window_plain"
-    for i in range(1, len(t) + 1):
-        w = make_window(t, i, cfg)
-        if spec.template_override:
-            p = prompts.render_baseline(spec.template_override, w, template_dir=spec.template_dir)
-        else:
-            p = prompts.render_abcde(
-                variant, w, thread_labels if threaded else None, template_dir=spec.template_dir
-            )
-        gold = _gold_codes_canonical(g, i)
-        try:
-            rec = complete(p, spec.model, provider, cache)
-        except (RateLimited, TransportError) as exc:
-            out.records.append(
-                _record_for(t.id, i, None, None, PARSE_ERROR_LABEL, gold,
-                            fail_reason=type(exc).__name__,
-                            prompt_hash=prompt_digest(spec.model, p.text))
-            )
-            continue
-        outcome = outparse.parse_code_response(rec.response_text, i, t[i].speaker, strictness)
-        predicted = outcome.value.codes.canonical() if outcome.ok else PARSE_ERROR_LABEL
-        out.records.append(_record_for(t.id, i, rec, outcome, predicted, gold))
-    return out
+# ---------------------------------------------------------------------------
+# Run executor
+# ---------------------------------------------------------------------------
+
+# Provider faults that cost only the records of the prompt they hit.
+_FAULTS = (ContextOverflow, RateLimited, TransportError)
+_FAULT_NAMES = frozenset(f.__name__ for f in _FAULTS)
+
+# A chain is a transcript id plus the targets to complete in order: utterance
+# indices for windows, None for the whole transcript.
+Chain = tuple[str, Sequence[int | None]]
+Renderer = Callable[[Transcript, int | None, Mapping[int, ThreadLabel]], prompts.RenderedPrompt]
 
 
-def _code_transcript_full(
-    spec: ExperimentSpec,
-    t: Transcript,
-    g: GoldAnnotations,
-    thread_labels: Mapping[int, ThreadLabel] | None,
-    provider: Provider,
-    cache: CompletionCache | None,
-    strictness: str,
-) -> _TranscriptResult:
-    out = _TranscriptResult(records=[])
-    threaded = thread_labels is not None
-    if spec.template_override:
-        p = prompts.render_baseline(spec.template_override, t, template_dir=spec.template_dir)
-    else:
-        variant = "abcde_full_threaded" if threaded else "abcde_full_plain"
-        p = prompts.render_abcde(
-            variant, t, thread_labels if threaded else None, template_dir=spec.template_dir
+def _renderer(
+    spec: ExperimentSpec, corpus: Corpus, thread_labels: Mapping[str, Mapping[int, ThreadLabel]]
+) -> Renderer:
+    """The run's one prompt function of (transcript, target, feedback labels)."""
+    tdir = spec.template_dir
+    if spec.task == "threading":
+        if spec.strategy == "all_at_once":
+            return lambda t, _, __: prompts.render_thread_all_at_once(
+                t, _resolve_shots(spec, corpus, exclude=t.id), template_dir=tdir
+            )
+        cfg = spec.window
+        return lambda t, i, labels: prompts.render_thread_window(
+            make_window(t, i, cfg, labels=labels), template_dir=tdir
         )
-    golds = {i: _gold_codes_canonical(g, i) for i in range(1, len(t) + 1)}
-    try:
-        rec = complete(p, spec.model, provider, cache)
-    except ContextOverflow:
-        out.failed = True
-        h = prompt_digest(spec.model, p.text)
-        for i in range(1, len(t) + 1):
-            out.records.append(
-                _record_for(t.id, i, None, None, PARSE_ERROR_LABEL, golds[i],
-                            fail_reason="ContextOverflow", prompt_hash=h)
-            )
-        return out
-    block = outparse.parse_block_response(
-        rec.response_text, [(u.index, u.speaker) for u in t.utterances], "code", strictness
+
+    windowed = spec.strategy == "window"
+    cfg = WindowConfig(n=spec.window.n, feedback="none") if windowed else None
+
+    def payload(t: Transcript, i: int | None) -> Window | Transcript:
+        return make_window(t, i, cfg) if windowed else t
+
+    override = spec.template_override
+    if override:
+        return lambda t, i, _: prompts.render_baseline(override, payload(t, i), template_dir=tdir)
+    threaded = spec.thread_source != THREAD_SOURCE_NONE
+    variant = f"abcde_{'window' if windowed else 'full'}_{'threaded' if threaded else 'plain'}"
+    return lambda t, i, _: prompts.render_abcde(
+        variant, payload(t, i), thread_labels[t.id] if threaded else None, template_dir=tdir
     )
-    for u, outcome in zip(t.utterances, block.outcomes):
-        predicted = outcome.value.codes.canonical() if outcome.ok else PARSE_ERROR_LABEL
-        out.records.append(_record_for(t.id, u.index, rec, outcome, predicted, golds[u.index]))
-    return out
 
 
-# ---------------------------------------------------------------------------
-# Run drivers
-# ---------------------------------------------------------------------------
+def _chains(spec: ExperimentSpec, corpus: Corpus, self_feedback: bool) -> list[Chain]:
+    """Self-feedback windows chain through their transcript; every other job stands alone."""
+    chains: list[Chain] = []
+    for tid in spec.transcripts:
+        indices = range(1, len(corpus[tid][0]) + 1)
+        if spec.strategy == "all_at_once":
+            chains.append((tid, (None,)))
+        elif self_feedback:
+            chains.append((tid, indices))
+        else:
+            chains.extend((tid, (i,)) for i in indices)
+    return chains
 
 
 def _run(
@@ -584,44 +444,86 @@ def _run(
         if tid not in corpus:
             raise RunnerError(f"transcript {tid!r} not in corpus")
     mode = _strictness_for(provider, strictness)
-    thread_labels: dict[str, dict[int, ThreadLabel]] = {}
-    source_fallbacks = 0
-    if spec.task == "abcde" and spec.thread_source != THREAD_SOURCE_NONE:
-        thread_labels, source_fallbacks = resolve_thread_labels(spec, corpus, runs_dir)
+    thread_labels, source_fallbacks = resolve_thread_labels(spec, corpus, runs_dir)
+    render = _renderer(spec, corpus, thread_labels)
+    thread_task = spec.task == "threading"
+    feedback = spec.window.feedback if thread_task and spec.strategy == "window" else "none"
+    gold_of = _gold_thread_canonical if thread_task else _gold_codes_canonical
+    parse_line = outparse.parse_thread_response if thread_task else outparse.parse_code_response
+    block_kind = "thread" if thread_task else "code"
+    parsed_label = attrgetter("label" if thread_task else "codes")
 
-    def work(tid: str) -> _TranscriptResult:
+    def run_chain(chain: Chain) -> tuple[list[UtteranceRecord], int, int]:
+        tid, targets = chain
         t, g = corpus[tid]
-        if spec.task == "threading":
-            if spec.strategy == "window":
-                return _thread_transcript_window(spec, t, g, provider, cache, mode)
-            return _thread_transcript_all_at_once(spec, t, g, corpus, provider, cache, mode)
-        labels = thread_labels.get(tid) if spec.thread_source != THREAD_SOURCE_NONE else None
-        if spec.strategy == "window":
-            return _code_transcript_window(spec, t, g, labels, provider, cache, mode)
-        return _code_transcript_full(spec, t, g, labels, provider, cache, mode)
+        labels: dict[int, ThreadLabel] = g.thread if feedback == "gold" else {}
+        records: list[UtteranceRecord] = []
+        input_tokens = output_tokens = 0
+        for target in targets:
+            p = render(t, target, labels)
+            if p.target_index is None:
+                entries = p.expected_entries
+            else:
+                entries = ((p.target_index, p.target_speaker),)
+            try:
+                rec = complete(p, spec.model, provider, cache)
+            except _FAULTS as exc:
+                h = prompt_digest(spec.model, p.text)
+                done = [
+                    UtteranceRecord(tid, i, h, PARSE_ERROR_LABEL, gold_of(g, i), ok=False,
+                                    fail_reason=type(exc).__name__)
+                    for i, _ in entries
+                ]
+            else:
+                input_tokens += rec.input_tokens
+                output_tokens += rec.output_tokens
+                if p.target_index is None:
+                    outcomes = outparse.parse_block_response(
+                        rec.response_text, entries, block_kind, mode
+                    ).outcomes
+                else:
+                    outcomes = (parse_line(rec.response_text, *entries[0], mode),)
+                done = [
+                    UtteranceRecord(
+                        transcript_id=tid,
+                        index=i,
+                        prompt_hash=rec.prompt_hash,
+                        predicted=parsed_label(o.value).canonical() if o.ok else PARSE_ERROR_LABEL,
+                        gold=gold_of(g, i),
+                        ok=o.ok,
+                        fail_reason=o.reason,
+                        input_tokens=rec.input_tokens,
+                        output_tokens=rec.output_tokens,
+                        latency_ms=rec.latency_ms,
+                    )
+                    for (i, _), o in zip(entries, outcomes)
+                ]
+            if feedback == "self":
+                # Feed the canonical form back so the prompt stream is a pure
+                # function of the logged predictions; a failure feeds "-".
+                for r in done:
+                    labels[r.index] = (
+                        ThreadLabel.new_thread() if r.predicted == PARSE_ERROR_LABEL
+                        else parse_respond_line(r.predicted)
+                    )
+            records.extend(done)
+        return records, input_tokens, output_tokens
 
+    chains = _chains(spec, corpus, feedback == "self")
     started = time.perf_counter()
-    if concurrency > 1 and len(spec.transcripts) > 1:
+    if concurrency > 1 and len(chains) > 1:
         with ThreadPoolExecutor(max_workers=concurrency) as pool:
-            results = list(pool.map(work, spec.transcripts))
+            results = list(pool.map(run_chain, chains))
     else:
-        results = [work(tid) for tid in spec.transcripts]
+        results = [run_chain(chain) for chain in chains]
     wall_time_ms = int((time.perf_counter() - started) * 1000)
 
-    records: list[UtteranceRecord] = []
-    failed: list[str] = []
+    records = [r for recs, _, _ in results for r in recs]
+    input_tokens = sum(n for _, n, _ in results)
+    output_tokens = sum(n for _, _, n in results)
     fallbacks = source_fallbacks
-    for tid, res in zip(spec.transcripts, results):
-        records.extend(sorted(res.records, key=lambda r: r.index))
-        if res.failed:
-            failed.append(tid)
-        fallbacks += res.n_fallbacks
-    input_tokens = sum(r.input_tokens for r in records)
-    output_tokens = sum(r.output_tokens for r in records)
-    cost = None
-    if pricing is not None:
-        rate_in, rate_out = pricing.rate(spec.model.model_id)
-        cost = input_tokens * rate_in / 1e6 + output_tokens * rate_out / 1e6
+    if feedback == "self":
+        fallbacks += sum(1 for r in records if r.predicted == PARSE_ERROR_LABEL)
     return RunLog(
         run_id=spec.run_id,
         spec=spec,
@@ -629,8 +531,13 @@ def _run(
         wall_time_ms=wall_time_ms,
         input_tokens=input_tokens,
         output_tokens=output_tokens,
-        cost_usd=cost,
-        failed_transcripts=tuple(failed),
+        cost_usd=(
+            pricing.cost(spec.model.model_id, input_tokens, output_tokens)
+            if pricing is not None else None
+        ),
+        failed_transcripts=tuple(
+            dict.fromkeys(r.transcript_id for r in records if r.fail_reason in _FAULT_NAMES)
+        ),
         n_fallback_labels=fallbacks,
     )
 
@@ -646,11 +553,13 @@ def run_threading(
 ) -> RunLog:
     """Thread every transcript in the spec and log one record per utterance.
 
-    Window runs feed each parsed prediction back as context for the next
-    window; a failed parse is logged as the parse-error class and replaced by
-    the new-thread marker in the feedback stream so later windows stay fully
-    labeled. All-at-once runs parse the response block; a context overflow
-    marks the whole transcript failed without aborting the run.
+    Self-feedback window runs feed each parsed prediction back as context for
+    the next window; a failed parse or provider fault is logged as the
+    parse-error class and replaced by the new-thread marker in the feedback
+    stream so later windows stay fully labeled. All-at-once runs parse the
+    response block. A provider fault (context overflow, rate limit, transport
+    error) fails only the records of the prompt it hit and lists the
+    transcript as failed; it never aborts the run.
     """
     if spec.task != "threading":
         raise ValueError(f"spec task is {spec.task!r}, expected 'threading'")
@@ -712,6 +621,33 @@ class EvalResult:
                 for tag, val in sorted(self.slices.items())
             }
         return d
+
+    @classmethod
+    def from_dict(cls, d: Mapping) -> "EvalResult":
+        def summary(s: Mapping) -> metrics.MetricSummary:
+            return metrics.MetricSummary(mean=s["mean"], std=s["std"], values=tuple(s["values"]))
+
+        def aggregate(a: Mapping) -> metrics.AggregateReport:
+            return metrics.AggregateReport(
+                accuracy=summary(a["accuracy"]),
+                macro_f1=summary(a["macro_f1"]),
+                kappa=summary(a["kappa"]),
+                n_conversations=a["n_conversations"],
+            )
+
+        slices = d.get("slices")
+        return cls(
+            run_id=d["run_id"],
+            task=d["task"],
+            per_conversation={
+                tid: metrics.MetricReport(**rep) for tid, rep in d["per_conversation"].items()
+            },
+            aggregate=aggregate(d["aggregate"]),
+            code_letter=d.get("code_letter"),
+            slices=None if slices is None else {
+                tag: val if "error" in val else aggregate(val) for tag, val in slices.items()
+            },
+        )
 
     def to_json(self) -> str:
         return json.dumps(self.as_dict(), sort_keys=True, indent=2) + "\n"

@@ -9,9 +9,9 @@ lines carry thread labels taken from the model's own earlier predictions
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator, Mapping
+from typing import Mapping
 
-from .corpus import GoldAnnotations, ThreadLabel, Transcript, Utterance
+from .corpus import ThreadLabel, Transcript, Utterance
 
 FEEDBACK_MODES = ("self", "gold", "none")
 
@@ -86,41 +86,3 @@ def make_window(
         n=cfg.n,
         transcript_id=t.id,
     )
-
-
-def window_sequence(
-    t: Transcript,
-    cfg: WindowConfig,
-    label_source: Mapping[int, ThreadLabel] | Callable[[int], ThreadLabel] | None = None,
-) -> Iterator[Window]:
-    """Yield one window per utterance, in order.
-
-    ``label_source`` (a mapping or a callable) is queried lazily for context
-    labels, so in self-feedback mode the caller can record a prediction for
-    utterance i after receiving window i and before the generator builds
-    window i + 1. A mutable dict the caller appends to works as-is.
-    """
-    if cfg.feedback != "none" and label_source is None:
-        raise ValueError(f"feedback={cfg.feedback!r} requires a label source")
-    if callable(label_source):
-        fetch = label_source
-    else:
-        fetch = None if label_source is None else label_source.__getitem__
-
-    class _Lookup:
-        def get(self, idx: int) -> ThreadLabel | None:
-            if fetch is None:
-                return None
-            try:
-                return fetch(idx)
-            except KeyError:
-                return None
-
-    lookup = _Lookup()
-    for i in range(1, len(t) + 1):
-        yield make_window(t, i, cfg, labels=lookup)
-
-
-def gold_label_source(g: GoldAnnotations) -> Callable[[int], ThreadLabel]:
-    """Label source that reads from human annotation, for gold-feedback windows."""
-    return lambda idx: g.thread[idx]

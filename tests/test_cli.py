@@ -143,6 +143,19 @@ def test_config_file_supplies_spec(capsys, tmp_path):
     assert meta["spec"]["shots"] == 1
 
 
+def test_config_pricing_sets_run_cost(capsys, tmp_path):
+    pricing_path = tmp_path / "pricing.json"
+    pricing_path.write_text(
+        json.dumps({"test-model": {"input_per_1m": 1.0, "output_per_1m": 2.0}}), encoding="utf-8")
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps({"pricing": str(pricing_path)}), encoding="utf-8")
+    run_id = _thread_run(capsys, tmp_path, extra=("--config", str(cfg_path)))
+    lines = (tmp_path / "runs" / run_id / "log.jsonl").read_text(encoding="utf-8").splitlines()
+    summary = json.loads(lines[-1])
+    assert summary["kind"] == "summary"
+    assert summary["cost_usd"] > 0
+
+
 def test_missing_model_is_an_error(capsys, tmp_path):
     with pytest.raises(SystemExit, match="model"):
         main(["thread", "--provider", "oracle", "--window", "10",

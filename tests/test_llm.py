@@ -24,7 +24,6 @@ from threadlab.llm import (
     TransportError,
     UnknownModelPricing,
     complete,
-    estimate_cost,
     estimate_tokens,
     prompt_digest,
 )
@@ -178,6 +177,23 @@ def test_malformed_payload_is_transport_error():
             provider.send(_prompt(), _model(url), "h")
 
 
+def test_non_json_body_is_transport_error():
+    class HtmlResponse:
+        status_code = 200
+        text = "<html>upstream proxy error</html>"
+
+        def json(self):
+            raise ValueError("Expecting value: line 1 column 1 (char 0)")
+
+    class FakeSession:
+        def post(self, url, **kwargs):
+            return HtmlResponse()
+
+    provider = HttpProvider(retry=FAST_RETRY, session=FakeSession())
+    with pytest.raises(TransportError, match="non-JSON"):
+        provider.send(_prompt(), _model("http://127.0.0.1:9/v1/chat/completions"), "h")
+
+
 # --- caching ---------------------------------------------------------------
 
 
@@ -317,11 +333,7 @@ def test_pricing_table_and_cost():
     pricing = PricingTable.from_dict(
         {"test-model": {"input_per_1m": 2.5, "output_per_1m": 10.0}}
     )
-    records = [
-        CompletionRecord("a", "r", 1_000_000, 100_000, 0, "x"),
-        CompletionRecord("b", "r", 500_000, 0, 0, "x"),
-    ]
-    cost = estimate_cost(records, pricing, "test-model")
+    cost = pricing.cost("test-model", 1_500_000, 100_000)
     assert cost == pytest.approx(2.5 + 1.0 + 1.25)
     with pytest.raises(UnknownModelPricing):
         pricing.rate("mystery-model")

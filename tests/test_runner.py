@@ -1,20 +1,28 @@
 import json
+import threading
+import time
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from threadlab.corpus import parse_respond_line
 from threadlab.llm import (
+    AuthError,
     CompletionCache,
     ContextOverflow,
     ModelConfig,
     OracleProvider,
     PricingTable,
     ProviderResult,
+    RateLimited,
+    TransportError,
+    complete,
     prompt_digest,
 )
 from threadlab.metrics import PARSE_ERROR_LABEL
-from threadlab.prompts import render_thread_window
+from threadlab.prompts import render_thread_all_at_once, render_thread_window
 from threadlab.runner import (
+    EvalResult,
     ExperimentSpec,
     GoldMismatch,
     MissingThreadSource,
@@ -163,6 +171,147 @@ def test_context_overflow_fails_transcript_not_run(bundled):
     assert len(log.records) == len(bundled["ws01"][0]) + len(bundled["ws02"][0])
 
 
+FAULTS = (ContextOverflow, RateLimited, TransportError)
+FAULT_TIDS = ("ws01", "cs01", "ws02")
+FAULT_SPECS = {
+    "thread_window_self": dict(window=WindowConfig(n=5)),
+    "thread_window_gold": dict(window=WindowConfig(n=5, feedback="gold")),
+    "thread_all_at_once": dict(strategy="all_at_once", window=None),
+    "abcde_window": dict(task="abcde", window=WindowConfig(n=5, feedback="none")),
+    "abcde_all_at_once": dict(task="abcde", strategy="all_at_once", window=None),
+}
+
+
+class FaultProvider:
+    """Gold everywhere except at planned targets, which raise a fault or get garbage.
+
+    ``plan`` maps (transcript id, target index, or None for a whole-transcript
+    prompt) to a fault class, or to None for an unparseable reply.
+    """
+
+    name = "faulty"
+
+    def __init__(self, corpus, plan):
+        self.oracle = OracleProvider({tid: g for tid, (_, g) in corpus.items()})
+        self.plan = plan
+
+    def send(self, prompt, model, prompt_hash):
+        key = (prompt.transcript_id, prompt.target_index)
+        if key not in self.plan:
+            return self.oracle.send(prompt, model, prompt_hash)
+        if self.plan[key] is None:
+            return ProviderResult("no idea, sorry", None, None, 0)
+        raise self.plan[key]("injected")
+
+
+@pytest.mark.parametrize("name", sorted(FAULT_SPECS))
+@given(data=st.data())
+@settings(max_examples=15, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_provider_faults_cost_only_their_records(bundled, name, data):
+    spec = _spec(transcripts=FAULT_TIDS, **FAULT_SPECS[name])
+    windowed = spec.strategy == "window"
+    target = st.integers(1, 11) if windowed else st.none()  # cs01 has 11 lines
+    plan = data.draw(st.dictionaries(
+        st.tuples(st.sampled_from(FAULT_TIDS), target), st.sampled_from(FAULTS + (None,)),
+        max_size=4,
+    ))
+    run = run_threading if spec.task == "threading" else run_abcde
+    log = run(spec, bundled, FaultProvider(bundled, plan), concurrency=1)
+    pooled = run(spec, bundled, FaultProvider(bundled, plan), concurrency=4)
+    assert pooled.records == log.records
+
+    assert [(r.transcript_id, r.index) for r in log.records] == [
+        (tid, i) for tid in FAULT_TIDS for i in range(1, len(bundled[tid][0]) + 1)
+    ]
+    for r in log.records:
+        planned = plan.get((r.transcript_id, r.index if windowed else None), "clean")
+        if planned == "clean":
+            assert r.ok and r.predicted == r.gold, r
+        elif planned is None:
+            assert not r.ok and r.predicted == PARSE_ERROR_LABEL
+            assert r.fail_reason not in {f.__name__ for f in FAULTS}
+        else:
+            assert not r.ok and r.predicted == PARSE_ERROR_LABEL
+            assert r.fail_reason == planned.__name__
+    hit = {tid for (tid, _), fault in plan.items() if fault is not None}
+    assert log.failed_transcripts == tuple(tid for tid in FAULT_TIDS if tid in hit)
+
+    if name != "thread_window_self":
+        assert log.n_fallback_labels == 0
+        return
+    assert log.n_fallback_labels == sum(not r.ok for r in log.records)
+    # every failure, fault or garbage, fed "-" into the windows after it
+    labels = {}
+    for r in log.records:
+        t, _ = bundled[r.transcript_id]
+        w = make_window(t, r.index, spec.window, labels.setdefault(r.transcript_id, {}))
+        assert prompt_digest(MODEL, render_thread_window(w).text) == r.prompt_hash
+        labels[r.transcript_id][r.index] = parse_respond_line(
+            "-" if r.predicted == PARSE_ERROR_LABEL else r.predicted
+        )
+
+
+class SlowProvider:
+    """Gold after a short sleep, recording the peak number of sends in flight."""
+
+    name = "slow"
+
+    def __init__(self, corpus):
+        self.oracle = OracleProvider({tid: g for tid, (_, g) in corpus.items()})
+        self.lock = threading.Lock()
+        self.in_flight = 0
+        self.peak = 0
+
+    def send(self, prompt, model, prompt_hash):
+        with self.lock:
+            self.in_flight += 1
+            self.peak = max(self.peak, self.in_flight)
+        try:
+            time.sleep(0.01)
+            return self.oracle.send(prompt, model, prompt_hash)
+        finally:
+            with self.lock:
+                self.in_flight -= 1
+
+
+def test_concurrency_spans_windows_except_self_feedback(bundled):
+    independent = SlowProvider(bundled)
+    run_abcde(_spec(task="abcde", window=WindowConfig(n=10, feedback="none")),
+              bundled, independent, concurrency=4)
+    assert independent.peak > 1
+    chained = SlowProvider(bundled)
+    run_threading(_spec(), bundled, chained, concurrency=4)
+    assert chained.peak == 1
+
+
+def test_unhandled_provider_error_stops_scheduling(bundled):
+    class AuthFailsFirst(SlowProvider):
+        calls = 0
+
+        def send(self, prompt, model, prompt_hash):
+            with self.lock:
+                self.calls += 1
+            if prompt.target_index == 1:
+                raise AuthError("token expired")
+            return super().send(prompt, model, prompt_hash)
+
+    provider = AuthFailsFirst(bundled)
+    spec = _spec(task="abcde", window=WindowConfig(n=10, feedback="none"))
+    with pytest.raises(AuthError):
+        run_abcde(spec, bundled, provider, concurrency=4)
+    assert provider.calls < len(bundled["ws01"][0])
+
+
+def test_all_at_once_totals_count_the_one_completion(bundled):
+    pricing = PricingTable.from_dict({"test-model": {"input_per_1m": 1.0, "output_per_1m": 2.0}})
+    spec = _spec(strategy="all_at_once", window=None)
+    log = run_threading(spec, bundled, _oracle(bundled), pricing=pricing)
+    t, _ = bundled["ws01"]
+    rec = complete(render_thread_all_at_once(t), MODEL, _oracle(bundled))
+    assert (log.input_tokens, log.output_tokens) == (rec.input_tokens, rec.output_tokens)
+    assert log.cost_usd == pricing.cost(MODEL.model_id, rec.input_tokens, rec.output_tokens)
+
+
 def test_shots_excluded_from_target(bundled):
     spec = _spec(strategy="all_at_once", window=None, shots=2, transcripts=("ws01",))
     log = run_threading(spec, bundled, _oracle(bundled))
@@ -299,6 +448,19 @@ def test_evaluate_abcde_binary_letter(bundled):
     assert result.aggregate.accuracy.mean == 1.0
     with pytest.raises(ValueError):
         evaluate_run(log, bundled, code_letter="Q")
+
+
+def test_eval_result_round_trips_through_json(bundled):
+    thread_log = run_threading(_spec(transcripts=("ws01", "ws02")), bundled,
+                               FlakyThreadProvider(bundled, bad_indices={3}))
+    code_log = run_abcde(_spec(task="abcde", window=WindowConfig(n=10, feedback="none")),
+                         bundled, _oracle(bundled))
+    # neither transcript has an I utterance, so that slice is an error entry
+    for result in (evaluate_run(thread_log, bundled, subcats=["AP", "I"]),
+                   evaluate_run(code_log, bundled, code_letter="A")):
+        again = EvalResult.from_dict(json.loads(result.to_json()))
+        assert again == result
+        assert again.to_json() == result.to_json()
 
 
 def test_evaluate_coverage_checks(bundled):

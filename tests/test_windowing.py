@@ -6,9 +6,7 @@ from threadlab.windowing import (
     MissingFeedbackLabel,
     Window,
     WindowConfig,
-    gold_label_source,
     make_window,
-    window_sequence,
 )
 
 
@@ -58,36 +56,6 @@ def test_make_window_feedback_none_skips_labels():
     t = _transcript(5)
     w = make_window(t, 3, WindowConfig(n=10, feedback="none"))
     assert [lbl for _, lbl in w.context] == [None, None]
-
-
-def test_window_sequence_self_feedback_is_lazy():
-    t = _transcript(4)
-    predictions: dict[int, ThreadLabel] = {}
-    seen = []
-    for w in window_sequence(t, WindowConfig(n=3), predictions):
-        seen.append([u.index for u, _ in w.context])
-        # the caller records a prediction after seeing each window
-        predictions[w.target_index] = (
-            ThreadLabel.new_thread() if w.target_index == 1 else ThreadLabel.link(1)
-        )
-    assert seen == [[], [1], [1, 2], [2, 3]]
-
-
-def test_window_sequence_raises_without_feedback():
-    t = _transcript(3)
-    gen = window_sequence(t, WindowConfig(n=3), {})
-    next(gen)
-    with pytest.raises(MissingFeedbackLabel):
-        next(gen)  # nothing was recorded for index 1
-
-
-def test_gold_label_source(bundled):
-    t, g = bundled["ws01"]
-    source = gold_label_source(g)
-    windows = list(window_sequence(t, WindowConfig(n=10, feedback="gold"), source))
-    assert len(windows) == len(t)
-    last = windows[-1]
-    assert all(lbl == g.thread[u.index] for u, lbl in last.context)
 
 
 @given(
