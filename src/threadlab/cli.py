@@ -173,7 +173,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     subcats = args.subcats.split(",") if args.subcats else None
     result = runner_mod.evaluate_run(log, corpus, code_letter=args.code_letter, subcats=subcats)
     path = runs_dir / log.run_id / "eval.json"
-    path.write_text(result.to_json(), encoding="utf-8")
+    runner_mod.write_atomic(path, result.to_json())
     agg = result.aggregate
     print(
         f"run {log.run_id}: kappa {agg.kappa.mean:.4f} +/- {agg.kappa.std:.4f}, "

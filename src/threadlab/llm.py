@@ -175,8 +175,20 @@ class CompletionCache:
         self._path = Path(path) if path else None
         self._records: dict[str, CompletionRecord] = {}
         self._lock = threading.Lock()
+        # File size to cut back to before the next append, when the file ends
+        # in a torn line.
+        self._truncate_to: int | None = None
         if self._path and self._path.exists():
-            for line in self._path.read_text(encoding="utf-8").splitlines():
+            data = self._path.read_bytes()
+            end = data.rfind(b"\n") + 1
+            # put() ends every record with a newline, so bytes after the last
+            # one are an append cut short, as by a run killed mid-write. They
+            # are dropped here and cut off the file by the next put, so its
+            # record starts on a line of its own. A bad line before the last
+            # newline is corruption and still raises.
+            if end < len(data):
+                self._truncate_to = end
+            for line in data[:end].decode("utf-8").split("\n"):
                 if not line.strip():
                     continue
                 rec = CompletionRecord.from_dict(json.loads(line))
@@ -196,6 +208,9 @@ class CompletionCache:
             self._records[record.prompt_hash] = record
             if self._path:
                 self._path.parent.mkdir(parents=True, exist_ok=True)
+                if self._truncate_to is not None:
+                    os.truncate(self._path, self._truncate_to)
+                    self._truncate_to = None
                 with self._path.open("a", encoding="utf-8") as fh:
                     fh.write(json.dumps(record.as_dict(), ensure_ascii=False) + "\n")
 

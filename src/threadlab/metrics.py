@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .corpus import CodeSet
 
@@ -49,10 +49,63 @@ def _check_lengths(gold: Sequence[str], pred: Sequence[str]) -> None:
         raise EmptyInput("label sequences must be non-empty")
 
 
+@dataclass(frozen=True)
+class _Counts:
+    """Label counts of one gold/prediction pair, from which every metric is derived."""
+
+    n: int
+    gold: Counter
+    pred: Counter
+    agree: Counter  # class -> positions where gold and prediction both carry it
+
+
+def _count(gold: Sequence[str], pred: Sequence[str]) -> _Counts:
+    _check_lengths(gold, pred)
+    return _Counts(
+        n=len(gold),
+        gold=Counter(gold),
+        pred=Counter(pred),
+        agree=Counter(g for g, p in zip(gold, pred) if g == p),
+    )
+
+
+def _accuracy(c: _Counts) -> float:
+    return sum(c.agree.values()) / c.n
+
+
+def _macro_f1(c: _Counts, classes: Sequence[str]) -> float:
+    # Summed in sorted class order so the float result does not depend on
+    # the order labels first occur in.
+    total = 0.0
+    for k in classes:
+        tp = c.agree[k]
+        n_pred = c.pred[k]
+        n_gold = c.gold[k]
+        precision = tp / n_pred if n_pred else 0.0
+        recall = tp / n_gold if n_gold else 0.0
+        total += 2 * precision * recall / (precision + recall) if precision + recall else 0.0
+    return total / len(classes)
+
+
+def _kappa(c: _Counts) -> float:
+    n = c.n
+    matches = sum(c.agree.values())
+    # Integer arithmetic for the chance term keeps the degenerate test exact.
+    expected_num = sum(m * c.pred[k] for k, m in c.gold.items())
+    if expected_num == n * n:
+        return 1.0 if matches == n else 0.0
+    p_o = matches / n
+    p_e = expected_num / (n * n)
+    return (p_o - p_e) / (1.0 - p_e)
+
+
+def _classes(c: _Counts) -> list[str]:
+    return sorted(c.gold.keys() | c.pred.keys())
+
+
 def accuracy(gold: Sequence[str], pred: Sequence[str]) -> float:
     """Fraction of positions where the labels match exactly."""
-    _check_lengths(gold, pred)
-    return sum(1 for g, p in zip(gold, pred) if g == p) / len(gold)
+    return _accuracy(_count(gold, pred))
 
 
 def macro_f1(gold: Sequence[str], pred: Sequence[str]) -> float:
@@ -62,17 +115,8 @@ def macro_f1(gold: Sequence[str], pred: Sequence[str]) -> float:
     Precision and recall with empty denominators are taken as 0, and a class
     with precision + recall = 0 contributes F1 = 0.
     """
-    _check_lengths(gold, pred)
-    classes = sorted(set(gold) | set(pred))
-    total = 0.0
-    for c in classes:
-        tp = sum(1 for g, p in zip(gold, pred) if g == c and p == c)
-        n_pred = sum(1 for p in pred if p == c)
-        n_gold = sum(1 for g in gold if g == c)
-        precision = tp / n_pred if n_pred else 0.0
-        recall = tp / n_gold if n_gold else 0.0
-        total += 2 * precision * recall / (precision + recall) if precision + recall else 0.0
-    return total / len(classes)
+    c = _count(gold, pred)
+    return _macro_f1(c, _classes(c))
 
 
 def cohens_kappa(gold: Sequence[str], pred: Sequence[str]) -> float:
@@ -82,18 +126,7 @@ def cohens_kappa(gold: Sequence[str], pred: Sequence[str]) -> float:
     on one identical class), kappa is 1 if observed agreement is perfect and 0
     otherwise.
     """
-    _check_lengths(gold, pred)
-    n = len(gold)
-    matches = sum(1 for g, p in zip(gold, pred) if g == p)
-    gold_counts = Counter(gold)
-    pred_counts = Counter(pred)
-    # Integer arithmetic for the chance term keeps the degenerate test exact.
-    expected_num = sum(gold_counts[c] * pred_counts.get(c, 0) for c in gold_counts)
-    if expected_num == n * n:
-        return 1.0 if matches == n else 0.0
-    p_o = matches / n
-    p_e = expected_num / (n * n)
-    return (p_o - p_e) / (1.0 - p_e)
+    return _kappa(_count(gold, pred))
 
 
 @dataclass(frozen=True)
@@ -117,13 +150,15 @@ class MetricReport:
 
 
 def score(gold: Sequence[str], pred: Sequence[str]) -> MetricReport:
-    """All three metrics for one gold/prediction pair."""
+    """All three metrics for one gold/prediction pair, from one counting pass."""
+    c = _count(gold, pred)
+    classes = _classes(c)
     return MetricReport(
-        accuracy=accuracy(gold, pred),
-        macro_f1=macro_f1(gold, pred),
-        kappa=cohens_kappa(gold, pred),
-        n=len(gold),
-        n_classes=len(set(gold) | set(pred)),
+        accuracy=_accuracy(c),
+        macro_f1=_macro_f1(c, classes),
+        kappa=_kappa(c),
+        n=c.n,
+        n_classes=len(classes),
     )
 
 
@@ -178,6 +213,29 @@ def aggregate(reports: Sequence[MetricReport]) -> AggregateReport:
     )
 
 
+def subcategory_slices(
+    gold: Sequence[str],
+    pred: Sequence[str],
+    subcat: Mapping[int, str],
+    tags: Iterable[str],
+) -> dict[str, MetricReport]:
+    """:func:`subcategory_slice` for each of ``tags``, grouping positions in one pass.
+
+    Tags that never occur are left out of the result.
+    """
+    _check_lengths(gold, pred)
+    keep: dict[str, list[int]] = {tag: [] for tag in tags}
+    for i in range(len(gold)):
+        positions = keep.get(subcat.get(i + 1))
+        if positions is not None:
+            positions.append(i)
+    return {
+        tag: score([gold[i] for i in positions], [pred[i] for i in positions])
+        for tag, positions in keep.items()
+        if positions
+    }
+
+
 def subcategory_slice(
     gold: Sequence[str],
     pred: Sequence[str],
@@ -189,11 +247,10 @@ def subcategory_slice(
     Position p (0-based) corresponds to utterance index p + 1 in the subcat
     map. Raises EmptyCategory when the tag never occurs.
     """
-    _check_lengths(gold, pred)
-    keep = [i for i in range(len(gold)) if subcat.get(i + 1) == tag]
-    if not keep:
+    report = subcategory_slices(gold, pred, subcat, (tag,)).get(tag)
+    if report is None:
         raise EmptyCategory(tag)
-    return score([gold[i] for i in keep], [pred[i] for i in keep])
+    return report
 
 
 PRESENT = "present"

@@ -138,6 +138,12 @@ def _scale(values: Sequence[float], lo_px: float, hi_px: float):
     return lambda v: lo_px + (v - vmin) / span * (hi_px - lo_px)
 
 
+def _xml_text(s: str) -> str:
+    # xml.sax.saxutils.escape does the same, but importing it loads six
+    # modules into every process that imports the package.
+    return s.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
 def _panel(gid: str, title: str, rows: Sequence[TradeoffRow],
            x_of, x_label: str, x_off: float) -> list[str]:
     xs = [x_of(r) for r in rows]
@@ -166,12 +172,13 @@ def _panel(gid: str, title: str, rows: Sequence[TradeoffRow],
     for row, x, y in zip(rows, xs, ys):
         px, py = sx(x), sy(y)
         fill = "#d62728" if row.condition == HUMAN_CONDITION else "#1f77b4"
+        name = _xml_text(row.condition)
         parts.append(
             f'    <circle cx="{px:.1f}" cy="{py:.1f}" r="4" fill="{fill}">'
-            f"<title>{row.condition}</title></circle>"
+            f"<title>{name}</title></circle>"
         )
         parts.append(
-            f'    <text x="{px + 6:.1f}" y="{py - 6:.1f}" font-size="9">{row.condition}</text>'
+            f'    <text x="{px + 6:.1f}" y="{py - 6:.1f}" font-size="9">{name}</text>'
         )
     parts.append("  </g>")
     return parts

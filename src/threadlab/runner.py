@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -266,7 +268,7 @@ class RunLog:
         run_dir = Path(runs_dir) / self.run_id
         run_dir.mkdir(parents=True, exist_ok=True)
         path = run_dir / "log.jsonl"
-        path.write_text(self.to_jsonl(), encoding="utf-8")
+        write_atomic(path, self.to_jsonl())
         return path
 
     @classmethod
@@ -275,6 +277,24 @@ class RunLog:
         if not path.exists():
             raise MissingThreadSource(f"no run log at {path}")
         return cls.from_jsonl(path.read_text(encoding="utf-8"))
+
+
+def write_atomic(path: Path, text: str) -> None:
+    """Replace ``path`` with ``text`` so readers see the old file or the new one.
+
+    The text goes to a temporary file in the same directory, which is then
+    renamed over ``path``; a run killed mid-write leaves the old file whole.
+    """
+    # Named per writing thread rather than by mkstemp, whose files are
+    # private to the owner where write_text leaves the mode to the umask.
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
+    try:
+        with tmp.open("w", encoding="utf-8") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 Corpus = Mapping[str, tuple[Transcript, GoldAnnotations]]
@@ -699,11 +719,11 @@ def evaluate_run(
             report = metrics.score(gold, pred)
             per_conv[tid] = report
             reports.append(report)
-            for tag in subcats or ():
-                try:
-                    sliced[tag].append(metrics.subcategory_slice(gold, pred, g.subcat, tag))
-                except metrics.EmptyCategory:
-                    continue
+            if subcats:
+                found = metrics.subcategory_slices(gold, pred, g.subcat, subcats)
+                for tag in subcats:
+                    if tag in found:
+                        sliced[tag].append(found[tag])
         slices: dict[str, object] | None = None
         if subcats:
             slices = {}

@@ -52,3 +52,21 @@ def ref_kappa(gold: Sequence[str], pred: Sequence[str]) -> float:
     if p_e == 1:
         return 1.0 if p_o == 1 else 0.0
     return float((p_o - p_e) / (1 - p_e))
+
+
+def rescan_macro_f1(gold: Sequence[str], pred: Sequence[str]) -> float:
+    """The package's earlier macro-F1: three scans of both sequences per class.
+
+    Same float expression and summation order as the counting implementation,
+    so the two must agree exactly, not just to a tolerance.
+    """
+    classes = sorted(set(gold) | set(pred))
+    total = 0.0
+    for c in classes:
+        tp = sum(1 for g, p in zip(gold, pred) if g == c and p == c)
+        n_pred = sum(1 for p in pred if p == c)
+        n_gold = sum(1 for g in gold if g == c)
+        precision = tp / n_pred if n_pred else 0.0
+        recall = tp / n_gold if n_gold else 0.0
+        total += 2 * precision * recall / (precision + recall) if precision + recall else 0.0
+    return total / len(classes)

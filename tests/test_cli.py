@@ -73,6 +73,16 @@ def test_eval_writes_eval_json(capsys, tmp_path):
     assert set(result["slices"]) == {"AP", "TT"}
 
 
+def test_eval_replaces_eval_json(capsys, tmp_path):
+    run_id = _thread_run(capsys, tmp_path)
+    eval_path = tmp_path / "runs" / run_id / "eval.json"
+    eval_path.write_text("stale", encoding="utf-8")
+    code, _, err = _run(capsys, "eval", "--run", run_id, "--out", str(tmp_path))
+    assert code == 0, err
+    assert json.loads(eval_path.read_text(encoding="utf-8"))["run_id"] == run_id
+    assert sorted(p.name for p in eval_path.parent.iterdir()) == ["eval.json", "log.jsonl"]
+
+
 def test_report_writes_csv_and_svg(capsys, tmp_path):
     first = _thread_run(capsys, tmp_path)
     second = _thread_run(capsys, tmp_path, extra=("--window", "20"))

@@ -238,6 +238,41 @@ def test_cache_last_record_wins_on_load(tmp_path):
     assert CompletionCache(path).get("hh").response_text == "new"
 
 
+def _record_line(prompt_hash, text="r"):
+    return json.dumps(CompletionRecord(prompt_hash, text, 1, 1, 0, "x").as_dict(), ensure_ascii=False)
+
+
+def test_cache_drops_torn_tail_and_put_cuts_it_off(tmp_path):
+    path = tmp_path / "cache.jsonl"
+    whole = _record_line("h1") + "\n" + _record_line("h2") + "\n"
+    # an append killed part-way, cut inside a multi-byte character
+    torn = _record_line("h3", "é").encode("utf-8")[:-4]
+    path.write_bytes(whole.encode("utf-8") + torn)
+    cache = CompletionCache(path)
+    assert len(cache) == 2 and cache.get("h3") is None
+    assert path.read_bytes().endswith(torn)  # loading writes nothing
+    cache.put(CompletionRecord("h4", "new", 1, 1, 0, "x"))
+    assert path.read_text(encoding="utf-8") == whole + _record_line("h4", "new") + "\n"
+    reopened = CompletionCache(path)
+    assert len(reopened) == 3
+    assert [reopened.get(h).response_text for h in ("h1", "h2", "h4")] == ["r", "r", "new"]
+
+
+def test_cache_corruption_before_last_line_raises(tmp_path):
+    path = tmp_path / "cache.jsonl"
+    path.write_text(_record_line("h1") + "\n" + '{"prompt_hash": "h2", "resp\n' + _record_line("h3") + "\n")
+    with pytest.raises(json.JSONDecodeError):
+        CompletionCache(path)
+
+
+def test_cache_keeps_unicode_line_separators_in_text(tmp_path):
+    # json.dumps leaves U+2028 and U+0085 unescaped with ensure_ascii=False;
+    # only "\n" separates records.
+    path = tmp_path / "cache.jsonl"
+    CompletionCache(path).put(CompletionRecord("h1", "a\u2028b\x85c", 1, 1, 0, "x"))
+    assert CompletionCache(path).get("h1").response_text == "a\u2028b\x85c"
+
+
 def test_prompt_digest_sensitivity():
     m1 = ModelConfig(model_id="m", temperature=0.0)
     m2 = ModelConfig(model_id="m", temperature=0.5)

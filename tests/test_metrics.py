@@ -11,6 +11,7 @@ from threadlab.metrics import (
     EmptyCategory,
     EmptyInput,
     LengthMismatch,
+    MetricReport,
     accuracy,
     aggregate,
     binary_code_metrics,
@@ -20,7 +21,7 @@ from threadlab.metrics import (
     subcategory_slice,
 )
 
-from reference_metrics import ref_accuracy, ref_kappa, ref_macro_f1
+from reference_metrics import ref_accuracy, ref_kappa, ref_macro_f1, rescan_macro_f1
 
 
 # --- hand-checked values ---------------------------------------------------
@@ -109,6 +110,8 @@ def test_subcategory_slice_position_mapping():
     rep = subcategory_slice(gold, pred, subcat, "AP")
     assert rep.n == 2
     assert rep.accuracy == 0.5
+    assert subcategory_slice(gold, pred, subcat, "TT").n == 1
+    assert subcategory_slice(gold, pred, {3: "E"}, "E").accuracy == 0.0
     with pytest.raises(EmptyCategory):
         subcategory_slice(gold, pred, subcat, "BC")
 
@@ -154,6 +157,51 @@ def test_against_reference_randomized():
         assert accuracy(gold, pred) == pytest.approx(ref_accuracy(gold, pred), abs=1e-12)
         assert macro_f1(gold, pred) == pytest.approx(ref_macro_f1(gold, pred), abs=1e-12)
         assert cohens_kappa(gold, pred) == pytest.approx(ref_kappa(gold, pred), abs=1e-12)
+        assert macro_f1(gold, pred) == rescan_macro_f1(gold, pred)
+
+
+def _thread_like_instance(rng, n):
+    """Thread labels of an n-line transcript: mostly distinct earlier line numbers."""
+
+    def label(i):
+        r = rng.random()
+        if r < 0.15:
+            return "-"
+        if r < 0.22:
+            return f"({rng.randint(1, i)},{rng.choice(['-', str(rng.randint(1, i))])})"
+        if r < 0.27:
+            return PARSE_ERROR_LABEL
+        return str(rng.randint(1, i))
+
+    gold = [label(i) for i in range(1, n + 1)]
+    pred = [g if rng.random() < 0.6 and g != PARSE_ERROR_LABEL else label(i)
+            for i, g in enumerate(gold, start=1)]
+    return gold, pred
+
+
+@pytest.mark.parametrize("n", [150, 400, 700])
+def test_many_thread_label_classes_against_reference(n):
+    gold, pred = _thread_like_instance(random.Random(n), n)
+    rep = score(gold, pred)
+    assert rep.n_classes > n // 3
+    assert rep.macro_f1 == pytest.approx(ref_macro_f1(gold, pred), abs=1e-12)
+    assert rep.macro_f1 == rescan_macro_f1(gold, pred)
+    assert rep.accuracy == pytest.approx(ref_accuracy(gold, pred), abs=1e-12)
+    assert rep.kappa == pytest.approx(ref_kappa(gold, pred), abs=1e-12)
+
+
+def test_score_equals_the_three_public_metrics():
+    rng = random.Random(5)
+    instances = [_random_instance(rng) for _ in range(100)]
+    instances += [_thread_like_instance(rng, n) for n in (1, 2, 30, 300)]
+    for gold, pred in instances:
+        assert score(gold, pred) == MetricReport(
+            accuracy=accuracy(gold, pred),
+            macro_f1=macro_f1(gold, pred),
+            kappa=cohens_kappa(gold, pred),
+            n=len(gold),
+            n_classes=len(set(gold) | set(pred)),
+        )
 
 
 def test_against_sklearn_when_available():

@@ -1,4 +1,5 @@
 import csv
+from xml.dom import minidom
 
 import pytest
 
@@ -117,6 +118,17 @@ def test_svg_survives_flat_axes(two_runs, tmp_path):
     path = tmp_path / "flat.svg"
     write_svg(tradeoff_rows([(name, log, result), (name, log, result)]), path)
     assert path.read_text(encoding="utf-8").count("<circle") == 6
+
+
+def test_svg_escapes_condition_names(two_runs, tmp_path):
+    _, log, result = two_runs[0]
+    path = tmp_path / "escaped.svg"
+    write_svg(tradeoff_rows([("a<b & c", log, result)]), path)
+    doc = minidom.parse(str(path))
+    titles = [t.firstChild.data for t in doc.getElementsByTagName("title")]
+    labels = [t.firstChild.data for t in doc.getElementsByTagName("text")]
+    assert titles.count("a<b & c") == 2
+    assert labels.count("a<b & c") == 2
 
 
 def test_tradeoff_report_writes_both(two_runs, tmp_path):

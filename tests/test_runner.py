@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import threading
 import time
@@ -5,7 +6,7 @@ import time
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from threadlab.corpus import parse_respond_line
+from threadlab.corpus import SUBCATEGORY_TAGS, parse_respond_line
 from threadlab.llm import (
     AuthError,
     CompletionCache,
@@ -19,7 +20,7 @@ from threadlab.llm import (
     complete,
     prompt_digest,
 )
-from threadlab.metrics import PARSE_ERROR_LABEL
+from threadlab.metrics import PARSE_ERROR_LABEL, EmptyCategory, aggregate, subcategory_slice
 from threadlab.prompts import render_thread_all_at_once, render_thread_window
 from threadlab.runner import (
     EvalResult,
@@ -32,6 +33,7 @@ from threadlab.runner import (
     resolve_thread_labels,
     run_abcde,
     run_threading,
+    write_atomic,
 )
 from threadlab.windowing import WindowConfig, make_window
 
@@ -339,6 +341,25 @@ def test_run_log_jsonl_round_trip(bundled, tmp_path):
     assert again.input_tokens == log.input_tokens
 
 
+def test_save_replaces_log_atomically(bundled, tmp_path):
+    log = run_threading(_spec(transcripts=("cs01",)), bundled, _oracle(bundled))
+    path = tmp_path / "runs" / log.run_id / "log.jsonl"
+    path.parent.mkdir(parents=True)
+    path.write_text("stale\n", encoding="utf-8")
+    assert log.save(tmp_path / "runs") == path
+    assert path.read_text(encoding="utf-8") == log.to_jsonl()
+    assert [p.name for p in path.parent.iterdir()] == ["log.jsonl"]
+
+
+def test_write_atomic_keeps_old_file_when_write_fails(tmp_path):
+    path = tmp_path / "out.json"
+    path.write_text("old", encoding="utf-8")
+    with pytest.raises(UnicodeEncodeError):
+        write_atomic(path, "new \ud800")  # a lone surrogate cannot be encoded
+    assert path.read_text(encoding="utf-8") == "old"
+    assert [p.name for p in tmp_path.iterdir()] == ["out.json"]
+
+
 def test_cached_rerun_reproduces_records(bundled, tmp_path):
     spec = _spec(transcripts=("ws03",))
     cache_path = tmp_path / "cache.jsonl"
@@ -426,6 +447,35 @@ def test_evaluate_threading_with_slices(bundled):
     for tag, val in result.slices.items():
         if isinstance(val, dict):
             assert val == {"error": "EmptyCategory"}
+
+
+@pytest.mark.parametrize("transcripts", [None, ("ws05", "ws06")])
+def test_evaluate_slices_match_per_tag_subcategory_slice(bundled, transcripts):
+    # ("ws05", "ws06") carry no TT utterance, so that slice is an error entry
+    tags = sorted(SUBCATEGORY_TAGS)
+    spec = _spec(transcripts=transcripts or tuple(bundled))
+    log = run_threading(spec, bundled, FlakyThreadProvider(bundled, bad_indices={2, 5, 8}))
+    # wrong but valid labels beside the parse failures
+    log = dataclasses.replace(log, records=[
+        dataclasses.replace(r, predicted="-") if r.index % 4 == 0 else r for r in log.records
+    ])
+    result = evaluate_run(log, bundled, subcats=tags)
+    sliced = {tag: [] for tag in tags}
+    for tid in spec.transcripts:
+        _, g = bundled[tid]
+        recs = sorted((r for r in log.records if r.transcript_id == tid), key=lambda r: r.index)
+        gold = [g.thread[r.index].canonical() for r in recs]
+        pred = [r.predicted for r in recs]
+        for tag in tags:
+            try:
+                sliced[tag].append(subcategory_slice(gold, pred, g.subcat, tag))
+            except EmptyCategory:
+                pass
+    expected = {
+        tag: aggregate(reps) if reps else {"error": "EmptyCategory"} for tag, reps in sliced.items()
+    }
+    assert result.slices == expected
+    assert (expected["TT"] == {"error": "EmptyCategory"}) == (transcripts is not None)
 
 
 def test_evaluate_is_deterministic_json(bundled):
