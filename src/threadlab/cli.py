@@ -66,7 +66,7 @@ def _build_spec(task: str, config: dict, args: argparse.Namespace) -> runner_mod
         spec_dict.setdefault("template_dir", config["template_dir"])
     try:
         return runner_mod.ExperimentSpec.from_dict(spec_dict)
-    except (KeyError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise SystemExit(f"bad experiment spec: {exc}")
 
 
@@ -171,7 +171,10 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     runs_dir = Path(args.out) / "runs"
     log = runner_mod.RunLog.load(runs_dir, args.run)
     subcats = args.subcats.split(",") if args.subcats else None
-    result = runner_mod.evaluate_run(log, corpus, code_letter=args.code_letter, subcats=subcats)
+    try:
+        result = runner_mod.evaluate_run(log, corpus, args.code_letter, subcats)
+    except ValueError as exc:
+        raise SystemExit(str(exc))
     path = runs_dir / log.run_id / "eval.json"
     runner_mod.write_atomic(path, result.to_json())
     agg = result.aggregate
@@ -270,7 +273,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except runner_mod.MissingThreadSource as exc:  # a run id or thread source with no log
+        raise SystemExit(str(exc))
 
 
 if __name__ == "__main__":

@@ -24,6 +24,7 @@ import requests
 
 from .corpus import GoldAnnotations
 from .prompts import RenderedPrompt
+from .schema import as_fields
 
 DEFAULT_TEMPERATURE = 0.0
 
@@ -119,29 +120,6 @@ class CompletionRecord:
     provider: str  # http | replay | oracle
     tokens_estimated: bool = False
 
-    def as_dict(self) -> dict:
-        return {
-            "prompt_hash": self.prompt_hash,
-            "response_text": self.response_text,
-            "input_tokens": self.input_tokens,
-            "output_tokens": self.output_tokens,
-            "latency_ms": self.latency_ms,
-            "provider": self.provider,
-            "tokens_estimated": self.tokens_estimated,
-        }
-
-    @classmethod
-    def from_dict(cls, d: Mapping) -> "CompletionRecord":
-        return cls(
-            prompt_hash=str(d["prompt_hash"]),
-            response_text=str(d["response_text"]),
-            input_tokens=int(d["input_tokens"]),
-            output_tokens=int(d["output_tokens"]),
-            latency_ms=int(d["latency_ms"]),
-            provider=str(d.get("provider", "replay")),
-            tokens_estimated=bool(d.get("tokens_estimated", False)),
-        )
-
 
 def prompt_digest(model: ModelConfig, prompt_text: str) -> str:
     """Content address of one completion request."""
@@ -191,7 +169,7 @@ class CompletionCache:
             for line in data[:end].decode("utf-8").split("\n"):
                 if not line.strip():
                     continue
-                rec = CompletionRecord.from_dict(json.loads(line))
+                rec = CompletionRecord(**json.loads(line))
                 self._records[rec.prompt_hash] = rec
 
     def __len__(self) -> int:
@@ -212,7 +190,7 @@ class CompletionCache:
                     os.truncate(self._path, self._truncate_to)
                     self._truncate_to = None
                 with self._path.open("a", encoding="utf-8") as fh:
-                    fh.write(json.dumps(record.as_dict(), ensure_ascii=False) + "\n")
+                    fh.write(json.dumps(as_fields(record), ensure_ascii=False) + "\n")
 
 
 # ---------------------------------------------------------------------------

@@ -139,15 +139,6 @@ class MetricReport:
     n: int
     n_classes: int
 
-    def as_dict(self) -> dict:
-        return {
-            "accuracy": self.accuracy,
-            "macro_f1": self.macro_f1,
-            "kappa": self.kappa,
-            "n": self.n,
-            "n_classes": self.n_classes,
-        }
-
 
 def score(gold: Sequence[str], pred: Sequence[str]) -> MetricReport:
     """All three metrics for one gold/prediction pair, from one counting pass."""
@@ -170,9 +161,6 @@ class MetricSummary:
     std: float
     values: tuple[float, ...]
 
-    def as_dict(self) -> dict:
-        return {"mean": self.mean, "std": self.std, "values": list(self.values)}
-
 
 @dataclass(frozen=True)
 class AggregateReport:
@@ -180,14 +168,6 @@ class AggregateReport:
     macro_f1: MetricSummary
     kappa: MetricSummary
     n_conversations: int
-
-    def as_dict(self) -> dict:
-        return {
-            "accuracy": self.accuracy.as_dict(),
-            "macro_f1": self.macro_f1.as_dict(),
-            "kappa": self.kappa.as_dict(),
-            "n_conversations": self.n_conversations,
-        }
 
 
 def _summarize(values: Sequence[float]) -> MetricSummary:

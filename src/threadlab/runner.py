@@ -22,7 +22,9 @@ from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
 from . import metrics, outparse, prompts
-from .corpus import CodeSet, GoldAnnotations, ThreadLabel, Transcript, parse_respond_line
+from .corpus import (
+    SUBCATEGORY_TAGS, CodeSet, GoldAnnotations, ThreadLabel, Transcript, parse_respond_line
+)
 from .llm import (
     CompletionCache,
     ContextOverflow,
@@ -35,6 +37,7 @@ from .llm import (
     prompt_digest,
 )
 from .metrics import PARSE_ERROR_LABEL
+from .schema import as_fields, from_fields
 from .windowing import Window, WindowConfig, make_window
 
 TASKS = ("threading", "abcde")
@@ -103,61 +106,30 @@ class ExperimentSpec:
             if self.thread_source != THREAD_SOURCE_NONE:
                 raise ValueError("baseline templates take no thread labels")
 
-    def as_dict(self) -> dict:
-        d: dict[str, object] = {
-            "task": self.task,
-            "strategy": self.strategy,
-            "model": {
-                "model_id": self.model.model_id,
-                "temperature": self.model.temperature,
-                "max_output_tokens": self.model.max_output_tokens,
-                "endpoint": self.model.endpoint,
-                "auth_env": self.model.auth_env,
-                "fixed_temperature": self.model.fixed_temperature,
-            },
-            "transcripts": list(self.transcripts),
-            "window": (
-                {"n": self.window.n, "feedback": self.window.feedback} if self.window else None
-            ),
-            "shots": self.shots,
-            "shot_ids": list(self.shot_ids),
-            "thread_source": self.thread_source,
-            "template_override": self.template_override,
-            "template_dir": self.template_dir,
-        }
-        return d
-
     @classmethod
     def from_dict(cls, d: Mapping) -> "ExperimentSpec":
-        window = None
-        if d.get("window"):
-            window = WindowConfig(n=int(d["window"]["n"]), feedback=d["window"]["feedback"])
-        m = d["model"]
-        model = ModelConfig(
-            model_id=m["model_id"],
-            temperature=float(m.get("temperature", 0.0)),
-            max_output_tokens=int(m.get("max_output_tokens", 1024)),
-            endpoint=m.get("endpoint", ModelConfig.endpoint),
-            auth_env=m.get("auth_env", ModelConfig.auth_env),
-            fixed_temperature=bool(m.get("fixed_temperature", False)),
-        )
-        return cls(
-            task=d["task"],
-            strategy=d["strategy"],
-            model=model,
-            transcripts=tuple(d["transcripts"]),
-            window=window,
-            shots=int(d.get("shots", 0)),
-            shot_ids=tuple(d.get("shot_ids") or ()),
-            thread_source=d.get("thread_source", THREAD_SOURCE_NONE),
-            template_override=d.get("template_override"),
-            template_dir=d.get("template_dir"),
-        )
+        """A spec from its JSON form, as in a run log's meta line or a ``--config`` file.
+
+        Numbers are coerced to their field types, so ``"temperature": 0`` gives
+        the same run id as ``0.0``. A key that names no field raises ValueError.
+        """
+        m, w = d["model"], d.get("window")
+        return from_fields(cls, {
+            **_coerced(d, shots=int),
+            "model": from_fields(ModelConfig, _coerced(
+                m, temperature=float, max_output_tokens=int, fixed_temperature=bool)),
+            "window": from_fields(WindowConfig, _coerced(w, n=int)) if w else None,
+            "shot_ids": tuple(d.get("shot_ids") or ()),
+        })
 
     @property
     def run_id(self) -> str:
-        payload = json.dumps(self.as_dict(), sort_keys=True, ensure_ascii=False)
+        payload = json.dumps(self, default=as_fields, sort_keys=True, ensure_ascii=False)
         return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
+
+
+def _coerced(d: Mapping, **types: Callable) -> dict:
+    return {**d, **{k: t(d[k]) for k, t in types.items() if k in d}}
 
 
 @dataclass(frozen=True)
@@ -173,35 +145,6 @@ class UtteranceRecord:
     output_tokens: int = 0
     latency_ms: int = 0
 
-    def as_dict(self) -> dict:
-        return {
-            "transcript_id": self.transcript_id,
-            "index": self.index,
-            "prompt_hash": self.prompt_hash,
-            "predicted": self.predicted,
-            "gold": self.gold,
-            "ok": self.ok,
-            "fail_reason": self.fail_reason,
-            "input_tokens": self.input_tokens,
-            "output_tokens": self.output_tokens,
-            "latency_ms": self.latency_ms,
-        }
-
-    @classmethod
-    def from_dict(cls, d: Mapping) -> "UtteranceRecord":
-        return cls(
-            transcript_id=d["transcript_id"],
-            index=int(d["index"]),
-            prompt_hash=d["prompt_hash"],
-            predicted=d["predicted"],
-            gold=d["gold"],
-            ok=bool(d["ok"]),
-            fail_reason=d.get("fail_reason"),
-            input_tokens=int(d.get("input_tokens", 0)),
-            output_tokens=int(d.get("output_tokens", 0)),
-            latency_ms=int(d.get("latency_ms", 0)),
-        )
-
 
 @dataclass
 class RunLog:
@@ -216,22 +159,15 @@ class RunLog:
     n_fallback_labels: int = 0  # "-" labels put in place of failed predictions later prompts read
 
     def to_jsonl(self) -> str:
-        lines = [json.dumps({"kind": "meta", "run_id": self.run_id, "spec": self.spec.as_dict()})]
+        """A ``meta`` line (run id and spec), a ``record`` line per utterance, then a
+        ``summary`` line with the other fields; each line's keys are its record's fields."""
+        lines = [json.dumps({"kind": "meta", "run_id": self.run_id, "spec": self.spec},
+                            default=as_fields)]
         for rec in self.records:
-            lines.append(json.dumps({"kind": "record", **rec.as_dict()}, ensure_ascii=False))
-        lines.append(
-            json.dumps(
-                {
-                    "kind": "summary",
-                    "wall_time_ms": self.wall_time_ms,
-                    "input_tokens": self.input_tokens,
-                    "output_tokens": self.output_tokens,
-                    "cost_usd": self.cost_usd,
-                    "failed_transcripts": list(self.failed_transcripts),
-                    "n_fallback_labels": self.n_fallback_labels,
-                }
-            )
-        )
+            lines.append(json.dumps({"kind": "record", **as_fields(rec)}, ensure_ascii=False))
+        summary = as_fields(self)
+        del summary["run_id"], summary["spec"], summary["records"]
+        lines.append(json.dumps({"kind": "summary", **summary}))
         return "\n".join(lines) + "\n"
 
     @classmethod
@@ -243,26 +179,17 @@ class RunLog:
             if not line.strip():
                 continue
             d = json.loads(line)
-            kind = d.get("kind")
-            if kind == "meta":
+            kind = d.pop("kind", None)
+            if kind == "record":
+                records.append(UtteranceRecord(**d))
+            elif kind == "meta":
                 meta = d
-            elif kind == "record":
-                records.append(UtteranceRecord.from_dict(d))
             elif kind == "summary":
                 summary = d
         if meta is None:
             raise RunnerError("run log has no meta line")
-        return cls(
-            run_id=meta["run_id"],
-            spec=ExperimentSpec.from_dict(meta["spec"]),
-            records=records,
-            wall_time_ms=int(summary.get("wall_time_ms", 0)),
-            input_tokens=int(summary.get("input_tokens", 0)),
-            output_tokens=int(summary.get("output_tokens", 0)),
-            cost_usd=summary.get("cost_usd"),
-            failed_transcripts=tuple(summary.get("failed_transcripts", ())),
-            n_fallback_labels=int(summary.get("n_fallback_labels", 0)),
-        )
+        spec = ExperimentSpec.from_dict(meta.pop("spec"))
+        return from_fields(cls, summary, **meta, spec=spec, records=records)
 
     def save(self, runs_dir: str | Path) -> Path:
         run_dir = Path(runs_dir) / self.run_id
@@ -623,54 +550,34 @@ class EvalResult:
     slices: Mapping[str, object] | None = None  # tag -> AggregateReport or error marker
 
     def as_dict(self) -> dict:
-        d: dict[str, object] = {
-            "run_id": self.run_id,
-            "task": self.task,
-            "per_conversation": {
-                tid: rep.as_dict() for tid, rep in sorted(self.per_conversation.items())
-            },
-            "aggregate": self.aggregate.as_dict(),
-        }
-        if self.code_letter is not None:
-            d["code_letter"] = self.code_letter
-        if self.slices is not None:
-            d["slices"] = {
-                tag: (
-                    val.as_dict() if isinstance(val, metrics.AggregateReport) else val
-                )
-                for tag, val in sorted(self.slices.items())
-            }
-        return d
+        """The report's fields, without ``code_letter`` and ``slices`` when they are None.
+
+        Nested reports are left as records for ``json.dumps(..., default=as_fields)``.
+        """
+        return {k: v for k, v in as_fields(self).items() if v is not None}
 
     @classmethod
     def from_dict(cls, d: Mapping) -> "EvalResult":
-        def summary(s: Mapping) -> metrics.MetricSummary:
-            return metrics.MetricSummary(mean=s["mean"], std=s["std"], values=tuple(s["values"]))
-
         def aggregate(a: Mapping) -> metrics.AggregateReport:
-            return metrics.AggregateReport(
-                accuracy=summary(a["accuracy"]),
-                macro_f1=summary(a["macro_f1"]),
-                kappa=summary(a["kappa"]),
-                n_conversations=a["n_conversations"],
-            )
+            return metrics.AggregateReport(**{
+                k: from_fields(metrics.MetricSummary, v) if isinstance(v, Mapping) else v
+                for k, v in a.items()
+            })
 
         slices = d.get("slices")
-        return cls(
-            run_id=d["run_id"],
-            task=d["task"],
-            per_conversation={
+        return from_fields(cls, {
+            **d,
+            "per_conversation": {
                 tid: metrics.MetricReport(**rep) for tid, rep in d["per_conversation"].items()
             },
-            aggregate=aggregate(d["aggregate"]),
-            code_letter=d.get("code_letter"),
-            slices=None if slices is None else {
+            "aggregate": aggregate(d["aggregate"]),
+            "slices": None if slices is None else {
                 tag: val if "error" in val else aggregate(val) for tag, val in slices.items()
             },
-        )
+        })
 
     def to_json(self) -> str:
-        return json.dumps(self.as_dict(), sort_keys=True, indent=2) + "\n"
+        return json.dumps(self.as_dict(), default=as_fields, sort_keys=True, indent=2) + "\n"
 
 
 def _records_by_transcript(log: RunLog) -> dict[str, list[UtteranceRecord]]:
@@ -700,13 +607,18 @@ def evaluate_run(
     threading subcategories; code runs reduce to presence of one letter.
     Conversations missing a requested subcategory are skipped for that slice,
     and a tag absent from every conversation is reported as empty rather than
-    raising.
+    raising. A repeated tag is sliced once; a tag outside SUBCATEGORY_TAGS
+    raises ValueError.
     """
+    unknown = set(subcats or ()) - SUBCATEGORY_TAGS
+    if unknown:
+        raise ValueError(f"unknown subcategory tags: {', '.join(sorted(unknown))}")
     grouped = _records_by_transcript(log)
     per_conv: dict[str, metrics.MetricReport] = {}
     reports: list[metrics.MetricReport] = []
 
     if log.spec.task == "threading":
+        # one slice per distinct tag, in the order the tags are first given
         sliced: dict[str, list[metrics.MetricReport]] = {tag: [] for tag in subcats or ()}
         for tid in log.spec.transcripts:
             if tid not in corpus:
@@ -719,19 +631,13 @@ def evaluate_run(
             report = metrics.score(gold, pred)
             per_conv[tid] = report
             reports.append(report)
-            if subcats:
-                found = metrics.subcategory_slices(gold, pred, g.subcat, subcats)
-                for tag in subcats:
-                    if tag in found:
-                        sliced[tag].append(found[tag])
-        slices: dict[str, object] | None = None
-        if subcats:
-            slices = {}
-            for tag in subcats:
-                if sliced[tag]:
-                    slices[tag] = metrics.aggregate(sliced[tag])
-                else:
-                    slices[tag] = {"error": "EmptyCategory"}
+            if sliced:
+                for tag, rep in metrics.subcategory_slices(gold, pred, g.subcat, sliced).items():
+                    sliced[tag].append(rep)
+        slices = {
+            tag: metrics.aggregate(reps) if reps else {"error": "EmptyCategory"}
+            for tag, reps in sliced.items()
+        } if subcats else None
         return EvalResult(
             run_id=log.run_id,
             task="threading",

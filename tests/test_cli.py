@@ -83,6 +83,35 @@ def test_eval_replaces_eval_json(capsys, tmp_path):
     assert sorted(p.name for p in eval_path.parent.iterdir()) == ["eval.json", "log.jsonl"]
 
 
+def test_eval_counts_a_repeated_subcategory_once(capsys, tmp_path):
+    run_id = _thread_run(capsys, tmp_path)
+    code, _, err = _run(capsys, "eval", "--run", run_id, "--out", str(tmp_path),
+                        "--subcats", "E,E")
+    assert code == 0, err
+    result = json.loads((tmp_path / "runs" / run_id / "eval.json").read_text(encoding="utf-8"))
+    assert list(result["slices"]) == ["E"]
+    assert result["slices"]["E"]["n_conversations"] == 2  # ws01 and cs01
+
+
+def test_eval_rejects_unknown_subcategory(capsys, tmp_path):
+    run_id = _thread_run(capsys, tmp_path)
+    with pytest.raises(SystemExit, match="XX"):
+        main(["eval", "--run", run_id, "--out", str(tmp_path), "--subcats", "AP,XX"])
+    assert not (tmp_path / "runs" / run_id / "eval.json").exists()
+
+
+@pytest.mark.parametrize("command", ["eval --run", "report --runs"])
+def test_unknown_run_id_is_a_one_line_error(tmp_path, command):
+    proc = subprocess.run(
+        [sys.executable, "-m", "threadlab.cli", *command.split(), "0123456789abcdef",
+         "--out", str(tmp_path)],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode != 0
+    path = tmp_path / "runs" / "0123456789abcdef" / "log.jsonl"
+    assert proc.stderr == f"no run log at {path}\n"
+
+
 def test_report_writes_csv_and_svg(capsys, tmp_path):
     first = _thread_run(capsys, tmp_path)
     second = _thread_run(capsys, tmp_path, extra=("--window", "20"))
@@ -176,6 +205,14 @@ def test_bad_spec_is_an_error(capsys, tmp_path):
     with pytest.raises(SystemExit, match="bad experiment spec"):
         main(["thread", "--provider", "oracle", "--model", "m",
               "--window", "10", "--shots", "2",
+              "--transcripts", "ws01", "--out", str(tmp_path)])
+
+
+def test_config_spec_typo_is_an_error(capsys, tmp_path):
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps({"spec": {"stratgy": "all_at_once"}}), encoding="utf-8")
+    with pytest.raises(SystemExit, match="bad experiment spec: .*stratgy"):
+        main(["thread", "--config", str(cfg_path), "--provider", "oracle", "--model", "m",
               "--transcripts", "ws01", "--out", str(tmp_path)])
 
 

@@ -1,0 +1,169 @@
+"""The on-disk formats: run-log lines, cache lines and spec dicts.
+
+Key order and exact bytes are pinned here so that a change to how records are
+encoded cannot silently change what earlier runs wrote.
+"""
+
+import dataclasses
+import json
+
+import pytest
+
+from threadlab.llm import (
+    CompletionCache,
+    CompletionRecord,
+    ModelConfig,
+    OracleProvider,
+    PricingTable,
+    ProviderResult,
+    TransportError,
+)
+from threadlab.runner import ExperimentSpec, RunLog, run_threading
+from threadlab.windowing import WindowConfig
+
+SPEC_KEYS = ["task", "strategy", "model", "transcripts", "window", "shots", "shot_ids",
+             "thread_source", "template_override", "template_dir"]
+MODEL_KEYS = ["model_id", "temperature", "max_output_tokens", "endpoint", "auth_env",
+              "fixed_temperature"]
+RECORD_KEYS = ["kind", "transcript_id", "index", "prompt_hash", "predicted", "gold", "ok",
+               "fail_reason", "input_tokens", "output_tokens", "latency_ms"]
+SUMMARY_KEYS = ["kind", "wall_time_ms", "input_tokens", "output_tokens", "cost_usd",
+                "failed_transcripts", "n_fallback_labels"]
+CACHE_KEYS = ["prompt_hash", "response_text", "input_tokens", "output_tokens", "latency_ms",
+              "provider", "tokens_estimated"]
+
+SPEC = ExperimentSpec(task="threading", strategy="window", model=ModelConfig(model_id="test-model"),
+                      transcripts=("ws01", "cs01"), window=WindowConfig(n=10))
+
+
+class FaultyOracle:
+    """Gold, except a transport fault at cs01 line 3 and junk at ws01 line 5."""
+
+    name = "faulty"
+
+    def __init__(self, corpus):
+        self.oracle = OracleProvider({tid: g for tid, (_, g) in corpus.items()})
+
+    def send(self, prompt, model, prompt_hash):
+        target = (prompt.transcript_id, prompt.target_index)
+        if target == ("cs01", 3):
+            raise TransportError("injected")
+        if target == ("ws01", 5):
+            return ProviderResult("no idea, sorry", None, None, 0)
+        return self.oracle.send(prompt, model, prompt_hash)
+
+
+def _faulted_log(bundled):
+    """A priced self-feedback run with every summary field off its default."""
+    pricing = PricingTable.from_dict({"test-model": {"input_per_1m": 1.5, "output_per_1m": 2.0}})
+    log = run_threading(SPEC, bundled, FaultyOracle(bundled), pricing=pricing)
+    return dataclasses.replace(log, wall_time_ms=1234)
+
+
+def _log_lines(bundled):
+    return [json.loads(line) for line in _faulted_log(bundled).to_jsonl().splitlines()]
+
+
+def _from_lines(lines):
+    return RunLog.from_jsonl("\n".join(json.dumps(d) for d in lines))
+
+
+def test_run_log_line_keys_keep_their_order(bundled):
+    meta, *records, summary = _log_lines(bundled)
+    assert list(meta) == ["kind", "run_id", "spec"] and meta["kind"] == "meta"
+    assert list(meta["spec"]) == SPEC_KEYS
+    assert list(meta["spec"]["model"]) == MODEL_KEYS
+    assert list(meta["spec"]["window"]) == ["n", "feedback"]
+    assert records and all(list(r) == RECORD_KEYS and r["kind"] == "record" for r in records)
+    assert list(summary) == SUMMARY_KEYS and summary["kind"] == "summary"
+
+
+def test_run_log_round_trip_is_exact(bundled):
+    log = _faulted_log(bundled)
+    assert log.failed_transcripts == ("cs01",)
+    assert log.n_fallback_labels == 2
+    assert log.cost_usd > 0
+    text = log.to_jsonl()
+    again = RunLog.from_jsonl(text)
+    assert again == log
+    assert again.to_jsonl() == text
+
+
+@pytest.mark.parametrize("line, key", [(0, "run_id"), (0, "spec"), (1, "gold")])
+def test_run_log_line_missing_a_field_raises(bundled, line, key):
+    lines = _log_lines(bundled)
+    del lines[line][key]
+    with pytest.raises((KeyError, TypeError)):
+        _from_lines(lines)
+
+
+@pytest.mark.parametrize("line", [0, 1, -1])
+def test_run_log_line_with_an_unknown_key_raises(bundled, line):
+    lines = _log_lines(bundled)
+    lines[line]["note"] = "x"
+    with pytest.raises((TypeError, ValueError), match="note"):
+        _from_lines(lines)
+
+
+def test_cache_line_keys_keep_their_order(tmp_path):
+    path = tmp_path / "cache.jsonl"
+    CompletionCache(path).put(CompletionRecord("h1", "r", 1, 2, 3, "x", True))
+    line = path.read_text(encoding="utf-8")
+    assert list(json.loads(line)) == CACHE_KEYS
+    assert line == (
+        '{"prompt_hash": "h1", "response_text": "r", "input_tokens": 1, "output_tokens": 2, '
+        '"latency_ms": 3, "provider": "x", "tokens_estimated": true}\n'
+    )
+
+
+def _cache_line(**changes):
+    d = {"prompt_hash": "h1", "response_text": "r", "input_tokens": 1, "output_tokens": 1,
+         "latency_ms": 0, "provider": "x", "tokens_estimated": False, **changes}
+    return json.dumps({k: v for k, v in d.items() if v is not None}) + "\n"
+
+
+def test_cache_line_missing_a_field_raises(tmp_path):
+    path = tmp_path / "cache.jsonl"
+    path.write_text(_cache_line(response_text=None))
+    with pytest.raises((KeyError, TypeError)):
+        CompletionCache(path)
+
+
+def test_cache_line_with_an_unknown_key_raises(tmp_path):
+    path = tmp_path / "cache.jsonl"
+    path.write_text(_cache_line(note="x"))
+    with pytest.raises(TypeError, match="note"):
+        CompletionCache(path)
+
+
+def _spec_json(**changes):
+    d = {
+        "task": "threading",
+        "strategy": "window",
+        "model": {"model_id": "test-model", "temperature": 0.0},
+        "transcripts": ["ws01", "cs01"],
+        "window": {"n": 10, "feedback": "self"},
+    }
+    for where, value in changes.items():
+        d[where] = {**d[where], **value} if where in ("model", "window") else value
+    return d
+
+
+def test_spec_from_dict_coerces_numbers():
+    spec = ExperimentSpec.from_dict(_spec_json(model={"temperature": 0}, window={"n": 10.0}))
+    assert isinstance(spec.model.temperature, float) and isinstance(spec.window.n, int)
+    assert spec == SPEC
+    assert spec.run_id == SPEC.run_id
+
+
+@pytest.mark.parametrize(
+    "changes, typo",
+    [
+        (dict(thread_sorce="human"), "thread_sorce"),
+        (dict(model={"temprature": 0.5}), "temprature"),
+        (dict(window={"feedbak": "gold"}), "feedbak"),
+    ],
+)
+def test_spec_from_dict_rejects_unknown_keys(changes, typo):
+    with pytest.raises(ValueError, match=typo):
+        ExperimentSpec.from_dict(_spec_json(**changes))

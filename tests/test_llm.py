@@ -28,6 +28,7 @@ from threadlab.llm import (
     prompt_digest,
 )
 from threadlab.prompts import OutputContract, RenderedPrompt
+from threadlab.schema import as_fields
 
 OK_PAYLOAD = {
     "choices": [{"message": {"content": "3 Ana [respond line = 1]"}}],
@@ -234,12 +235,12 @@ def test_cache_last_record_wins_on_load(tmp_path):
     path = tmp_path / "cache.jsonl"
     a = CompletionRecord("hh", "old", 1, 1, 0, "x")
     b = CompletionRecord("hh", "new", 1, 1, 0, "x")
-    path.write_text(json.dumps(a.as_dict()) + "\n" + json.dumps(b.as_dict()) + "\n")
+    path.write_text(json.dumps(as_fields(a)) + "\n" + json.dumps(as_fields(b)) + "\n")
     assert CompletionCache(path).get("hh").response_text == "new"
 
 
 def _record_line(prompt_hash, text="r"):
-    return json.dumps(CompletionRecord(prompt_hash, text, 1, 1, 0, "x").as_dict(), ensure_ascii=False)
+    return json.dumps(as_fields(CompletionRecord(prompt_hash, text, 1, 1, 0, "x")), ensure_ascii=False)
 
 
 def test_cache_drops_torn_tail_and_put_cuts_it_off(tmp_path):

@@ -35,6 +35,7 @@ from threadlab.runner import (
     run_threading,
     write_atomic,
 )
+from threadlab.schema import as_fields
 from threadlab.windowing import WindowConfig, make_window
 
 MODEL = ModelConfig(model_id="test-model")
@@ -59,7 +60,7 @@ def _spec(**kw):
 
 def test_spec_round_trip_and_run_id():
     spec = _spec(transcripts=("ws01", "cs01"), window=WindowConfig(n=20))
-    again = ExperimentSpec.from_dict(spec.as_dict())
+    again = ExperimentSpec.from_dict(json.loads(json.dumps(spec, default=as_fields)))
     assert again == spec
     assert again.run_id == spec.run_id
     assert _spec(window=WindowConfig(n=10)).run_id != _spec(window=WindowConfig(n=20)).run_id
@@ -476,6 +477,21 @@ def test_evaluate_slices_match_per_tag_subcategory_slice(bundled, transcripts):
     }
     assert result.slices == expected
     assert (expected["TT"] == {"error": "EmptyCategory"}) == (transcripts is not None)
+
+
+def test_evaluate_counts_a_repeated_subcategory_tag_once(bundled):
+    log = run_threading(_spec(transcripts=("ws01", "ws02")), bundled, _oracle(bundled))
+    once = evaluate_run(log, bundled, subcats=["AP", "BC"])
+    result = evaluate_run(log, bundled, subcats=["AP", "BC", "AP"])
+    assert result.slices["AP"].n_conversations == 2
+    assert list(result.slices.items()) == list(once.slices.items())
+    assert result.to_json() == once.to_json()
+
+
+def test_evaluate_rejects_unknown_subcategory_tags(bundled):
+    log = run_threading(_spec(transcripts=("ws01",)), bundled, _oracle(bundled))
+    with pytest.raises(ValueError, match="XX.*YY"):
+        evaluate_run(log, bundled, subcats=["AP", "YY", "XX"])
 
 
 def test_evaluate_is_deterministic_json(bundled):

@@ -20,6 +20,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 from threadlab.corpus import bundled_corpus_dir, load_corpus  # noqa: E402
 from threadlab.llm import CompletionCache, ModelConfig, ProviderResult, ReplayProvider  # noqa: E402
 from threadlab.runner import ExperimentSpec, evaluate_run, run_threading  # noqa: E402
+from threadlab.schema import as_fields  # noqa: E402
 from threadlab.windowing import WindowConfig  # noqa: E402
 
 OUT = Path(__file__).resolve().parents[1] / "tests" / "fixtures" / "replay"
@@ -119,11 +120,12 @@ def main() -> int:
             raise SystemExit(f"{name}: replay eval drifted from the scripted pass")
         eval_name = f"eval_{name}.json"
         (OUT / eval_name).write_text(result.to_json(), encoding="utf-8")
-        manifest.append({"name": name, "spec": spec.as_dict(), "eval": eval_name})
+        manifest.append({"name": name, "spec": spec, "eval": eval_name})
         agg = result.aggregate
         print(f"{name}: run {log.run_id} kappa {agg.kappa.mean:.4f} "
               f"acc {agg.accuracy.mean:.4f}")
-    (OUT / "specs.json").write_text(json.dumps(manifest, indent=2) + "\n", encoding="utf-8")
+    (OUT / "specs.json").write_text(json.dumps(manifest, indent=2, default=as_fields) + "\n",
+                                    encoding="utf-8")
     n_fixture_lines = len(responses.read_text().splitlines())
     print(f"froze {n_fixture_lines} responses -> {responses}")
     return 0
