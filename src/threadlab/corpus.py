@@ -198,9 +198,10 @@ class ThreadLabel:
         Single link -> ``24``; new thread -> ``-``; splits -> ``(24, -)`` or
         ``(3, 9)``. Splits keep source order.
         """
-        parts = ["-" if isinstance(t, NewThread) else str(t.line) for t in self.targets]
-        if len(parts) == 1:
-            return parts[0]
+        targets = self.targets
+        if len(targets) == 1:
+            return "-" if targets[0] is NEW_THREAD else str(targets[0].line)
+        parts = ["-" if t is NEW_THREAD else str(t.line) for t in targets]
         return f"({parts[0]}, {parts[1]})"
 
     def canonical(self) -> str:

@@ -17,6 +17,8 @@ import random
 import threading
 import time
 from dataclasses import dataclass, field
+from functools import lru_cache
+from json.encoder import encode_basestring
 from pathlib import Path
 from typing import Mapping, Protocol
 
@@ -121,14 +123,45 @@ class CompletionRecord:
     tokens_estimated: bool = False
 
 
-def prompt_digest(model: ModelConfig, prompt_text: str) -> str:
-    """Content address of one completion request."""
-    payload = json.dumps(
-        {"model": model.model_id, "temperature": model.temperature, "prompt": prompt_text},
-        sort_keys=True,
-        ensure_ascii=False,
+# Prompt text before this marker is a template's fixed instructions (plus
+# values that rarely change, such as the window size), shared by every prompt
+# of a run.
+_DIGEST_HEAD_END = "<<<TRANSCRIPT_START>>>"
+
+
+@lru_cache(maxsize=32)
+def _digest_head(
+    model_id: str, temperature: float, temperature_repr: str, head: str
+) -> tuple[hashlib._Hash, bytes]:
+    """sha256 state after the payload's constant head, and the payload's tail.
+
+    The state is shared by every caller, across threads: copy it, never update
+    it. ``temperature_repr`` is part of the key because 0.0 == -0.0 (and 0 ==
+    0.0) while their JSON differs.
+    """
+    state = hashlib.sha256(
+        ('{"model": ' + json.dumps(model_id, ensure_ascii=False) + ', "prompt": "').encode("utf-8")
+        + encode_basestring(head)[1:-1].encode("utf-8")
     )
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+    return state, (', "temperature": ' + json.dumps(temperature) + "}").encode("utf-8")
+
+
+def prompt_digest(model: ModelConfig, prompt_text: str) -> str:
+    """Content address of one completion request.
+
+    The sha256 of ``json.dumps({"model": model_id, "temperature": temperature,
+    "prompt": prompt_text}, sort_keys=True, ensure_ascii=False)``. JSON escapes
+    each character of a string on its own, so the payload is hashed in three
+    pieces: the model id and the prompt up to ``<<<TRANSCRIPT_START>>>`` (whose
+    hash state is cached), the rest of the prompt, and the temperature.
+    """
+    cut = max(prompt_text.find(_DIGEST_HEAD_END), 0)
+    t = model.temperature
+    head, tail = _digest_head(model.model_id, t, repr(t), prompt_text[:cut])
+    h = head.copy()
+    h.update(encode_basestring(prompt_text[cut:])[1:].encode("utf-8"))
+    h.update(tail)
+    return h.hexdigest()
 
 
 def estimate_tokens(text: str) -> int:

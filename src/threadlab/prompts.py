@@ -82,6 +82,22 @@ def load_template(template_id: str, template_dir: str | Path | None = None) -> s
     return _load(template_id, str(template_dir) if template_dir else None)
 
 
+@lru_cache(maxsize=64)
+def _split(template_id: str, text: str) -> tuple[str, ...]:
+    """Template text cut at its declared placeholders.
+
+    Literal text sits at even positions and placeholder names at odd ones.
+    A template that never mentions a declared variable raises; the error is
+    not cached, so it is raised again on every call.
+    """
+    declared = sorted(TEMPLATE_VARIABLES[template_id])
+    absent = [name for name in declared if "{" + name + "}" not in text]
+    if absent:
+        raise ValueError(f"{template_id}: template never mentions {absent}")
+    pattern = re.compile(r"\{(" + "|".join(re.escape(name) for name in declared) + r")\}")
+    return tuple(pattern.split(text))
+
+
 def substitute(template_id: str, text: str, values: Mapping[str, object]) -> str:
     """Replace declared ``{name}`` placeholders in a single pass.
 
@@ -90,17 +106,16 @@ def substitute(template_id: str, text: str, values: Mapping[str, object]) -> str
     is missing from ``values`` or an undeclared one is supplied.
     """
     declared = TEMPLATE_VARIABLES[template_id]
-    extra = set(values) - declared
-    if extra:
-        raise ValueError(f"{template_id}: undeclared variables {sorted(extra)}")
-    missing = declared - set(values)
-    if missing:
+    if values.keys() != declared:
+        extra = set(values) - declared
+        if extra:
+            raise ValueError(f"{template_id}: undeclared variables {sorted(extra)}")
+        missing = declared - set(values)
         raise ValueError(f"{template_id}: missing variables {sorted(missing)}")
-    absent = [name for name in sorted(declared) if "{" + name + "}" not in text]
-    if absent:
-        raise ValueError(f"{template_id}: template never mentions {absent}")
-    pattern = re.compile("|".join(r"\{" + re.escape(name) + r"\}" for name in sorted(declared)))
-    return pattern.sub(lambda m: str(values[m.group(0)[1:-1]]), text)
+    parts = list(_split(template_id, text))
+    for i in range(1, len(parts), 2):
+        parts[i] = str(values[parts[i]])
+    return "".join(parts)
 
 
 # ---------------------------------------------------------------------------

@@ -71,17 +71,18 @@ def make_window(
         raise IndexError(f"target index {target_index} outside 1..{len(t)}")
     first = max(1, target_index - cfg.n + 1)
     context = []
-    for idx in range(first, target_index):
+    # Transcript guarantees utterances[i].index == i + 1.
+    for u in t.utterances[first - 1 : target_index - 1]:
         if cfg.feedback == "none":
             label = None
         else:
-            label = (labels or {}).get(idx)
+            label = (labels or {}).get(u.index)
             if label is None:
-                raise MissingFeedbackLabel(idx)
-        context.append((t[idx], label))
+                raise MissingFeedbackLabel(u.index)
+        context.append((u, label))
     return Window(
         context=tuple(context),
-        target=t[target_index],
+        target=t.utterances[target_index - 1],
         target_index=target_index,
         n=cfg.n,
         transcript_id=t.id,

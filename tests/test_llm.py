@@ -1,10 +1,13 @@
+import hashlib
 import json
 import math
+import sys
 import threading
 from contextlib import contextmanager
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from threadlab.corpus import CodeSet, GoldAnnotations, ThreadLabel
 from threadlab.llm import (
@@ -283,6 +286,89 @@ def test_prompt_digest_sensitivity():
     assert h != prompt_digest(m2, "p")
     assert h != prompt_digest(m3, "p")
     assert h != prompt_digest(m1, "q")
+
+
+def reference_digest(model: ModelConfig, prompt_text: str) -> str:
+    """The digest's defining formula: sha256 of the whole request as sorted JSON."""
+    payload = json.dumps(
+        {"model": model.model_id, "temperature": model.temperature, "prompt": prompt_text},
+        sort_keys=True,
+        ensure_ascii=False,
+    )
+    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+
+
+MARKER = "<<<TRANSCRIPT_START>>>"
+# Characters JSON escapes or that need more than one UTF-8 byte or UTF-16
+# unit, plus braces from template text.
+_tricky_chars = st.one_of(
+    st.sampled_from(['"', "\\", "\u2028", "\u2029", "\x7f", "\x85", "\U0001F600", "{", "}", "é"]),
+    st.characters(min_codepoint=0, max_codepoint=0x1F),
+    st.characters(codec="utf-8"),  # lone surrogates cannot be encoded by either formula
+)
+_text = st.text(_tricky_chars, max_size=40)
+_temperatures = st.one_of(
+    st.integers(min_value=0, max_value=10**30),
+    st.floats(min_value=0.0, allow_nan=False),
+    st.sampled_from([0, 0.0, -0.0, 5e-324, 1e-300, 1.0, math.inf, math.nan]),
+)
+
+
+@given(
+    model_id=st.one_of(_text, st.sampled_from(["gpt-4o", 'm"q', "mödel\\x"])),
+    temperature=_temperatures,
+    head=st.one_of(_text, st.just("{window_n} prior lines")),
+    tails=st.lists(st.lists(st.one_of(_text, st.just(MARKER)), max_size=4), min_size=1, max_size=3),
+)
+@example(model_id="m", temperature=0.0, head="", tails=[[]])  # empty prompt
+@example(model_id="m", temperature=0.0, head="", tails=[["no marker here"]])
+@example(model_id="m", temperature=0.0, head="", tails=[[MARKER, "x"]])  # marker at 0
+@example(model_id="m", temperature=0.0, head="a", tails=[[MARKER, "x", MARKER, "y"]])
+def test_prompt_digest_equals_its_formula(model_id, temperature, head, tails):
+    model = ModelConfig(model_id=model_id, temperature=temperature)
+    # Prompts sharing a head, as the windows of one run do.
+    for parts in tails:
+        prompt = head + "".join(parts)
+        assert prompt_digest(model, prompt) == reference_digest(model, prompt)
+
+
+def test_prompt_digest_tells_equal_temperatures_apart():
+    # 0 == 0.0 == -0.0, but each encodes differently in the request JSON.
+    prompt = "head " + MARKER + " tail"
+    digests = set()
+    for temperature in (0.0, 0, -0.0, 0.0):
+        model = ModelConfig(model_id="m", temperature=temperature)
+        assert prompt_digest(model, prompt) == reference_digest(model, prompt)
+        digests.add(prompt_digest(model, prompt))
+    assert len(digests) == 3
+
+
+def test_prompt_digest_shared_head_state_under_threads():
+    # Every thread hashes from the one cached head state; an update to it in
+    # place would change the digests of prompts hashed after it.
+    model = ModelConfig(model_id="m")
+    prompts = [f"fixed head {MARKER}\n#{i} A: line {i}" for i in range(50)]
+    expected = [reference_digest(model, p) for p in prompts]
+    bad: list[int] = []
+
+    def work():
+        for _ in range(20):
+            for i, p in enumerate(prompts):
+                if prompt_digest(model, p) != expected[i]:
+                    bad.append(i)
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work) for _ in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    assert bad == []
 
 
 # --- replay ----------------------------------------------------------------

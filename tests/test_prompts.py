@@ -122,6 +122,44 @@ def test_substitute_rejects_unknown_and_missing():
         )
 
 
+@pytest.mark.parametrize(
+    "text, values, message",
+    [
+        ("{window_n} {transcript_block}", {"window_n": 1, "transcript_block": "x", "bogus": 1},
+         "undeclared variables"),
+        ("{window_n} {transcript_block}", {"window_n": 1}, "missing variables"),
+        ("{window_n} only", {"window_n": 1, "transcript_block": "x"}, "never mentions"),
+    ],
+)
+def test_substitute_raises_on_every_call(text, values, message):
+    # The template is split once and cached; its errors must not be.
+    for _ in range(2):
+        with pytest.raises(ValueError, match=message):
+            substitute("thread_window", text, values)
+
+
+def test_substitute_fills_every_occurrence():
+    text = substitute(
+        "thread_window",
+        "{window_n} of {window_n}: {transcript_block}",
+        {"window_n": 7, "transcript_block": "#1 A: hi"},
+    )
+    assert text == "7 of 7: #1 A: hi"
+
+
+def test_template_dir_overrides_a_builtin_template_by_its_own_text(tmp_path, golden_target):
+    _, _, w_labeled, _ = _windows(golden_target)
+    builtin = render_thread_window(w_labeled).text
+    (tmp_path / "thread_window.txt").write_text(
+        "Window {window_n}.\n<<<TRANSCRIPT_START>>>\n{transcript_block}\n<<<TRANSCRIPT_END>>>\n",
+        encoding="utf-8",
+    )
+    custom = render_thread_window(w_labeled, template_dir=tmp_path).text
+    block = builtin.split("<<<TRANSCRIPT_START>>>\n")[1].split("\n<<<TRANSCRIPT_END>>>")[0]
+    assert custom == f"Window 10.\n<<<TRANSCRIPT_START>>>\n{block}\n<<<TRANSCRIPT_END>>>\n"
+    assert render_thread_window(w_labeled).text == builtin
+
+
 def test_substitute_keeps_placeholder_like_text_in_values():
     tmpl = load_template("thread_window")
     text = substitute(
