@@ -204,20 +204,29 @@ class ThreadLabel:
         parts = ["-" if t is NEW_THREAD else str(t.line) for t in targets]
         return f"({parts[0]}, {parts[1]})"
 
+    def normalized(self) -> "ThreadLabel":
+        """This label with split targets in canonical order.
+
+        Line numbers come ascending, then the new-thread marker: ``(9, 3)``
+        becomes ``(3, 9)`` and ``(-, 4)`` becomes ``(4, -)``. A label already
+        in that order is returned as it is.
+        """
+        if len(self.targets) == 1:
+            return self
+        a, b = self.targets
+        if b is NEW_THREAD or (a is not NEW_THREAD and a.line < b.line):
+            return self
+        return ThreadLabel((b, a))
+
     def canonical(self) -> str:
         """Render as a stable category string for metric comparison.
 
-        Splits are normalized: numeric targets sorted ascending and placed
-        before the new-thread marker, no internal whitespace. ``(9, 3)`` and
-        ``(3, 9)`` map to the same string.
+        The :meth:`normalized` label's surface with no internal whitespace, so
+        ``(9, 3)`` and ``(3, 9)`` map to the same string, ``(3,9)``.
         """
         if len(self.targets) == 1:
             return self.surface()
-        nums = sorted(r.line for r in self.line_refs)
-        parts = [str(n) for n in nums]
-        if any(isinstance(t, NewThread) for t in self.targets):
-            parts.append("-")
-        return f"({parts[0]},{parts[1]})"
+        return self.normalized().surface().replace(" ", "")
 
 
 _LABEL_SPLIT_RE = re.compile(r"^\(\s*([^\s,()]+)\s*,\s*([^\s,()]+)\s*\)$")
@@ -450,7 +459,16 @@ def parse_transcript(
         speaker = str(rec["speaker"]).strip()
         if not speaker:
             raise MalformedRecord(line_no, "empty speaker")
-        rows.append((src_index, ts, speaker, str(rec["text"])))
+        text = str(rec["text"])
+        # A JSON escape can give half a surrogate pair, which no prompt can carry.
+        for field, value in (("speaker", speaker), ("text", text)):
+            if value.isascii():
+                continue
+            try:
+                value.encode("utf-8")
+            except UnicodeEncodeError:
+                raise MalformedRecord(line_no, f"{field} is not valid Unicode text") from None
+        rows.append((src_index, ts, speaker, text))
 
     utterances = []
     prev_ts = None

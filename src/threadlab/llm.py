@@ -16,11 +16,12 @@ import os
 import random
 import threading
 import time
+import weakref
 from dataclasses import dataclass, field
 from functools import lru_cache
 from json.encoder import encode_basestring
 from pathlib import Path
-from typing import Mapping, Protocol
+from typing import Mapping, Protocol, TextIO
 
 import requests
 
@@ -189,6 +190,7 @@ class CompletionCache:
         # File size to cut back to before the next append, when the file ends
         # in a torn line.
         self._truncate_to: int | None = None
+        self._fh: TextIO | None = None
         if self._path and self._path.exists():
             data = self._path.read_bytes()
             end = data.rfind(b"\n") + 1
@@ -213,17 +215,25 @@ class CompletionCache:
             return self._records.get(prompt_hash)
 
     def put(self, record: CompletionRecord) -> None:
+        """Keep ``record`` and append it to the file, flushed, so a new reader sees it."""
         with self._lock:
             if record.prompt_hash in self._records:
                 return
             self._records[record.prompt_hash] = record
             if self._path:
-                self._path.parent.mkdir(parents=True, exist_ok=True)
-                if self._truncate_to is not None:
-                    os.truncate(self._path, self._truncate_to)
-                    self._truncate_to = None
-                with self._path.open("a", encoding="utf-8") as fh:
-                    fh.write(json.dumps(as_fields(record), ensure_ascii=False) + "\n")
+                if self._fh is None:
+                    self._open()
+                self._fh.write(json.dumps(as_fields(record), ensure_ascii=False) + "\n")
+                self._fh.flush()
+
+    def _open(self) -> None:
+        """Open the one append handle, first cutting off a torn tail; it closes with the cache."""
+        self._path.parent.mkdir(parents=True, exist_ok=True)
+        if self._truncate_to is not None:
+            os.truncate(self._path, self._truncate_to)
+            self._truncate_to = None
+        self._fh = self._path.open("a", encoding="utf-8")
+        weakref.finalize(self, self._fh.close)
 
 
 # ---------------------------------------------------------------------------

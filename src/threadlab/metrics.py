@@ -199,9 +199,11 @@ def subcategory_slices(
     subcat: Mapping[int, str],
     tags: Iterable[str],
 ) -> dict[str, MetricReport]:
-    """:func:`subcategory_slice` for each of ``tags``, grouping positions in one pass.
+    """Score, for each of ``tags``, only the positions whose gold subcategory is that tag.
 
-    Tags that never occur are left out of the result.
+    Position p (0-based) corresponds to utterance index p + 1 in the subcat
+    map. Positions are grouped in one pass; tags that never occur are left out
+    of the result.
     """
     _check_lengths(gold, pred)
     keep: dict[str, list[int]] = {tag: [] for tag in tags}
@@ -214,23 +216,6 @@ def subcategory_slices(
         for tag, positions in keep.items()
         if positions
     }
-
-
-def subcategory_slice(
-    gold: Sequence[str],
-    pred: Sequence[str],
-    subcat: Mapping[int, str],
-    tag: str,
-) -> MetricReport:
-    """Score only the positions whose gold subcategory equals ``tag``.
-
-    Position p (0-based) corresponds to utterance index p + 1 in the subcat
-    map. Raises EmptyCategory when the tag never occurs.
-    """
-    report = subcategory_slices(gold, pred, subcat, (tag,)).get(tag)
-    if report is None:
-        raise EmptyCategory(tag)
-    return report
 
 
 PRESENT = "present"

@@ -69,11 +69,28 @@ class MissingThreadLabel(Exception):
         self.index = index
 
 
+# Markers every prompt of a template carries: around the transcript block,
+# and on code-labeling windows around the target line too.
+_TRANSCRIPT_DELIMITERS = ("<<<TRANSCRIPT_START>>>", "<<<TRANSCRIPT_END>>>")
+_TARGET_DELIMITERS = ("<<<TARGET_START>>>", "<<<TARGET_END>>>")
+
+
 @lru_cache(maxsize=None)
 def _load(template_id: str, template_dir: str | None) -> str:
+    """A template's text, checked once for its delimiters.
+
+    Substitution keeps all literal text, so every prompt rendered from a
+    template that has them has them too. The error is not cached.
+    """
     base = Path(template_dir) if template_dir else TEMPLATES_DIR
-    raw = (base / f"{template_id}.txt").read_text(encoding="utf-8")
-    return raw.replace("\r\n", "\n")
+    raw = (base / f"{template_id}.txt").read_text(encoding="utf-8").replace("\r\n", "\n")
+    needles = _TRANSCRIPT_DELIMITERS
+    if template_id.startswith("abcde_window"):
+        needles += _TARGET_DELIMITERS
+    lost = [needle for needle in needles if needle not in raw]
+    if lost:
+        raise ValueError(f"{template_id}: template lacks delimiters {lost}")
+    return raw
 
 
 def load_template(template_id: str, template_dir: str | Path | None = None) -> str:
@@ -131,6 +148,22 @@ def utterance_line(u: Utterance, label: ThreadLabel | None = None) -> str:
     return line
 
 
+def transcript_lines(
+    utterances: Sequence[Utterance], labels: Mapping[int, ThreadLabel] | None = None
+) -> list[str | None]:
+    """Each utterance's prompt line, labeled from ``labels`` when given.
+
+    With ``labels``, the line of an utterance they leave out is None, which
+    :func:`render_window` refuses as a missing thread label.
+    """
+    if labels is None:
+        return [utterance_line(u) for u in utterances]
+    return [
+        None if (label := labels.get(u.index)) is None else utterance_line(u, label)
+        for u in utterances
+    ]
+
+
 def transcript_block(
     utterances: Sequence[Utterance],
     labels: Mapping[int, ThreadLabel] | None = None,
@@ -184,10 +217,45 @@ class RenderedPrompt:
     expected_entries: tuple[tuple[int, str], ...] | None = None
 
 
-def _check_delimiters(text: str, *needles: str) -> None:
-    for needle in needles:
-        if needle not in text:
-            raise AssertionError(f"rendered prompt lost delimiter {needle}")
+_THREAD_LINE = OutputContract(kind="thread_line", n_lines=1)
+_CODE_LINE = OutputContract(kind="code_line", n_lines=1)
+
+
+def render_window(
+    template_id: str,
+    lines: Sequence[str | None],
+    target: Utterance,
+    n: int,
+    transcript_id: str = "",
+    template_dir: str | Path | None = None,
+) -> RenderedPrompt:
+    """A single-line prompt from its window's transcript lines, the target's last.
+
+    Every window template renders here: ``thread_window``, the two
+    ``abcde_window`` variants, ``baseline_lee`` and ``baseline_qamar``.
+    ``lines`` come from :func:`utterance_line`; a None line stands for a
+    thread label that is missing and raises MissingThreadLabel. ``n`` is the
+    configured window size, which ``thread_window`` states.
+    """
+    if None in lines:
+        raise MissingThreadLabel(target.index - len(lines) + 1 + lines.index(None))
+    values: dict[str, object] = {"transcript_block": "\n".join(lines)}
+    if template_id == "thread_window":
+        values["window_n"] = n
+    elif template_id != "baseline_qamar":
+        values["target_speaker"] = target.speaker
+        values["target_text"] = target.text
+        if template_id != "baseline_lee":
+            values["target_timestamp"] = format_timestamp(target.timestamp_ms)
+    text = substitute(template_id, load_template(template_id, template_dir), values)
+    return RenderedPrompt(
+        template_id=template_id,
+        text=text,
+        expected_output=_THREAD_LINE if template_id == "thread_window" else _CODE_LINE,
+        target_index=target.index,
+        target_speaker=target.speaker,
+        transcript_id=transcript_id,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -199,20 +267,7 @@ def render_thread_window(w: Window, template_dir: str | Path | None = None) -> R
     """Sliding-window threading prompt: labeled context, unlabeled target line."""
     lines = [utterance_line(u, label) for u, label in w.context]
     lines.append(utterance_line(w.target))
-    text = substitute(
-        "thread_window",
-        load_template("thread_window", template_dir),
-        {"window_n": w.n, "transcript_block": "\n".join(lines)},
-    )
-    _check_delimiters(text, "<<<TRANSCRIPT_START>>>", "<<<TRANSCRIPT_END>>>")
-    return RenderedPrompt(
-        template_id="thread_window",
-        text=text,
-        expected_output=OutputContract(kind="thread_line", n_lines=1),
-        target_index=w.target_index,
-        target_speaker=w.target.speaker,
-        transcript_id=w.transcript_id,
-    )
+    return render_window("thread_window", lines, w.target, w.n, w.transcript_id, template_dir)
 
 
 def _shots_block(shots: Sequence[tuple[Transcript, GoldAnnotations]]) -> str:
@@ -257,7 +312,6 @@ def render_thread_all_at_once(
             "num_utterances": len(t),
         },
     )
-    _check_delimiters(text, "<<<TRANSCRIPT_START>>>", "<<<TRANSCRIPT_END>>>")
     return RenderedPrompt(
         template_id="thread_all_at_once",
         text=text,
@@ -305,48 +359,23 @@ def render_abcde(
     threaded = variant.endswith("_threaded")
     if threaded and thread_labels is None:
         raise MissingThreadLabel(0)
-    tmpl = load_template(variant, template_dir)
 
     if variant.startswith("abcde_window"):
         w = _window_payload(variant, payload)
-        utterances = [u for u, _ in w.context] + [w.target]
-        block = transcript_block(
-            utterances, thread_labels if threaded else None, require_labels=threaded
+        lines = transcript_lines(
+            [u for u, _ in w.context] + [w.target], thread_labels if threaded else None
         )
-        text = substitute(
-            variant,
-            tmpl,
-            {
-                "transcript_block": block,
-                "target_timestamp": format_timestamp(w.target.timestamp_ms),
-                "target_speaker": w.target.speaker,
-                "target_text": w.target.text,
-            },
-        )
-        _check_delimiters(
-            text,
-            "<<<TRANSCRIPT_START>>>",
-            "<<<TRANSCRIPT_END>>>",
-            "<<<TARGET_START>>>",
-            "<<<TARGET_END>>>",
-        )
-        return RenderedPrompt(
-            template_id=variant,
-            text=text,
-            expected_output=OutputContract(kind="code_line", n_lines=1),
-            target_index=w.target_index,
-            target_speaker=w.target.speaker,
-            transcript_id=w.transcript_id,
-        )
+        return render_window(variant, lines, w.target, w.n, w.transcript_id, template_dir)
 
     t = _transcript_payload(variant, payload)
     block = transcript_block(
         t.utterances, thread_labels if threaded else None, require_labels=threaded
     )
     text = substitute(
-        variant, tmpl, {"transcript_block": block, "num_utterances": len(t)}
+        variant,
+        load_template(variant, template_dir),
+        {"transcript_block": block, "num_utterances": len(t)},
     )
-    _check_delimiters(text, "<<<TRANSCRIPT_START>>>", "<<<TRANSCRIPT_END>>>")
     return RenderedPrompt(
         template_id=variant,
         text=text,
@@ -370,16 +399,14 @@ def render_baseline(
     """
     if variant not in BASELINE_VARIANTS:
         raise ValueError(f"unknown variant {variant!r}, expected one of {BASELINE_VARIANTS}")
-    tmpl = load_template(variant, template_dir)
 
     if variant == "baseline_martinenghi":
         t = _transcript_payload(variant, payload)
         text = substitute(
             variant,
-            tmpl,
+            load_template(variant, template_dir),
             {"transcript_block": transcript_block(t.utterances), "num_utterances": len(t)},
         )
-        _check_delimiters(text, "<<<TRANSCRIPT_START>>>", "<<<TRANSCRIPT_END>>>")
         return RenderedPrompt(
             template_id=variant,
             text=text,
@@ -391,18 +418,5 @@ def render_baseline(
         )
 
     w = _window_payload(variant, payload)
-    utterances = [u for u, _ in w.context] + [w.target]
-    values: dict[str, object] = {"transcript_block": transcript_block(utterances)}
-    if variant == "baseline_lee":
-        values["target_speaker"] = w.target.speaker
-        values["target_text"] = w.target.text
-    text = substitute(variant, tmpl, values)
-    _check_delimiters(text, "<<<TRANSCRIPT_START>>>", "<<<TRANSCRIPT_END>>>")
-    return RenderedPrompt(
-        template_id=variant,
-        text=text,
-        expected_output=OutputContract(kind="code_line", n_lines=1),
-        target_index=w.target_index,
-        target_speaker=w.target.speaker,
-        transcript_id=w.transcript_id,
-    )
+    lines = transcript_lines([u for u, _ in w.context] + [w.target])
+    return render_window(variant, lines, w.target, w.n, w.transcript_id, template_dir)

@@ -38,7 +38,8 @@ from .llm import (
 )
 from .metrics import PARSE_ERROR_LABEL
 from .schema import as_fields, from_fields
-from .windowing import Window, WindowConfig, make_window
+# make_window stays importable from here: perfbench/spans.py patches runner.make_window.
+from .windowing import WindowConfig, context_slice, make_window  # noqa: F401
 
 TASKS = ("threading", "abcde")
 STRATEGIES = ("all_at_once", "window")
@@ -325,42 +326,53 @@ def _gold_codes_canonical(g: GoldAnnotations, index: int) -> str:
 # Provider faults that cost only the records of the prompt they hit.
 _FAULTS = (ContextOverflow, RateLimited, TransportError)
 _FAULT_NAMES = frozenset(f.__name__ for f in _FAULTS)
+# What a self-feedback window feeds forward for a failed prediction.
+_FALLBACK_LABEL = ThreadLabel.new_thread()
 
 # A chain is a transcript id plus the targets to complete in order: utterance
 # indices for windows, None for the whole transcript.
 Chain = tuple[str, Sequence[int | None]]
-Renderer = Callable[[Transcript, int | None, Mapping[int, ThreadLabel]], prompts.RenderedPrompt]
+# A renderer makes the prompt for (transcript, target) from the transcript's
+# window lines for the run; whole-transcript prompts ignore the lines.
+Renderer = Callable[[Transcript, int | None, list[str | None]], prompts.RenderedPrompt]
 
 
 def _renderer(
     spec: ExperimentSpec, corpus: Corpus, thread_labels: Mapping[str, Mapping[int, ThreadLabel]]
 ) -> Renderer:
-    """The run's one prompt function of (transcript, target, feedback labels)."""
+    """The run's one prompt function of (transcript, target, window lines)."""
     tdir = spec.template_dir
-    if spec.task == "threading":
-        if spec.strategy == "all_at_once":
+    override = spec.template_override
+    threaded = spec.thread_source != THREAD_SOURCE_NONE
+    if spec.strategy == "all_at_once":
+        if spec.task == "threading":
             return lambda t, _, __: prompts.render_thread_all_at_once(
                 t, _resolve_shots(spec, corpus, exclude=t.id), template_dir=tdir
             )
-        cfg = spec.window
-        return lambda t, i, labels: prompts.render_thread_window(
-            make_window(t, i, cfg, labels=labels), template_dir=tdir
+        if override:
+            return lambda t, _, __: prompts.render_baseline(override, t, template_dir=tdir)
+        variant = f"abcde_full_{'threaded' if threaded else 'plain'}"
+        return lambda t, _, __: prompts.render_abcde(
+            variant, t, thread_labels[t.id] if threaded else None, template_dir=tdir
         )
 
-    windowed = spec.strategy == "window"
-    cfg = WindowConfig(n=spec.window.n, feedback="none") if windowed else None
+    n = spec.window.n
+    if spec.task == "threading":
+        template_id = "thread_window"
+        # Fed-back labels go on the context lines only; the target is asked about.
+        own_target = spec.window.feedback == "none"
+    else:
+        template_id = override or f"abcde_window_{'threaded' if threaded else 'plain'}"
+        own_target = True
 
-    def payload(t: Transcript, i: int | None) -> Window | Transcript:
-        return make_window(t, i, cfg) if windowed else t
+    def render(t: Transcript, i: int, lines: list[str | None]) -> prompts.RenderedPrompt:
+        target = t.utterances[i - 1]
+        last = lines[i - 1] if own_target else prompts.utterance_line(target)
+        return prompts.render_window(
+            template_id, [*context_slice(lines, i, n), last], target, n, t.id, tdir
+        )
 
-    override = spec.template_override
-    if override:
-        return lambda t, i, _: prompts.render_baseline(override, payload(t, i), template_dir=tdir)
-    threaded = spec.thread_source != THREAD_SOURCE_NONE
-    variant = f"abcde_{'window' if windowed else 'full'}_{'threaded' if threaded else 'plain'}"
-    return lambda t, i, _: prompts.render_abcde(
-        variant, payload(t, i), thread_labels[t.id] if threaded else None, template_dir=tdir
-    )
+    return render
 
 
 def _chains(spec: ExperimentSpec, corpus: Corpus, self_feedback: bool) -> list[Chain]:
@@ -399,19 +411,29 @@ def _run(
     parse_line = outparse.parse_thread_response if thread_task else outparse.parse_code_response
     block_kind = "thread" if thread_task else "code"
     parsed_label = attrgetter("label" if thread_task else "codes")
+    # Each transcript's window lines, rendered once for the run: a window's
+    # transcript block is a slice of them. They carry the abcde thread source's
+    # labels or gold feedback; self-feedback chains fill their own as they go.
+    fixed_lines: dict[str, list[str | None]] = {}
+    if spec.strategy == "window" and feedback != "self":
+        for tid in spec.transcripts:
+            t, g = corpus[tid]
+            labels = g.thread if feedback == "gold" else thread_labels.get(tid)
+            fixed_lines[tid] = prompts.transcript_lines(t.utterances, labels)
 
     def run_chain(chain: Chain) -> tuple[list[UtteranceRecord], int, int]:
         tid, targets = chain
         t, g = corpus[tid]
-        labels: dict[int, ThreadLabel] = g.thread if feedback == "gold" else {}
+        lines = [] if feedback == "self" else fixed_lines.get(tid, [])
         records: list[UtteranceRecord] = []
         input_tokens = output_tokens = 0
         for target in targets:
-            p = render(t, target, labels)
+            p = render(t, target, lines)
             if p.target_index is None:
                 entries = p.expected_entries
             else:
                 entries = ((p.target_index, p.target_speaker),)
+            fed = _FALLBACK_LABEL
             try:
                 rec = complete(p, spec.model, provider, cache)
             except _FAULTS as exc:
@@ -430,6 +452,8 @@ def _run(
                     ).outcomes
                 else:
                     outcomes = (parse_line(rec.response_text, *entries[0], mode),)
+                    if outcomes[0].ok and feedback == "self":
+                        fed = outcomes[0].value.label.normalized()
                 done = [
                     UtteranceRecord(
                         transcript_id=tid,
@@ -446,13 +470,10 @@ def _run(
                     for (i, _), o in zip(entries, outcomes)
                 ]
             if feedback == "self":
-                # Feed the canonical form back so the prompt stream is a pure
-                # function of the logged predictions; a failure feeds "-".
-                for r in done:
-                    labels[r.index] = (
-                        ThreadLabel.new_thread() if r.predicted == PARSE_ERROR_LABEL
-                        else parse_respond_line(r.predicted)
-                    )
+                # The fed-back label is the canonical form of the logged
+                # prediction, so the prompt stream is a pure function of the
+                # log; the target's line is rendered with it once, here.
+                lines.append(prompts.utterance_line(t.utterances[target - 1], fed))
             records.extend(done)
         return records, input_tokens, output_tokens
 

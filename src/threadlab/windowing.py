@@ -9,7 +9,7 @@ lines carry thread labels taken from the model's own earlier predictions
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, Sequence, TypeVar
 
 from .corpus import ThreadLabel, Transcript, Utterance
 
@@ -53,6 +53,19 @@ class Window:
             )
 
 
+T = TypeVar("T")
+
+
+def context_slice(items: Sequence[T], target_index: int, n: int) -> Sequence[T]:
+    """The entries a window of size ``n`` shows before its target, in order.
+
+    ``items`` holds one entry per utterance in index order: the utterances
+    themselves, or their prompt lines. That is the ``min(n, target_index) - 1``
+    entries just before utterance ``target_index``.
+    """
+    return items[max(0, target_index - n) : target_index - 1]
+
+
 def make_window(
     t: Transcript,
     target_index: int,
@@ -69,10 +82,9 @@ def make_window(
     """
     if not 1 <= target_index <= len(t):
         raise IndexError(f"target index {target_index} outside 1..{len(t)}")
-    first = max(1, target_index - cfg.n + 1)
     context = []
     # Transcript guarantees utterances[i].index == i + 1.
-    for u in t.utterances[first - 1 : target_index - 1]:
+    for u in context_slice(t.utterances, target_index, cfg.n):
         if cfg.feedback == "none":
             label = None
         else:

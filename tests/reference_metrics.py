@@ -9,7 +9,9 @@ precision on random inputs.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Sequence
+from typing import Mapping, Sequence
+
+from threadlab.metrics import EmptyCategory, MetricReport, score
 
 
 def confusion(gold: Sequence[str], pred: Sequence[str]) -> dict[tuple[str, str], int]:
@@ -70,3 +72,17 @@ def rescan_macro_f1(gold: Sequence[str], pred: Sequence[str]) -> float:
         recall = tp / n_gold if n_gold else 0.0
         total += 2 * precision * recall / (precision + recall) if precision + recall else 0.0
     return total / len(classes)
+
+
+def ref_subcategory_slice(
+    gold: Sequence[str], pred: Sequence[str], subcat: Mapping[int, str], tag: str
+) -> MetricReport:
+    """Score the positions whose gold subcategory is ``tag``, one tag at a time.
+
+    Position p (0-based) is utterance index p + 1 in ``subcat``. Raises
+    EmptyCategory when the tag never occurs.
+    """
+    positions = [p for p in range(len(gold)) if subcat.get(p + 1) == tag]
+    if not positions:
+        raise EmptyCategory(tag)
+    return score([gold[p] for p in positions], [pred[p] for p in positions])

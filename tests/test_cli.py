@@ -6,6 +6,7 @@ import sys
 import pytest
 
 from threadlab.cli import main
+from threadlab.corpus import MalformedRecord, bundled_corpus_dir
 
 TRANSCRIPTS = "ws01,cs01"
 
@@ -34,6 +35,25 @@ def test_ingest_emits_stats_json(capsys):
     stats = json.loads(out)
     assert stats["n_transcripts"] == 12
     assert stats["total_utterances"] > 0
+
+
+def test_ingest_and_thread_reject_a_lone_surrogate_by_line(capsys, tmp_path):
+    src = bundled_corpus_dir()
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    (corpus / "manifest.json").write_text(json.dumps({"transcripts": [
+        {"id": "ws01", "transcript": "ws01.jsonl", "gold": "ws01.gold.jsonl"}]}))
+    lines = (src / "ws01.jsonl").read_text(encoding="utf-8").splitlines()
+    rec = json.loads(lines[2])
+    rec["text"] += " \ud83d"
+    lines[2] = json.dumps(rec)
+    (corpus / "ws01.jsonl").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    (corpus / "ws01.gold.jsonl").write_bytes((src / "ws01.gold.jsonl").read_bytes())
+    for argv in (["ingest"], ["thread", "--provider", "oracle", "--model", "m", "--window", "5",
+                              "--transcripts", "ws01", "--out", str(tmp_path / "out")]):
+        with pytest.raises(MalformedRecord) as exc:
+            main([*argv, "--corpus", str(corpus)])
+        assert exc.value.line_no == 3, argv
 
 
 def test_validate_bundled_corpus_clean(capsys):

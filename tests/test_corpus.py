@@ -161,6 +161,20 @@ def test_parse_transcript_bad_json_line_number():
     assert exc.value.line_no == 2
 
 
+@pytest.mark.parametrize("field", ["speaker", "text"])
+def test_parse_transcript_rejects_lone_surrogates(field):
+    # JSON may escape half a surrogate pair; such text cannot be sent as UTF-8
+    good = {"index": 1, "timestamp": "00:00:01", "speaker": "A", "text": "fine"}
+    bad = {"index": 2, "timestamp": "00:00:02", "speaker": "B", "text": "ok"}
+    bad[field] = "half an emoji \ud83d here"
+    src = json.dumps(good) + "\n" + json.dumps(bad) + "\n"
+    assert "\\ud83d" in src
+    with pytest.raises(MalformedRecord) as exc:
+        parse_transcript(src)
+    assert exc.value.line_no == 2
+    assert field in exc.value.reason
+
+
 def test_transcript_round_trip_jsonl(bundled):
     t, _ = bundled["ws01"]
     again = parse_transcript(serialize_transcript(t), t.id, t.scenario)

@@ -277,6 +277,34 @@ def test_cache_keeps_unicode_line_separators_in_text(tmp_path):
     assert CompletionCache(path).get("h1").response_text == "a\u2028b\x85c"
 
 
+def test_cache_appends_through_one_handle_readable_while_open(tmp_path):
+    path = tmp_path / "cache.jsonl"
+    cache = CompletionCache(path)
+    for h in ("h1", "h2", "h3"):
+        cache.put(CompletionRecord(h, h.upper(), 1, 1, 0, "x"))
+    handle = cache._fh
+    # a second reader sees every record while the writer is still alive
+    fresh = CompletionCache(path)
+    assert [fresh.get(h).response_text for h in ("h1", "h2", "h3")] == ["H1", "H2", "H3"]
+    cache.put(CompletionRecord("h4", "H4", 1, 1, 0, "x"))
+    assert cache._fh is handle and not handle.closed
+    assert CompletionCache(path).get("h4").response_text == "H4"
+    del cache
+    assert handle.closed
+
+
+def test_cache_torn_tail_is_cut_before_the_handle_opens(tmp_path):
+    path = tmp_path / "cache.jsonl"
+    whole = _record_line("h1") + "\n"
+    path.write_bytes(whole.encode("utf-8") + b'{"prompt_hash": "h2", "resp')
+    cache = CompletionCache(path)
+    cache.put(CompletionRecord("h3", "a", 1, 1, 0, "x"))
+    cache.put(CompletionRecord("h4", "b", 1, 1, 0, "x"))
+    assert path.read_text(encoding="utf-8") == (
+        whole + _record_line("h3", "a") + "\n" + _record_line("h4", "b") + "\n"
+    )
+
+
 def test_prompt_digest_sensitivity():
     m1 = ModelConfig(model_id="m", temperature=0.0)
     m2 = ModelConfig(model_id="m", temperature=0.5)

