@@ -20,6 +20,7 @@ from . import runner as runner_mod
 from .llm import (
     CompletionCache,
     HttpProvider,
+    LlmError,
     OracleProvider,
     PricingTable,
     Provider,
@@ -144,10 +145,15 @@ def _run_common(args: argparse.Namespace, task: str) -> int:
         corpus=corpus, provider=provider, cache=cache,
         concurrency=args.concurrency, pricing=pricing,
     )
-    if task == "threading":
-        log = runner_mod.run_threading(spec, **kwargs)
-    else:
-        log = runner_mod.run_abcde(spec, runs_dir=runs_dir, **kwargs)
+    try:
+        if task == "threading":
+            log = runner_mod.run_threading(spec, **kwargs)
+        else:
+            log = runner_mod.run_abcde(spec, runs_dir=runs_dir, **kwargs)
+    except LlmError as exc:  # outside the fault policy: the run stops with no log
+        kept = (f"its finished calls are kept in {config['cache']}" if cache is not None
+                else "no cache keeps its finished calls")
+        raise SystemExit(f"run {spec.run_id} stopped by {type(exc).__name__}: {exc}; {kept}")
     path = log.save(runs_dir)
     print(f"run {log.run_id}: {len(log.records)} records -> {path}")
     if log.failed_transcripts:
@@ -275,7 +281,8 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except runner_mod.MissingThreadSource as exc:  # a run id or thread source with no log
+    # a run id or thread source with no log, or a corpus file that does not parse
+    except (runner_mod.MissingThreadSource, corpus_mod.CorpusError) as exc:
         raise SystemExit(str(exc))
 
 

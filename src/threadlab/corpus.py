@@ -16,7 +16,7 @@ import json
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 VALID_CODES = frozenset("ABCDE")
 
@@ -48,7 +48,16 @@ DEFAULT_LONG_GAP = 13
 
 
 class CorpusError(Exception):
-    """Base class for malformed transcript or annotation input."""
+    """Base class for malformed transcript or annotation input.
+
+    ``path`` is the file the input came from, when known; it leads the message.
+    """
+
+    path: Path | None = None
+
+    def __str__(self) -> str:
+        text = super().__str__()
+        return f"{self.path}: {text}" if self.path else text
 
 
 class MalformedRecord(CorpusError):
@@ -801,19 +810,25 @@ def load_corpus(corpus_dir: str | Path) -> dict[str, tuple[Transcript, GoldAnnot
     for entry in manifest["transcripts"]:
         t_path = corpus_dir / entry["transcript"]
         g_path = corpus_dir / entry["gold"]
-        fmt = "csv" if t_path.suffix == ".csv" else "jsonl"
-        t = parse_transcript(
-            t_path.read_text(encoding="utf-8"),
-            transcript_id=entry["id"],
-            scenario=entry.get("scenario", ""),
-            fmt=fmt,
-        )
-        g_fmt = "csv" if g_path.suffix == ".csv" else "jsonl"
-        g = parse_gold(g_path.read_text(encoding="utf-8"), transcript_id=entry["id"], fmt=g_fmt)
+        t = _parse_file(parse_transcript, t_path, transcript_id=entry["id"],
+                        scenario=entry.get("scenario", ""))
+        g = _parse_file(parse_gold, g_path, transcript_id=entry["id"])
         if entry["id"] in pairs:
-            raise MalformedRecord(0, f"duplicate transcript id {entry['id']!r} in manifest")
+            exc = MalformedRecord(0, f"duplicate transcript id {entry['id']!r} in manifest")
+            exc.path = manifest_path
+            raise exc
         pairs[entry["id"]] = (t, g)
     return pairs
+
+
+def _parse_file(parse: Callable, path: Path, **kw):
+    """``parse`` the file's text, as CSV for a ``.csv`` suffix; a CorpusError names the file."""
+    fmt = "csv" if path.suffix == ".csv" else "jsonl"
+    try:
+        return parse(path.read_text(encoding="utf-8"), fmt=fmt, **kw)
+    except CorpusError as exc:
+        exc.path = path
+        raise
 
 
 def bundled_corpus_dir() -> Path:

@@ -18,7 +18,6 @@ import threading
 import time
 import weakref
 from dataclasses import dataclass, field
-from functools import lru_cache
 from json.encoder import encode_basestring
 from pathlib import Path
 from typing import Mapping, Protocol, TextIO
@@ -130,21 +129,21 @@ class CompletionRecord:
 _DIGEST_HEAD_END = "<<<TRANSCRIPT_START>>>"
 
 
-@lru_cache(maxsize=32)
-def _digest_head(
-    model_id: str, temperature: float, temperature_repr: str, head: str
-) -> tuple[hashlib._Hash, bytes]:
-    """sha256 state after the payload's constant head, and the payload's tail.
-
-    The state is shared by every caller, across threads: copy it, never update
-    it. ``temperature_repr`` is part of the key because 0.0 == -0.0 (and 0 ==
-    0.0) while their JSON differs.
-    """
+def _digest_head(model_id: str, temperature: float, head: str) -> tuple[hashlib._Hash, bytes]:
+    """sha256 state after the payload's constant head, and the payload's tail."""
     state = hashlib.sha256(
         ('{"model": ' + json.dumps(model_id, ensure_ascii=False) + ', "prompt": "').encode("utf-8")
         + encode_basestring(head)[1:-1].encode("utf-8")
     )
     return state, (', "temperature": ' + json.dumps(temperature) + "}").encode("utf-8")
+
+
+# The head last hashed for each (model id, temperature, temperature repr), with
+# its _digest_head state and tail. A run's prompts share one head, so most calls
+# check it in place instead of hashing it again. The state is shared by every
+# caller, across threads: copy it, never update it. The repr is part of the key
+# because 0.0 == -0.0 (and 0 == 0.0) while their JSON differs.
+_last_head: dict[tuple[str, float, str], tuple[str, hashlib._Hash, bytes]] = {}
 
 
 def prompt_digest(model: ModelConfig, prompt_text: str) -> str:
@@ -156,11 +155,23 @@ def prompt_digest(model: ModelConfig, prompt_text: str) -> str:
     pieces: the model id and the prompt up to ``<<<TRANSCRIPT_START>>>`` (whose
     hash state is cached), the rest of the prompt, and the temperature.
     """
-    cut = max(prompt_text.find(_DIGEST_HEAD_END), 0)
     t = model.temperature
-    head, tail = _digest_head(model.model_id, t, repr(t), prompt_text[:cut])
+    key = (model.model_id, t, repr(t))
+    last = _last_head.get(key)
+    # The marker cannot overlap itself, so a prompt that starts with the last
+    # head and has the marker right after it has its first marker there.
+    if last is None or not (
+        prompt_text.startswith(last[0]) and prompt_text.startswith(_DIGEST_HEAD_END, len(last[0]))
+    ):
+        cut = max(prompt_text.find(_DIGEST_HEAD_END), 0)
+        if len(_last_head) >= 32:  # a few models per process; stay bounded for more
+            _last_head.clear()
+        last = _last_head[key] = (
+            prompt_text[:cut], *_digest_head(model.model_id, t, prompt_text[:cut])
+        )
+    head_text, head, tail = last
     h = head.copy()
-    h.update(encode_basestring(prompt_text[cut:])[1:].encode("utf-8"))
+    h.update(encode_basestring(prompt_text[len(head_text):])[1:].encode("utf-8"))
     h.update(tail)
     return h.hexdigest()
 

@@ -480,8 +480,15 @@ def _run(
     chains = _chains(spec, corpus, feedback == "self")
     started = time.perf_counter()
     if concurrency > 1 and len(chains) > 1:
+        # Longest chain first (LPT list scheduling): a self-feedback chain's
+        # calls are serial, so the longest one sets the run's floor and must
+        # not wait behind the short ones. Results go back to their chain's
+        # slot, so records keep transcript order.
+        order = sorted(range(len(chains)), key=lambda k: -len(chains[k][1]))
+        results = [None] * len(chains)
         with ThreadPoolExecutor(max_workers=concurrency) as pool:
-            results = list(pool.map(run_chain, chains))
+            for k, result in zip(order, pool.map(run_chain, [chains[k] for k in order])):
+                results[k] = result
     else:
         results = [run_chain(chain) for chain in chains]
     wall_time_ms = int((time.perf_counter() - started) * 1000)

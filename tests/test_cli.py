@@ -6,7 +6,7 @@ import sys
 import pytest
 
 from threadlab.cli import main
-from threadlab.corpus import MalformedRecord, bundled_corpus_dir
+from threadlab.corpus import bundled_corpus_dir
 
 TRANSCRIPTS = "ws01,cs01"
 
@@ -37,23 +37,104 @@ def test_ingest_emits_stats_json(capsys):
     assert stats["total_utterances"] > 0
 
 
-def test_ingest_and_thread_reject_a_lone_surrogate_by_line(capsys, tmp_path):
+def _one_transcript_corpus(tmp_path, edit_line=None, edit_gold_line=None):
+    """A corpus of ws01 alone; the edit functions rewrite one record's JSON line."""
     src = bundled_corpus_dir()
     corpus = tmp_path / "corpus"
     corpus.mkdir()
     (corpus / "manifest.json").write_text(json.dumps({"transcripts": [
         {"id": "ws01", "transcript": "ws01.jsonl", "gold": "ws01.gold.jsonl"}]}))
-    lines = (src / "ws01.jsonl").read_text(encoding="utf-8").splitlines()
-    rec = json.loads(lines[2])
+    for name, edit in (("ws01.jsonl", edit_line), ("ws01.gold.jsonl", edit_gold_line)):
+        lines = (src / name).read_text(encoding="utf-8").splitlines()
+        if edit is not None:
+            lines[2] = edit(lines[2])
+        (corpus / name).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return corpus
+
+
+def _add_lone_surrogate(line):
+    rec = json.loads(line)
     rec["text"] += " \ud83d"
-    lines[2] = json.dumps(rec)
-    (corpus / "ws01.jsonl").write_text("\n".join(lines) + "\n", encoding="utf-8")
-    (corpus / "ws01.gold.jsonl").write_bytes((src / "ws01.gold.jsonl").read_bytes())
+    return json.dumps(rec)
+
+
+def test_ingest_and_thread_reject_a_lone_surrogate_by_line(capsys, tmp_path):
+    corpus = _one_transcript_corpus(tmp_path, edit_line=_add_lone_surrogate)
     for argv in (["ingest"], ["thread", "--provider", "oracle", "--model", "m", "--window", "5",
                               "--transcripts", "ws01", "--out", str(tmp_path / "out")]):
-        with pytest.raises(MalformedRecord) as exc:
+        with pytest.raises(SystemExit) as exc:
             main([*argv, "--corpus", str(corpus)])
-        assert exc.value.line_no == 3, argv
+        assert exc.value.code == f"{corpus / 'ws01.jsonl'}: line 3: text is not valid Unicode text"
+
+
+CORPUS_COMMANDS = {
+    "ingest": [],
+    "validate": [],
+    "thread": ["--provider", "oracle", "--model", "m", "--window", "5"],
+    "code": ["--provider", "oracle", "--model", "m", "--window", "5", "--thread-source", "human"],
+    "eval": ["--run", "0123456789abcdef"],
+    "report": ["--runs", "0123456789abcdef"],
+}
+
+
+@pytest.mark.parametrize("command", list(CORPUS_COMMANDS))
+def test_a_corpus_error_is_one_line_naming_file_and_line(tmp_path, command):
+    corpus = _one_transcript_corpus(tmp_path, edit_gold_line=lambda line: line[:-1])
+    argv = [command, *CORPUS_COMMANDS[command], "--corpus", str(corpus)]
+    if command not in ("ingest", "validate"):
+        argv += ["--out", str(tmp_path / "out")]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    message = exc.value.code
+    assert isinstance(message, str) and "\n" not in message
+    assert message.startswith(f"{corpus / 'ws01.gold.jsonl'}: line 3: invalid JSON")
+
+
+def test_a_corpus_error_exits_1_with_one_stderr_line(tmp_path):
+    corpus = _one_transcript_corpus(tmp_path, edit_line=_add_lone_surrogate)
+    proc = subprocess.run(
+        [sys.executable, "-m", "threadlab.cli", "validate", "--corpus", str(corpus)],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr == f"{corpus / 'ws01.jsonl'}: line 3: text is not valid Unicode text\n"
+
+
+def test_a_run_stopped_by_a_provider_error_names_its_run_and_cache(capsys, tmp_path):
+    # ws01 is in the fixture, cs01 is not: the replay misses on cs01's first window.
+    recorded = tmp_path / "ws01" / "cache.jsonl"
+    config = tmp_path / "record.json"
+    config.write_text(json.dumps({"cache": str(recorded)}))
+    _thread_run(capsys, tmp_path / "ws01", extra=("--transcripts", "ws01", "--config", str(config)))
+    cache = tmp_path / "cache.jsonl"
+    config.write_text(json.dumps({"fixtures": str(recorded), "cache": str(cache)}))
+    argv = ["thread", "--provider", "replay", "--model", "test-model", "--window", "10",
+            "--transcripts", TRANSCRIPTS, "--concurrency", "1", "--config", str(config),
+            "--out", str(tmp_path)]
+    run_id = _thread_run(capsys, tmp_path / "ids")  # the same spec, run with the oracle
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert re.fullmatch(
+        rf"run {run_id} stopped by FixtureMiss: no recorded response for prompt [0-9a-f]{{64}}; "
+        rf"its finished calls are kept in {re.escape(str(cache))}",
+        exc.value.code,
+    ), exc.value.code
+    assert len(cache.read_text(encoding="utf-8").splitlines()) == 21  # every ws01 window
+    assert not (tmp_path / "runs").exists()
+
+
+def test_an_auth_error_without_a_cache_says_no_cache_keeps_the_calls(
+    capsys, tmp_path, monkeypatch
+):
+    monkeypatch.delenv("OPENAI_API_KEY", raising=False)
+    run_id = _thread_run(capsys, tmp_path / "ids", extra=("--transcripts", "ws01"))
+    with pytest.raises(SystemExit) as exc:
+        main(["thread", "--provider", "http", "--model", "test-model", "--window", "10",
+              "--transcripts", "ws01", "--out", str(tmp_path)])
+    assert exc.value.code == (
+        f"run {run_id} stopped by AuthError: environment variable OPENAI_API_KEY is not set; "
+        "no cache keeps its finished calls"
+    )
 
 
 def test_validate_bundled_corpus_clean(capsys):

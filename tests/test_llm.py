@@ -9,6 +9,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 import pytest
 from hypothesis import example, given, strategies as st
 
+from threadlab import llm
 from threadlab.corpus import CodeSet, GoldAnnotations, ThreadLabel
 from threadlab.llm import (
     AuthError,
@@ -397,6 +398,66 @@ def test_prompt_digest_shared_head_state_under_threads():
         sys.setswitchinterval(old)
     assert not any(t.is_alive() for t in threads)
     assert bad == []
+
+
+def test_prompt_digest_alternating_heads_under_threads():
+    # Threads switch the last head back and forth; each must hash its prompt
+    # with the state of its own head.
+    model = ModelConfig(model_id="m-alternating")
+    prompts = [f"head {i % 2} {MARKER}\n#{i} A: line {i}" for i in range(40)]
+    expected = [reference_digest(model, p) for p in prompts]
+    bad: list[int] = []
+
+    def work(offset):
+        for _ in range(25):
+            for i in range(len(prompts)):
+                j = (i + offset) % len(prompts)
+                if prompt_digest(model, prompts[j]) != expected[j]:
+                    bad.append(j)
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    assert bad == []
+
+
+@pytest.mark.parametrize("head", [
+    "fixed hexd instructions, 10 prior lines\n",  # one character changed
+    "fixed head instructions, 10 prior lines",  # one character shorter
+    "fixed head instructions, 10 prior lines\n!",  # one character longer
+    "",  # no head
+], ids=["changed", "shorter", "longer", "empty"])
+def test_prompt_digest_hashes_a_head_one_character_off_from_the_last(monkeypatch, head):
+    # The last head a model hashed is checked in place; any other head goes
+    # through the slow path and still gets the formula's digest.
+    model = ModelConfig(model_id="head-check")
+    last = "fixed head instructions, 10 prior lines\n"
+    slow = []
+    digest_head = llm._digest_head
+
+    def counted(*args):
+        slow.append(args[-1])
+        return digest_head(*args)
+
+    monkeypatch.setattr(llm, "_digest_head", counted)
+    for prompt in (last + MARKER + "\n#1 A: hi", last + MARKER + "\n#2 B: yo " + MARKER):
+        assert prompt_digest(model, prompt) == reference_digest(model, prompt)
+    assert slow in ([], [last])  # the second prompt reused the first one's head
+    slow.clear()
+    prompt = head + MARKER + "\n#2 B: yo"
+    assert prompt_digest(model, prompt) == reference_digest(model, prompt)
+    assert slow == [head]
+    prompt = head + "?" + MARKER  # the last head, then text before the first marker
+    assert prompt_digest(model, prompt) == reference_digest(model, prompt)
+    assert slow == [head, head + "?"]
 
 
 # --- replay ----------------------------------------------------------------

@@ -663,3 +663,59 @@ def test_concurrency_does_not_change_predictions(bundled):
     solo = run_threading(spec, bundled, provider, concurrency=1)
     pooled = run_threading(spec, bundled, provider, concurrency=4)
     assert solo.records == pooled.records
+
+
+def _longest_last(bundled):
+    """Two bundled transcripts, then a 40-line one: the longest chain comes last."""
+    return {"ws01": bundled["ws01"], "cs01": bundled["cs01"], **_long_corpus(40)}
+
+
+class FirstCallsMeet(FlakyThreadProvider):
+    """Flaky gold, keeping the call order; the first ``meet`` calls wait for each other.
+
+    Every worker's first call is then in flight before any call returns, so
+    the first ``meet`` calls are the first targets of the chains started first.
+    """
+
+    name = "meet"
+
+    def __init__(self, corpus, meet):
+        super().__init__(corpus, bad_indices={3})
+        self.barrier = threading.Barrier(meet, timeout=10)
+        self.lock = threading.Lock()
+        self.calls = []
+
+    def send(self, prompt, model, prompt_hash):
+        with self.lock:
+            self.calls.append((prompt.transcript_id, prompt.target_index))
+            first = len(self.calls) <= self.barrier.parties
+        if first:
+            self.barrier.wait()
+        return super().send(prompt, model, prompt_hash)
+
+
+def test_pooled_self_feedback_starts_the_longest_chain_first(bundled):
+    corpus = _longest_last(bundled)
+    provider = FirstCallsMeet(corpus, meet=2)
+    log = run_threading(_spec(transcripts=tuple(corpus)), corpus, provider, concurrency=2)
+    assert ("long", 1) in provider.calls[:2], provider.calls[:4]
+    assert [(r.transcript_id, r.index) for r in log.records] == [
+        (tid, i) for tid, (t, _) in corpus.items() for i in range(1, len(t) + 1)
+    ]
+
+
+@pytest.mark.parametrize("kw", [
+    dict(task="threading", window=WindowConfig(n=10)),
+    dict(task="abcde", window=WindowConfig(n=10, feedback="none"), thread_source="human"),
+    dict(task="threading", strategy="all_at_once", window=None),
+], ids=["thread_self", "abcde_human", "thread_all_at_once"])
+def test_run_log_bytes_do_not_depend_on_concurrency(bundled, kw):
+    corpus = _longest_last(bundled)
+    spec = _spec(transcripts=tuple(corpus), **kw)
+    run = run_threading if spec.task == "threading" else run_abcde
+    texts = set()
+    for concurrency in (1, 2, 4):
+        log = run(spec, corpus, FlakyThreadProvider(corpus, bad_indices={2, 9}),
+                  concurrency=concurrency)
+        texts.add(dataclasses.replace(log, wall_time_ms=0).to_jsonl())
+    assert len(texts) == 1
