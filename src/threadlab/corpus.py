@@ -3,15 +3,13 @@
 A transcript is a flat list of timestamped utterances. Gold annotations attach a
 thread label to every utterance (which earlier line it responds to, or a
 new-thread marker), an optional set of collaborative-talk codes (letters A
-through E), and an optional threading subcategory tag. This module owns parsing
-and serialization for both file kinds (JSONL and CSV), structural validation of
+through E), and an optional threading subcategory tag. This module owns the
+JSONL parsing and serialization of both file kinds, structural validation of
 the resulting thread graph, and descriptive statistics.
 """
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import re
 from dataclasses import dataclass, field
@@ -173,6 +171,8 @@ class ThreadLabel:
     targets: tuple[LinkTarget, ...]
 
     def __post_init__(self):
+        if len(self.targets) == 1:
+            return  # a single target is always valid
         if not 1 <= len(self.targets) <= 2:
             raise ValueError(f"thread label needs 1 or 2 targets, got {len(self.targets)}")
         n_new = sum(1 for t in self.targets if isinstance(t, NewThread))
@@ -238,6 +238,7 @@ class ThreadLabel:
         return self.normalized().surface().replace(" ", "")
 
 
+_NEW_THREAD_LABEL = ThreadLabel((NEW_THREAD,))
 _LABEL_SPLIT_RE = re.compile(r"^\(\s*([^\s,()]+)\s*,\s*([^\s,()]+)\s*\)$")
 
 
@@ -247,6 +248,10 @@ def parse_respond_line(raw: str) -> ThreadLabel:
     Raises ValueError on anything else (including ``(-, -)``).
     """
     s = raw.strip()
+    if s == "-":
+        return _NEW_THREAD_LABEL
+    if s.isdigit():
+        return ThreadLabel((LineRef(int(s)),))
     if not s:
         raise ValueError("empty thread label")
     m = _LABEL_SPLIT_RE.match(s)
@@ -411,37 +416,34 @@ def format_timestamp(ms: int) -> str:
 _TRANSCRIPT_FIELDS = ("index", "timestamp", "speaker", "text")
 
 
-def _iter_records(source: str | bytes, fmt: str) -> Iterable[tuple[int, dict]]:
-    """Yield (line_no, record) pairs from JSONL or CSV text."""
-    if isinstance(source, bytes):
-        source = source.decode("utf-8")
-    if fmt == "jsonl":
-        for line_no, line in enumerate(source.splitlines(), start=1):
-            if not line.strip():
-                continue
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise MalformedRecord(line_no, f"invalid JSON: {exc.msg}") from exc
-            if not isinstance(rec, dict):
-                raise MalformedRecord(line_no, "record is not an object")
-            yield line_no, rec
-    elif fmt == "csv":
-        reader = csv.DictReader(io.StringIO(source))
-        # DictReader consumes the header, so data starts at line 2.
-        for line_no, rec in enumerate(reader, start=2):
-            if rec.get(None) is not None:
-                raise MalformedRecord(line_no, "row has more cells than the header")
-            yield line_no, {k: v for k, v in rec.items() if v is not None}
-    else:
-        raise ValueError(f"unknown format {fmt!r} (expected 'jsonl' or 'csv')")
+def _text(source: str | bytes) -> str:
+    """``source`` as text; bytes that are not UTF-8 raise MalformedRecord naming their line."""
+    if isinstance(source, str):
+        return source
+    try:
+        return source.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise MalformedRecord(source.count(b"\n", 0, exc.start) + 1, "not UTF-8 text") from None
+
+
+def _iter_records(source: str | bytes) -> Iterable[tuple[int, dict]]:
+    """Yield (line_no, record) pairs from JSONL text."""
+    for line_no, line in enumerate(_text(source).splitlines(), start=1):
+        if not line.strip():
+            continue
+        try:
+            rec = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise MalformedRecord(line_no, f"invalid JSON: {exc.msg}") from exc
+        if not isinstance(rec, dict):
+            raise MalformedRecord(line_no, "record is not an object")
+        yield line_no, rec
 
 
 def parse_transcript(
     source: str | bytes,
     transcript_id: str = "",
     scenario: str = "",
-    fmt: str = "jsonl",
 ) -> Transcript:
     """Parse a transcript file body.
 
@@ -450,7 +452,7 @@ def parse_transcript(
     """
     rows: list[tuple[int, int, str, str]] = []
     seen_indices: set[int] = set()
-    for line_no, rec in _iter_records(source, fmt):
+    for line_no, rec in _iter_records(source):
         missing = [f for f in _TRANSCRIPT_FIELDS if f not in rec]
         if missing:
             raise MalformedRecord(line_no, f"missing fields: {', '.join(missing)}")
@@ -489,36 +491,26 @@ def parse_transcript(
     return Transcript(id=transcript_id, utterances=tuple(utterances), scenario=scenario)
 
 
-def serialize_transcript(t: Transcript, fmt: str = "jsonl") -> str:
+def serialize_transcript(t: Transcript) -> str:
     """Inverse of :func:`parse_transcript`; round-trips to an equal Transcript."""
-    if fmt == "jsonl":
-        lines = [
-            json.dumps(
-                {
-                    "index": u.index,
-                    "timestamp": format_timestamp(u.timestamp_ms),
-                    "speaker": u.speaker,
-                    "text": u.text,
-                },
-                ensure_ascii=False,
-            )
-            for u in t.utterances
-        ]
-        return "\n".join(lines) + "\n"
-    if fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(_TRANSCRIPT_FIELDS)
-        for u in t.utterances:
-            writer.writerow([u.index, format_timestamp(u.timestamp_ms), u.speaker, u.text])
-        return buf.getvalue()
-    raise ValueError(f"unknown format {fmt!r}")
+    lines = [
+        json.dumps(
+            {
+                "index": u.index,
+                "timestamp": format_timestamp(u.timestamp_ms),
+                "speaker": u.speaker,
+                "text": u.text,
+            },
+            ensure_ascii=False,
+        )
+        for u in t.utterances
+    ]
+    return "\n".join(lines) + "\n"
 
 
 def parse_gold(
     source: str | bytes,
     transcript_id: str = "",
-    fmt: str = "jsonl",
 ) -> GoldAnnotations:
     """Parse a gold annotation file body.
 
@@ -528,7 +520,7 @@ def parse_gold(
     thread: dict[int, ThreadLabel] = {}
     abcde: dict[int, CodeSet] = {}
     subcat: dict[int, str] = {}
-    for line_no, rec in _iter_records(source, fmt):
+    for line_no, rec in _iter_records(source):
         if "index" not in rec or "respond_line" not in rec:
             raise MalformedRecord(line_no, "missing index or respond_line")
         try:
@@ -570,34 +562,17 @@ def parse_gold(
     )
 
 
-def serialize_gold(g: GoldAnnotations, fmt: str = "jsonl") -> str:
+def serialize_gold(g: GoldAnnotations) -> str:
     """Inverse of :func:`parse_gold`; round-trips to an equal GoldAnnotations."""
-    indices = sorted(g.thread)
-    if fmt == "jsonl":
-        lines = []
-        for idx in indices:
-            rec: dict[str, object] = {"index": idx, "respond_line": g.thread[idx].surface()}
-            if idx in g.abcde:
-                rec["abcde"] = g.abcde[idx].to_string()
-            if idx in g.subcat:
-                rec["subcat"] = g.subcat[idx]
-            lines.append(json.dumps(rec, ensure_ascii=False))
-        return "\n".join(lines) + "\n"
-    if fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["index", "respond_line", "abcde", "subcat"])
-        for idx in indices:
-            writer.writerow(
-                [
-                    idx,
-                    g.thread[idx].surface(),
-                    g.abcde[idx].to_string() if idx in g.abcde else "",
-                    g.subcat.get(idx, ""),
-                ]
-            )
-        return buf.getvalue()
-    raise ValueError(f"unknown format {fmt!r}")
+    lines = []
+    for idx in sorted(g.thread):
+        rec: dict[str, object] = {"index": idx, "respond_line": g.thread[idx].surface()}
+        if idx in g.abcde:
+            rec["abcde"] = g.abcde[idx].to_string()
+        if idx in g.subcat:
+            rec["subcat"] = g.subcat[idx]
+        lines.append(json.dumps(rec, ensure_ascii=False))
+    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -805,7 +780,7 @@ def load_corpus(corpus_dir: str | Path) -> dict[str, tuple[Transcript, GoldAnnot
     """
     corpus_dir = Path(corpus_dir)
     manifest_path = corpus_dir / "manifest.json"
-    manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+    manifest = _parse_file(_parse_manifest, manifest_path)
     pairs: dict[str, tuple[Transcript, GoldAnnotations]] = {}
     for entry in manifest["transcripts"]:
         t_path = corpus_dir / entry["transcript"]
@@ -821,11 +796,17 @@ def load_corpus(corpus_dir: str | Path) -> dict[str, tuple[Transcript, GoldAnnot
     return pairs
 
 
-def _parse_file(parse: Callable, path: Path, **kw):
-    """``parse`` the file's text, as CSV for a ``.csv`` suffix; a CorpusError names the file."""
-    fmt = "csv" if path.suffix == ".csv" else "jsonl"
+def _parse_manifest(source: bytes) -> dict:
     try:
-        return parse(path.read_text(encoding="utf-8"), fmt=fmt, **kw)
+        return json.loads(_text(source))
+    except json.JSONDecodeError as exc:
+        raise MalformedRecord(exc.lineno, f"invalid JSON: {exc.msg}") from None
+
+
+def _parse_file(parse: Callable, path: Path, **kw):
+    """``parse`` the file's bytes; a CorpusError, bad UTF-8 included, names the file."""
+    try:
+        return parse(path.read_bytes(), **kw)
     except CorpusError as exc:
         exc.path = path
         raise

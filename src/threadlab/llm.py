@@ -331,12 +331,7 @@ class ReplayProvider:
         rec = self._fixtures.get(prompt_hash)
         if rec is None:
             raise FixtureMiss(prompt_hash)
-        return ProviderResult(
-            response_text=rec.response_text,
-            input_tokens=rec.input_tokens,
-            output_tokens=rec.output_tokens,
-            latency_ms=rec.latency_ms,
-        )
+        return ProviderResult(rec.response_text, rec.input_tokens, rec.output_tokens, rec.latency_ms)
 
 
 @dataclass(frozen=True)
@@ -481,22 +476,16 @@ def complete(
             return hit
     result = provider.send(prompt, model, h)
     estimated = result.input_tokens is None or result.output_tokens is None
+    # Positional arguments: a window run builds one record per utterance.
     record = CompletionRecord(
-        prompt_hash=h,
-        response_text=result.response_text,
-        input_tokens=(
-            result.input_tokens
-            if result.input_tokens is not None
-            else estimate_tokens(prompt.text)
-        ),
-        output_tokens=(
-            result.output_tokens
-            if result.output_tokens is not None
-            else estimate_tokens(result.response_text)
-        ),
-        latency_ms=result.latency_ms,
-        provider=provider.name,
-        tokens_estimated=estimated,
+        h,
+        result.response_text,
+        estimate_tokens(prompt.text) if result.input_tokens is None else result.input_tokens,
+        estimate_tokens(result.response_text) if result.output_tokens is None
+        else result.output_tokens,
+        result.latency_ms,
+        provider.name,
+        estimated,
     )
     if cache is not None:
         cache.put(record)

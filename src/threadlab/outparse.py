@@ -6,18 +6,21 @@ whole-transcript prompts. Two strictness levels: ``strict`` demands exactly
 the instructed shape with matching index and speaker (the right default when
 replaying curated fixtures), while ``lenient`` digs the last plausible label
 line out of surrounding prose and forgives spelling drift (the right default
-when mining live model output). A failed parse is never an exception; it
-becomes a Failed outcome carrying the raw text, and evaluation scores it as
-the reserved parse-error class.
+when mining live model output). A line that is exactly the instructed one
+is read with string operations and gives the outcome either regex would;
+every other line goes through the regexes. A failed parse is never an
+exception; it becomes a Failed outcome carrying the raw text, and evaluation
+scores it as the reserved parse-error class.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Sequence
 
-from .corpus import VALID_CODES, CodeSet, ThreadLabel, parse_respond_line
+from .corpus import VALID_CODES, CodeSet, LineRef, ThreadLabel, parse_respond_line
 
 STRICTNESS_LEVELS = ("strict", "lenient")
 
@@ -54,11 +57,11 @@ class ParseOutcome:
 
     @classmethod
     def success(cls, value, raw: str) -> "ParseOutcome":
-        return cls(ok=True, value=value, reason=None, raw=raw)
+        return cls(True, value, None, raw)
 
     @classmethod
     def failure(cls, reason: str, raw: str) -> "ParseOutcome":
-        return cls(ok=False, value=None, reason=reason, raw=raw)
+        return cls(False, None, reason, raw)
 
 
 def _norm_speaker(name: str) -> str:
@@ -71,92 +74,77 @@ def _check_strictness(strictness: str) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Thread label lines
+# Lines
 # ---------------------------------------------------------------------------
 
-# Strict: the exact instructed shape, speaker mandatory, lowercase keyword.
-_THREAD_STRICT_RE = re.compile(
-    r"^#?(?P<index>\d+)\s+(?P<speaker>.*?)\s*\[respond line = (?P<label>[^\]]*)\]$"
-)
+# The instructed line is f"{index} {speaker} {opener}{payload}]", per kind.
+_OPENERS = {"thread": "[respond line = ", "code": "["}
 
-# Lenient: keyword spelling drift, optional index and speaker.
-_THREAD_LENIENT_RE = re.compile(
-    r"^#?\s*(?:(?P<index>\d+)[.:]?\s*)?(?P<speaker>[^\[\]]*?)\s*"
-    r"\[\s*respond[\s_-]*line\s*=?\s*(?P<label>[^\]]*)\]\s*\.?$",
-    re.IGNORECASE,
-)
-
-
-def _finish_thread(
-    m: re.Match,
-    raw: str,
-    expected_index: int,
-    expected_speaker: str,
-    strictness: str,
-) -> ParseOutcome:
-    idx = int(m.group("index")) if m.group("index") else None
-    speaker = m.group("speaker") or None
-    if strictness == "strict":
-        if idx != expected_index:
-            return ParseOutcome.failure(INDEX_MISMATCH, raw)
-        if speaker is None or _norm_speaker(speaker) != _norm_speaker(expected_speaker):
-            return ParseOutcome.failure(SPEAKER_MISMATCH, raw)
-    try:
-        label = parse_respond_line(m.group("label"))
-    except ValueError:
-        return ParseOutcome.failure(NO_MATCH, raw)
-    for ref in label.line_refs:
-        if ref.line >= expected_index:
-            return ParseOutcome.failure(FORWARD_LINK, raw)
-    return ParseOutcome.success(ParsedThreadLine(index=idx, speaker=speaker, label=label), raw)
-
-
-def parse_thread_response(
-    raw: str,
-    expected_index: int,
-    expected_speaker: str,
-    strictness: str = "lenient",
-) -> ParseOutcome:
-    """Extract the thread label for one target utterance from a response."""
-    _check_strictness(strictness)
-    if strictness == "strict":
-        stripped = raw.strip()
-        if "\n" in stripped:
-            return ParseOutcome.failure(NO_MATCH, raw)
-        m = _THREAD_STRICT_RE.match(stripped)
-        if not m:
-            return ParseOutcome.failure(NO_MATCH, raw)
-        return _finish_thread(m, raw, expected_index, expected_speaker, strictness)
-
-    last = None
-    for line in raw.splitlines():
-        m = _THREAD_LENIENT_RE.match(line.strip())
-        if m:
-            last = m
-    if last is None:
-        return ParseOutcome.failure(NO_MATCH, raw)
-    return _finish_thread(last, raw, expected_index, expected_speaker, strictness)
-
-
-# ---------------------------------------------------------------------------
-# Code lines
-# ---------------------------------------------------------------------------
-
-_CODE_STRICT_RE = re.compile(
-    r"^#?(?P<index>\d+)\s+(?P<speaker>.*?)\s*\[(?P<codes>[^\]]*)\]$"
-)
-
-_CODE_LENIENT_RE = re.compile(
-    r"^#?\s*(?:(?P<index>\d+)[.:]?\s*)?(?P<speaker>[^\[\]]*?)\s*"
-    r"\[(?P<codes>[^\]]*)\]\s*\.?$"
-)
+# Per kind, the strict regex (the instructed shape, speaker mandatory, lowercase
+# keyword) and the lenient one (optional index and speaker, a trailing dot, and
+# for threads keyword spelling drift). Both capture index, speaker and payload.
+_LINE_RES = {
+    kind: (
+        re.compile(rf"^#?(?P<index>\d+)\s+(?P<speaker>.*?)\s*\[{strict}(?P<payload>[^\]]*)\]$"),
+        re.compile(
+            r"^#?\s*(?:(?P<index>\d+)[.:]?\s*)?(?P<speaker>[^\[\]]*?)\s*"
+            rf"\[{lenient}(?P<payload>[^\]]*)\]\s*\.?$",
+            re.IGNORECASE,
+        ),
+    )
+    for kind, strict, lenient in (
+        ("thread", "respond line = ", r"\s*respond[\s_-]*line\s*=?\s*"),
+        ("code", "", ""),
+    )
+}
 
 # Shape of a plausible code list: empty, or single letters joined by commas.
 _CODE_LIST_RE = re.compile(r"^$|^[A-Za-z](\s*,\s*[A-Za-z])*$")
 
+# Every code set keyed by its to_string() form without the brackets: "A, C", "".
+_CODE_SETS = {
+    cs.to_string()[1:-1]: cs
+    for n in range(len(VALID_CODES) + 1)
+    for cs in (CodeSet(frozenset(c)) for c in combinations(sorted(VALID_CODES), n))
+}
+
+
+def _head(index: int, speaker: str, kind: str) -> str | None:
+    """The instructed line for (index, speaker) up to its payload, or None.
+
+    None unless every line regex reads that line as exactly this index and
+    speaker: the index is not negative, and the speaker is printable, not
+    empty, and holds no bracket and no edge space.
+    """
+    if (index < 0 or not speaker or speaker != speaker.strip() or "[" in speaker
+            or "]" in speaker or not speaker.isprintable()):
+        return None
+    return f"{index} {speaker} {_OPENERS[kind]}"
+
+
+def _read(line: str, head: str) -> str | None:
+    """The payload of a stripped ``line`` that is ``head``, payload, ``]``; else None.
+
+    The payload must hold no ``]`` and only printable characters, so no
+    regex could split the line or end it elsewhere.
+    """
+    if line.startswith(head) and line.endswith("]"):
+        payload = line[len(head):-1]
+        if "]" not in payload and payload.isprintable():
+            return payload
+    return None
+
+
+def _groups(m: re.Match) -> tuple[int | None, str | None, str]:
+    index = m["index"]
+    return int(index) if index else None, m["speaker"] or None, m["payload"]
+
 
 def _parse_code_list(inner: str, strictness: str) -> CodeSet | str:
     """CodeSet on success, failure reason string otherwise."""
+    codes = _CODE_SETS.get(inner)
+    if codes is not None:
+        return codes
     inner = inner.strip()
     if not _CODE_LIST_RE.match(inner):
         return NO_MATCH
@@ -170,24 +158,77 @@ def _parse_code_list(inner: str, strictness: str) -> CodeSet | str:
     return CodeSet(frozenset(letters))
 
 
-def _finish_code(
-    m: re.Match,
+def _finish(
+    kind: str,
+    index: int | None,
+    speaker: str | None,
+    payload: str,
     raw: str,
     expected_index: int,
     expected_speaker: str,
     strictness: str,
 ) -> ParseOutcome:
-    idx = int(m.group("index")) if m.group("index") else None
-    speaker = m.group("speaker") or None
+    """The outcome of a line read as (index, speaker, payload) for one expected entry."""
     if strictness == "strict":
-        if idx != expected_index:
+        if index != expected_index:
             return ParseOutcome.failure(INDEX_MISMATCH, raw)
-        if speaker is None or _norm_speaker(speaker) != _norm_speaker(expected_speaker):
+        if speaker is None or (
+            speaker != expected_speaker
+            and _norm_speaker(speaker) != _norm_speaker(expected_speaker)
+        ):
             return ParseOutcome.failure(SPEAKER_MISMATCH, raw)
-    codes = _parse_code_list(m.group("codes"), strictness)
-    if isinstance(codes, str):
-        return ParseOutcome.failure(codes, raw)
-    return ParseOutcome.success(ParsedCodeLine(index=idx, speaker=speaker, codes=codes), raw)
+    if kind == "code":
+        codes = _parse_code_list(payload, strictness)
+        if isinstance(codes, str):
+            return ParseOutcome.failure(codes, raw)
+        return ParseOutcome.success(ParsedCodeLine(index, speaker, codes), raw)
+    try:
+        label = parse_respond_line(payload)
+    except ValueError:
+        return ParseOutcome.failure(NO_MATCH, raw)
+    for target in label.targets:
+        if isinstance(target, LineRef) and target.line >= expected_index:
+            return ParseOutcome.failure(FORWARD_LINK, raw)
+    return ParseOutcome.success(ParsedThreadLine(index, speaker, label), raw)
+
+
+def _parse_line(
+    kind: str, raw: str, expected_index: int, expected_speaker: str, strictness: str
+) -> ParseOutcome:
+    _check_strictness(strictness)
+    line = raw.strip()
+    head = _head(expected_index, expected_speaker, kind)
+    payload = None if head is None else _read(line, head)
+    if payload is not None:
+        # The instructed line itself, which both strictness levels read alike.
+        return _finish(kind, expected_index, expected_speaker, payload, raw,
+                       expected_index, expected_speaker, strictness)
+    strict_re, lenient_re = _LINE_RES[kind]
+    m = None
+    if strictness == "strict":
+        if "\n" not in line:
+            m = strict_re.match(line)
+    else:
+        for each in raw.splitlines():
+            match = lenient_re.match(each.strip())
+            # Brackets around prose are not a code list; a code-shaped list
+            # with a bad letter still counts as the model's answer.
+            if match and (kind == "thread" or _parse_code_list(match["payload"], strictness)
+                          != NO_MATCH):
+                m = match
+    if m is None:
+        return ParseOutcome.failure(NO_MATCH, raw)
+    return _finish(kind, *_groups(m), raw, expected_index, expected_speaker, strictness)
+
+
+def parse_thread_response(
+    raw: str,
+    expected_index: int,
+    expected_speaker: str,
+    strictness: str = "lenient",
+) -> ParseOutcome:
+    """Extract the thread label for one target utterance from a response."""
+    return _parse_line("thread", raw, expected_index, expected_speaker, strictness)
 
 
 def parse_code_response(
@@ -201,30 +242,7 @@ def parse_code_response(
     Duplicate letters collapse (``[C, E, E]`` -> ``{C, E}``); letters outside
     A-E fail with UnknownCode.
     """
-    _check_strictness(strictness)
-    if strictness == "strict":
-        stripped = raw.strip()
-        if "\n" in stripped:
-            return ParseOutcome.failure(NO_MATCH, raw)
-        m = _CODE_STRICT_RE.match(stripped)
-        if not m:
-            return ParseOutcome.failure(NO_MATCH, raw)
-        return _finish_code(m, raw, expected_index, expected_speaker, strictness)
-
-    last = None
-    for line in raw.splitlines():
-        m = _CODE_LENIENT_RE.match(line.strip())
-        if not m:
-            continue
-        shaped = _parse_code_list(m.group("codes"), strictness)
-        if shaped == NO_MATCH:
-            # Brackets around prose, not a code list. A code-shaped list with
-            # a bad letter still counts as the model's answer.
-            continue
-        last = m
-    if last is None:
-        return ParseOutcome.failure(NO_MATCH, raw)
-    return _finish_code(last, raw, expected_index, expected_speaker, strictness)
+    return _parse_line("code", raw, expected_index, expected_speaker, strictness)
 
 
 # ---------------------------------------------------------------------------
@@ -255,57 +273,51 @@ def parse_block_response(
     lines are counted, never fatal.
     """
     _check_strictness(strictness)
-    if kind not in ("thread", "code"):
+    if kind not in _OPENERS:
         raise ValueError(f"kind must be 'thread' or 'code', got {kind!r}")
-    line_re = _THREAD_LENIENT_RE if kind == "thread" else _CODE_LENIENT_RE
-    finish = _finish_thread if kind == "thread" else _finish_code
+    # The instructed line's head per expected entry, keyed by its index text.
+    heads = {}
+    for idx, speaker in expected:
+        head = _head(idx, speaker, kind)
+        if head is not None:
+            heads[str(idx)] = (idx, speaker, head)
 
-    candidates: list[re.Match] = []
+    # Label lines as (index, speaker, payload, line), by index or in order.
+    by_index: dict[int, tuple] = {}
+    positional: list[tuple] = []
+    surplus = 0
+    expected_indices = {idx for idx, _ in expected}
     for line in raw.splitlines():
         s = line.strip()
         if not s:
             continue
-        m = line_re.match(s)
-        if not m:
-            continue
-        if kind == "code":
-            inner = m.group("codes")
-            shaped = _parse_code_list(inner, "lenient")
-            if isinstance(shaped, str) and shaped == NO_MATCH:
-                continue
-        candidates.append(m)
-
-    by_index: dict[int, re.Match] = {}
-    positional: list[re.Match] = []
-    surplus = 0
-    expected_indices = {idx for idx, _ in expected}
-    for m in candidates:
-        idx = int(m.group("index")) if m.group("index") else None
-        if idx is not None and idx in expected_indices:
-            if idx in by_index:
-                surplus += 1
-            else:
-                by_index[idx] = m
-        elif idx is not None:
-            surplus += 1
+        known = heads.get(s.partition(" ")[0])
+        payload = None if known is None else _read(s, known[2])
+        if payload is not None:
+            found = (known[0], known[1], payload, s)
         else:
-            positional.append(m)
+            m = _LINE_RES[kind][1].match(s)
+            if not m:
+                continue
+            found = (*_groups(m), s)
+        if kind == "code" and _parse_code_list(found[2], "lenient") == NO_MATCH:
+            continue
+        if found[0] is None:
+            positional.append(found)
+        elif found[0] in expected_indices and found[0] not in by_index:
+            by_index[found[0]] = found
+        else:
+            surplus += 1
+
+    unfilled = [idx for idx, _ in expected if idx not in by_index]
+    pos_assignment = dict(zip(unfilled, positional))
+    surplus += max(0, len(positional) - len(unfilled))
 
     outcomes: list[ParseOutcome] = []
-    pos_iter = iter(positional)
-    unfilled = [idx for idx, _ in expected if idx not in by_index]
-    pos_assignment: dict[int, re.Match] = {}
-    for idx in unfilled:
-        m = next(pos_iter, None)
-        if m is None:
-            break
-        pos_assignment[idx] = m
-    surplus += sum(1 for _ in pos_iter)
-
     for idx, speaker in expected:
-        m = by_index.get(idx) or pos_assignment.get(idx)
-        if m is None:
+        found = by_index.get(idx) or pos_assignment.get(idx)
+        if found is None:
             outcomes.append(ParseOutcome.failure(NO_MATCH, ""))
-            continue
-        outcomes.append(finish(m, m.group(0), idx, speaker, strictness))
+        else:
+            outcomes.append(_finish(kind, *found, idx, speaker, strictness))
     return BlockParse(outcomes=tuple(outcomes), surplus_lines=surplus)

@@ -248,14 +248,8 @@ def render_window(
         if template_id != "baseline_lee":
             values["target_timestamp"] = format_timestamp(target.timestamp_ms)
     text = substitute(template_id, load_template(template_id, template_dir), values)
-    return RenderedPrompt(
-        template_id=template_id,
-        text=text,
-        expected_output=_THREAD_LINE if template_id == "thread_window" else _CODE_LINE,
-        target_index=target.index,
-        target_speaker=target.speaker,
-        transcript_id=transcript_id,
-    )
+    contract = _THREAD_LINE if template_id == "thread_window" else _CODE_LINE
+    return RenderedPrompt(template_id, text, contract, target.index, target.speaker, transcript_id)
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ import json
 import os
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor, as_completed
 from dataclasses import dataclass
 from operator import attrgetter
 from pathlib import Path
@@ -420,6 +420,8 @@ def _run(
             t, g = corpus[tid]
             labels = g.thread if feedback == "gold" else thread_labels.get(tid)
             fixed_lines[tid] = prompts.transcript_lines(t.utterances, labels)
+    # Set once a pooled chain raises: the run is lost, so the others stop.
+    lost = threading.Event()
 
     def run_chain(chain: Chain) -> tuple[list[UtteranceRecord], int, int]:
         tid, targets = chain
@@ -428,6 +430,8 @@ def _run(
         records: list[UtteranceRecord] = []
         input_tokens = output_tokens = 0
         for target in targets:
+            if lost.is_set():
+                break
             p = render(t, target, lines)
             if p.target_index is None:
                 entries = p.expected_entries
@@ -454,18 +458,13 @@ def _run(
                     outcomes = (parse_line(rec.response_text, *entries[0], mode),)
                     if outcomes[0].ok and feedback == "self":
                         fed = outcomes[0].value.label.normalized()
+                # Positional arguments: this builds one record per utterance.
                 done = [
                     UtteranceRecord(
-                        transcript_id=tid,
-                        index=i,
-                        prompt_hash=rec.prompt_hash,
-                        predicted=parsed_label(o.value).canonical() if o.ok else PARSE_ERROR_LABEL,
-                        gold=gold_of(g, i),
-                        ok=o.ok,
-                        fail_reason=o.reason,
-                        input_tokens=rec.input_tokens,
-                        output_tokens=rec.output_tokens,
-                        latency_ms=rec.latency_ms,
+                        tid, i, rec.prompt_hash,
+                        parsed_label(o.value).canonical() if o.ok else PARSE_ERROR_LABEL,
+                        gold_of(g, i), o.ok, o.reason,
+                        rec.input_tokens, rec.output_tokens, rec.latency_ms,
                     )
                     for (i, _), o in zip(entries, outcomes)
                 ]
@@ -487,8 +486,16 @@ def _run(
         order = sorted(range(len(chains)), key=lambda k: -len(chains[k][1]))
         results = [None] * len(chains)
         with ThreadPoolExecutor(max_workers=concurrency) as pool:
-            for k, result in zip(order, pool.map(run_chain, [chains[k] for k in order])):
-                results[k] = result
+            slots = {pool.submit(run_chain, chains[k]): k for k in order}
+            try:
+                for future in as_completed(slots):
+                    results[slots[future]] = future.result()
+            except BaseException:
+                # The first error outside the fault policy: drop the chains not
+                # started, let the running ones stop at their next call, re-raise.
+                lost.set()
+                pool.shutdown(cancel_futures=True)
+                raise
     else:
         results = [run_chain(chain) for chain in chains]
     wall_time_ms = int((time.perf_counter() - started) * 1000)

@@ -41,7 +41,7 @@ def _one_transcript_corpus(tmp_path, edit_line=None, edit_gold_line=None):
     """A corpus of ws01 alone; the edit functions rewrite one record's JSON line."""
     src = bundled_corpus_dir()
     corpus = tmp_path / "corpus"
-    corpus.mkdir()
+    corpus.mkdir(parents=True)
     (corpus / "manifest.json").write_text(json.dumps({"transcripts": [
         {"id": "ws01", "transcript": "ws01.jsonl", "gold": "ws01.gold.jsonl"}]}))
     for name, edit in (("ws01.jsonl", edit_line), ("ws01.gold.jsonl", edit_gold_line)):
@@ -91,13 +91,23 @@ def test_a_corpus_error_is_one_line_naming_file_and_line(tmp_path, command):
 
 
 def test_a_corpus_error_exits_1_with_one_stderr_line(tmp_path):
-    corpus = _one_transcript_corpus(tmp_path, edit_line=_add_lone_surrogate)
-    proc = subprocess.run(
-        [sys.executable, "-m", "threadlab.cli", "validate", "--corpus", str(corpus)],
-        capture_output=True, text=True,
-    )
-    assert proc.returncode == 1
-    assert proc.stderr == f"{corpus / 'ws01.jsonl'}: line 3: text is not valid Unicode text\n"
+    surrogate = _one_transcript_corpus(tmp_path / "surrogate", edit_line=_add_lone_surrogate)
+    not_utf8 = _one_transcript_corpus(tmp_path / "not_utf8")
+    transcript = not_utf8 / "ws01.jsonl"
+    transcript.write_bytes(b"\xff\xfe" + transcript.read_bytes())
+    truncated = _one_transcript_corpus(tmp_path / "truncated")
+    manifest = truncated / "manifest.json"
+    manifest.write_text(manifest.read_text(encoding="utf-8")[:40], encoding="utf-8")
+    for corpus, stderr in (
+        (surrogate, f"{surrogate / 'ws01.jsonl'}: line 3: text is not valid Unicode text\n"),
+        (not_utf8, f"{transcript}: line 1: not UTF-8 text\n"),
+        (truncated, f"{manifest}: line 1: invalid JSON: Unterminated string starting at\n"),
+    ):
+        proc = subprocess.run(
+            [sys.executable, "-m", "threadlab.cli", "validate", "--corpus", str(corpus)],
+            capture_output=True, text=True,
+        )
+        assert (proc.returncode, proc.stderr) == (1, stderr)
 
 
 def test_a_run_stopped_by_a_provider_error_names_its_run_and_cache(capsys, tmp_path):

@@ -175,22 +175,21 @@ def test_parse_transcript_rejects_lone_surrogates(field):
     assert field in exc.value.reason
 
 
+def test_bytes_that_are_not_utf8_fail_on_their_line():
+    src = json.dumps({"index": 1, "timestamp": "00:00:01", "speaker": "A", "text": "hi"})
+    with pytest.raises(MalformedRecord) as exc:
+        parse_transcript(src.encode() + b"\n\xff\xfe\n")
+    assert (exc.value.line_no, exc.value.reason) == (2, "not UTF-8 text")
+
 def test_transcript_round_trip_jsonl(bundled):
     t, _ = bundled["ws01"]
     again = parse_transcript(serialize_transcript(t), t.id, t.scenario)
     assert again == t
 
 
-def test_transcript_round_trip_csv(bundled):
-    t, _ = bundled["cs01"]
-    again = parse_transcript(serialize_transcript(t, fmt="csv"), t.id, t.scenario, fmt="csv")
-    assert again == t
-
-
-def test_gold_round_trip_both_formats(bundled):
+def test_gold_round_trip_jsonl(bundled):
     _, g = bundled["ws02"]
     assert parse_gold(serialize_gold(g), g.transcript_id) == g
-    assert parse_gold(serialize_gold(g, fmt="csv"), g.transcript_id, fmt="csv") == g
 
 
 def test_parse_gold_errors():

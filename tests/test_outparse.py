@@ -1,6 +1,9 @@
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
+from threadlab import outparse
 from threadlab.corpus import NEW_THREAD, CodeSet, LineRef, parse_respond_line
 from threadlab.outparse import (
     FORWARD_LINK,
@@ -156,6 +159,12 @@ def test_block_indexless_lines_fill_positionally():
     assert block.outcomes[1].value.label.line_refs == (LineRef(1),)
 
 
+def test_block_counts_indexless_lines_left_over():
+    raw = "[respond line = -]\n[respond line = 1]\n3 Ana [respond line = 2]\n[respond line = 1]"
+    block = parse_block_response(raw, EXPECTED, "thread", "lenient")
+    assert all(o.ok for o in block.outcomes)
+    assert block.surplus_lines == 1
+
 def test_code_block_with_noise():
     raw = (
         "Here are my labels:\n"
@@ -202,3 +211,109 @@ def test_codeset_round_trip_through_response_syntax(letters):
     out = parse_code_response(line, 7, "Ana", "strict")
     assert out.ok
     assert out.value.codes == cs
+
+
+# --- the exact-line reader against the regexes -----------------------------
+
+SPEAKERS = ["Ana", "Red Morgan", "R2D2", "Zoë", "12", "Al [x]", "A[b", "x]", " Bob", "Bob ", "",
+            "#Bob", ".Bob", "A\x85B", "A\u2028B", "A B", "A\tB", "A\xa0B", "Red  Morgan", "-3 Ana"]
+PAYLOADS = {
+    "thread": ["-", "1", "2", "0", "007", "٣", "²", "(3, 3)", "(-, -)", "(2, -)", "(1, 2)",
+               "(2, 1)", "(-, 1)", "(a, b)", " 5", "5 ", "", "[5", "1] [respond line = 2", "x",
+               "\x855", "5\u2028", "5\r", "99"],
+    "code": ["", "A", "E", "A, C", "C, A", "a, e", "A, X", "A,,B", "[A", "A B", " A ", "E, E",
+             "A, B, C, D, E", "A,C", "A] [E", "A\x85", "b"],
+}
+OPENERS = {
+    "thread": ["[respond line = ", "[Respond Line = ", "[respond_line= ", "[respond line ="],
+    "code": ["[", "[ "],
+}
+
+
+def _drifted(rng, index, speaker):
+    """A line head for (index, speaker): the instructed one, or index or speaker drift."""
+    head_index = f"{index} " if rng.random() < 0.6 else rng.choice([
+        f"{index + 1} ", f"0{index} ", f"#{index} ", "٣ ", "", f"{index}. ", f"{index}",
+        f"{index}  ", f"{index}\t",
+    ])
+    head_speaker = speaker if rng.random() < 0.6 else rng.choice([
+        speaker.upper(), speaker.lower(), speaker.replace(" ", "  "), rng.choice(SPEAKERS),
+    ])
+    return head_index + head_speaker
+
+
+def _reply_line(rng, kind, index, speaker):
+    payload = rng.choice(PAYLOADS[kind])
+    if kind == "thread" and rng.random() < 0.4:
+        payload = str(rng.randint(1, index + 2))  # forward links included
+    opener = OPENERS[kind][0] if rng.random() < 0.7 else rng.choice(OPENERS[kind])
+    tail = "]" if rng.random() < 0.7 else rng.choice(["].", "] ", "]\r", "] and more", ""])
+    return f"{_drifted(rng, index, speaker)} {opener}{payload}{tail}"
+
+
+def _reply(rng, kind, index, speaker):
+    line = _reply_line(rng, kind, index, speaker)
+    if rng.random() < 0.7:
+        return line
+    before, after = rng.choice([
+        (" ", "\n"), ("Sure:\n", ""), ("", "\nThat is all."), ("\r\n", "\r\n"), ("x\x85", ""),
+        (_reply_line(rng, kind, index, speaker) + "\n", ""), ("", "\u2028" + line),
+    ])
+    return before + line + after
+
+
+def _block(rng, kind, expected):
+    lines = []
+    for index, speaker in expected:
+        if rng.random() < 0.1:
+            continue  # missing
+        lines.append(_reply_line(rng, kind, index, speaker))
+        if rng.random() < 0.08:
+            lines.append(_reply_line(rng, kind, index, speaker))  # duplicate
+    lines += rng.sample([
+        "That is all.", "", "[respond line = 1]", "[E]", "[thinking]",  # prose and index-less
+        _reply_line(rng, kind, 40, "Zed"),  # surplus
+    ], rng.randint(0, 3))
+    if rng.random() < 0.2:
+        rng.shuffle(lines)
+    return "\n".join(lines)
+
+
+def test_exact_line_reader_gives_the_regex_outcome(monkeypatch):
+    rng = random.Random(8)
+    cases = []
+    for _ in range(3000):
+        kind = rng.choice(("thread", "code"))
+        index = rng.choice((-1, 0)) if rng.random() < 0.05 else rng.randint(1, 30)
+        speaker = rng.choice(SPEAKERS if rng.random() < 0.5 else SPEAKERS[:4])
+        expected = [(index + k, rng.choice(SPEAKERS[:6])) for k in range(rng.randint(1, 5))]
+        cases.append((kind, _reply(rng, kind, index, speaker), index, speaker,
+                      _block(rng, kind, expected), expected))
+
+    def parse_all():
+        out = []
+        for kind, raw, index, speaker, block, expected in cases:
+            parse = parse_thread_response if kind == "thread" else parse_code_response
+            for strictness in ("strict", "lenient"):
+                out.append(parse(raw, index, speaker, strictness))
+                out.append(parse_block_response(block, expected, kind, strictness))
+        return out
+
+    accepted = []
+    read = outparse._read
+
+    def counted(line, head):
+        accepted.append(read(line, head))
+        return accepted[-1]
+
+    monkeypatch.setattr(outparse, "_read", counted)
+    with_reader = parse_all()
+    assert sum(payload is not None for payload in accepted) > 5000  # the reader does read
+    monkeypatch.setattr(outparse, "_head", lambda index, speaker, kind: None)
+    regex_only = parse_all()
+    for k, (fast, slow) in enumerate(zip(with_reader, regex_only)):
+        assert fast == slow, cases[k // 4]
+    outcomes = [o for r in with_reader for o in getattr(r, "outcomes", (r,))]
+    assert {o.reason for o in outcomes} == {
+        None, NO_MATCH, INDEX_MISMATCH, SPEAKER_MISMATCH, FORWARD_LINK, UNKNOWN_CODE
+    }

@@ -22,6 +22,7 @@ from threadlab.llm import (
     AuthError,
     CompletionCache,
     ContextOverflow,
+    FixtureMiss,
     ModelConfig,
     OracleProvider,
     PricingTable,
@@ -702,6 +703,25 @@ def test_pooled_self_feedback_starts_the_longest_chain_first(bundled):
     assert [(r.transcript_id, r.index) for r in log.records] == [
         (tid, i) for tid, (t, _) in corpus.items() for i in range(1, len(t) + 1)
     ]
+
+
+def test_a_lost_pooled_run_stops_its_other_chains_at_their_next_call(bundled):
+    class MissesOnCs01(FirstCallsMeet):
+        def send(self, prompt, model, prompt_hash):
+            time.sleep(0.002)
+            if (prompt.transcript_id, prompt.target_index) == ("cs01", 3):
+                with self.lock:
+                    self.calls.append(("cs01", 3))
+                raise FixtureMiss("no recorded response")
+            return super().send(prompt, model, prompt_hash)
+
+    corpus = {"ws01": bundled["ws01"], "cs01": bundled["cs01"], **_long_corpus(150)}
+    provider = MissesOnCs01(corpus, meet=2)
+    with pytest.raises(FixtureMiss):
+        run_threading(_spec(transcripts=tuple(corpus)), corpus, provider, concurrency=2)
+    # the long chain has most of its 150 calls left when cs01 misses
+    assert ("long", 100) not in provider.calls
+    assert len(provider.calls) - provider.calls.index(("cs01", 3)) - 1 <= 2
 
 
 @pytest.mark.parametrize("kw", [
