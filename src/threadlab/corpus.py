@@ -312,6 +312,9 @@ class CodeSet:
         return "".join(sorted(self.letters))
 
 
+_NO_CODES = CodeSet()
+
+
 @dataclass(frozen=True)
 class Transcript:
     """A whole conversation: contiguous 1..n utterances plus scenario metadata."""
@@ -361,7 +364,7 @@ class GoldAnnotations:
 
     def codes_at(self, index: int) -> CodeSet:
         """Code set for an utterance; indices without a record count as empty."""
-        return self.abcde.get(index, CodeSet())
+        return self.abcde.get(index, _NO_CODES)
 
 
 # ---------------------------------------------------------------------------
@@ -692,33 +695,34 @@ class ThreadStats:
     raw_row_min_gap: int | None
 
 
-def thread_stats(t: Transcript, g: GoldAnnotations) -> ThreadStats:
-    n_words = sum(len(u.text.split()) for u in t.utterances)
-    n_no_thread = sum(1 for lbl in g.thread.values() if lbl.is_new_thread_only)
+def _label_stats(labels: Iterable[tuple[int, ThreadLabel]]) -> dict:
+    """The ThreadStats label fields, ``n_no_thread`` to ``raw_row_min_gap``, of
+    (index, label) pairs, in one pass over them."""
+    n_no_thread = 0
     gaps: list[int] = []
     any_split_with_new = False
-    for idx in sorted(g.thread):
-        label = g.thread[idx]
+    for idx, label in labels:
+        if label.is_new_thread_only:
+            n_no_thread += 1
         for ref in label.line_refs:
             gaps.append(idx - ref.line)
         if label.line_refs and any(isinstance(tg, NewThread) for tg in label.targets):
             any_split_with_new = True
-    if gaps:
-        mean_gap: float | None = sum(gaps) / len(gaps)
-        min_gap: int | None = min(gaps)
-        max_gap: int | None = max(gaps)
-        raw_row_min = 0 if any_split_with_new else min_gap
-    else:
-        mean_gap = min_gap = max_gap = raw_row_min = None
+    return {
+        "n_no_thread": n_no_thread,
+        "n_links": len(gaps),
+        "mean_gap": sum(gaps) / len(gaps) if gaps else None,
+        "min_gap": min(gaps) if gaps else None,
+        "max_gap": max(gaps) if gaps else None,
+        "raw_row_min_gap": (0 if any_split_with_new else min(gaps)) if gaps else None,
+    }
+
+
+def thread_stats(t: Transcript, g: GoldAnnotations) -> ThreadStats:
     return ThreadStats(
         n_utterances=len(t),
-        n_words=n_words,
-        n_no_thread=n_no_thread,
-        n_links=len(gaps),
-        mean_gap=mean_gap,
-        min_gap=min_gap,
-        max_gap=max_gap,
-        raw_row_min_gap=raw_row_min,
+        n_words=sum(len(u.text.split()) for u in t.utterances),
+        **_label_stats(g.thread.items()),
     )
 
 
@@ -733,37 +737,21 @@ def corpus_stats(pairs: Sequence[tuple[Transcript, GoldAnnotations]]) -> dict:
         raise ValueError("corpus_stats needs at least one transcript")
     total_utt = sum(len(t) for t, _ in pairs)
     total_words = sum(sum(len(u.text.split()) for u in t.utterances) for t, _ in pairs)
-    n_no_thread = 0
-    gaps: list[int] = []
-    any_split_with_new = False
     code_counts = {c: 0 for c in sorted(VALID_CODES)}
     for t, g in pairs:
-        st = thread_stats(t, g)
-        n_no_thread += st.n_no_thread
-        for idx in sorted(g.thread):
-            label = g.thread[idx]
-            gaps.extend(idx - ref.line for ref in label.line_refs)
-            if label.line_refs and any(isinstance(tg, NewThread) for tg in label.targets):
-                any_split_with_new = True
         for idx in range(1, len(t) + 1):
             for c in g.codes_at(idx).letters:
                 code_counts[c] += 1
-    stats: dict[str, object] = {
+    return {
         "n_transcripts": len(pairs),
         "total_utterances": total_utt,
         "total_words": total_words,
         "avg_utterances_per_transcript": total_utt / len(pairs),
         "avg_words_per_transcript": total_words / len(pairs),
         "avg_words_per_utterance": total_words / total_utt,
-        "n_no_thread": n_no_thread,
-        "n_links": len(gaps),
-        "mean_gap": sum(gaps) / len(gaps) if gaps else None,
-        "min_gap": min(gaps) if gaps else None,
-        "max_gap": max(gaps) if gaps else None,
-        "raw_row_min_gap": (0 if any_split_with_new else min(gaps)) if gaps else None,
+        **_label_stats(item for _, g in pairs for item in g.thread.items()),
         "code_proportions": {c: code_counts[c] / total_utt for c in sorted(code_counts)},
     }
-    return stats
 
 
 # ---------------------------------------------------------------------------
@@ -779,34 +767,45 @@ def load_corpus(corpus_dir: str | Path) -> dict[str, tuple[Transcript, GoldAnnot
     Returns transcripts keyed by id, in manifest order.
     """
     corpus_dir = Path(corpus_dir)
-    manifest_path = corpus_dir / "manifest.json"
-    manifest = _parse_file(_parse_manifest, manifest_path)
     pairs: dict[str, tuple[Transcript, GoldAnnotations]] = {}
-    for entry in manifest["transcripts"]:
-        t_path = corpus_dir / entry["transcript"]
-        g_path = corpus_dir / entry["gold"]
-        t = _parse_file(parse_transcript, t_path, transcript_id=entry["id"],
-                        scenario=entry.get("scenario", ""))
-        g = _parse_file(parse_gold, g_path, transcript_id=entry["id"])
-        if entry["id"] in pairs:
-            exc = MalformedRecord(0, f"duplicate transcript id {entry['id']!r} in manifest")
-            exc.path = manifest_path
-            raise exc
+    for entry in _parse_file(_parse_manifest, corpus_dir / "manifest.json"):
+        t = _parse_file(parse_transcript, corpus_dir / entry["transcript"],
+                        transcript_id=entry["id"], scenario=entry.get("scenario", ""))
+        g = _parse_file(parse_gold, corpus_dir / entry["gold"], transcript_id=entry["id"])
         pairs[entry["id"]] = (t, g)
     return pairs
 
 
-def _parse_manifest(source: bytes) -> dict:
+def _parse_manifest(source: bytes) -> list[dict]:
+    """The manifest's transcript entries, each checked for its id and file names."""
     try:
-        return json.loads(_text(source))
+        manifest = json.loads(_text(source))
     except json.JSONDecodeError as exc:
         raise MalformedRecord(exc.lineno, f"invalid JSON: {exc.msg}") from None
+    entries = manifest.get("transcripts") if isinstance(manifest, dict) else None
+    if not isinstance(entries, list):
+        raise CorpusError('not an object with a "transcripts" list')
+    seen: set[str] = set()
+    for k, entry in enumerate(entries, start=1):
+        fields = entry if isinstance(entry, dict) else {}
+        for key in ("id", "transcript", "gold"):
+            if not isinstance(fields.get(key), str):
+                raise CorpusError(f'transcripts entry {k} has no "{key}" string')
+        if entry["id"] in seen:
+            raise CorpusError(f"duplicate transcript id {entry['id']!r}")
+        seen.add(entry["id"])
+    return entries
 
 
 def _parse_file(parse: Callable, path: Path, **kw):
-    """``parse`` the file's bytes; a CorpusError, bad UTF-8 included, names the file."""
+    """``parse`` the file's bytes; a CorpusError, bad UTF-8 and an unreadable file
+    included, names the file."""
     try:
         return parse(path.read_bytes(), **kw)
+    except OSError as exc:
+        error = CorpusError(exc.strerror or str(exc))
+        error.path = path
+        raise error from None
     except CorpusError as exc:
         exc.path = path
         raise

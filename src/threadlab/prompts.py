@@ -154,7 +154,7 @@ def transcript_lines(
     """Each utterance's prompt line, labeled from ``labels`` when given.
 
     With ``labels``, the line of an utterance they leave out is None, which
-    :func:`render_window` refuses as a missing thread label.
+    every prompt refuses as a missing thread label.
     """
     if labels is None:
         return [utterance_line(u) for u in utterances]
@@ -164,17 +164,13 @@ def transcript_lines(
     ]
 
 
-def transcript_block(
-    utterances: Sequence[Utterance],
-    labels: Mapping[int, ThreadLabel] | None = None,
-    require_labels: bool = False,
-) -> str:
-    lines = []
-    for u in utterances:
-        label = labels.get(u.index) if labels else None
-        if require_labels and label is None:
-            raise MissingThreadLabel(u.index)
-        lines.append(utterance_line(u, label))
+def _block(lines: Sequence[str | None], first: int) -> str:
+    """A transcript block from the lines of utterances ``first``, ``first`` + 1, ...
+
+    A None line raises MissingThreadLabel for its utterance.
+    """
+    if None in lines:
+        raise MissingThreadLabel(first + lines.index(None))
     return "\n".join(lines)
 
 
@@ -237,9 +233,9 @@ def render_window(
     thread label that is missing and raises MissingThreadLabel. ``n`` is the
     configured window size, which ``thread_window`` states.
     """
-    if None in lines:
-        raise MissingThreadLabel(target.index - len(lines) + 1 + lines.index(None))
-    values: dict[str, object] = {"transcript_block": "\n".join(lines)}
+    values: dict[str, object] = {
+        "transcript_block": _block(lines, target.index - len(lines) + 1)
+    }
     if template_id == "thread_window":
         values["window_n"] = n
     elif template_id != "baseline_qamar":
@@ -250,6 +246,36 @@ def render_window(
     text = substitute(template_id, load_template(template_id, template_dir), values)
     contract = _THREAD_LINE if template_id == "thread_window" else _CODE_LINE
     return RenderedPrompt(template_id, text, contract, target.index, target.speaker, transcript_id)
+
+
+def render_full(
+    template_id: str,
+    t: Transcript,
+    labels: Mapping[int, ThreadLabel] | None = None,
+    shots: Sequence[tuple[Transcript, GoldAnnotations]] = (),
+    template_dir: str | Path | None = None,
+) -> RenderedPrompt:
+    """A block prompt asking for one line per utterance of the whole transcript.
+
+    Every whole-transcript template renders here: ``thread_all_at_once``, the
+    two ``abcde_full`` variants and ``baseline_martinenghi``. With ``labels``,
+    every utterance is labeled from them, and one they leave out raises
+    MissingThreadLabel. ``shots`` are the labeled example transcripts that
+    only ``thread_all_at_once`` embeds.
+    """
+    values: dict[str, object] = {
+        "transcript_block": _block(transcript_lines(t.utterances, labels), 1),
+        "num_utterances": len(t),
+    }
+    kind = "code_block"
+    if template_id == "thread_all_at_once":
+        values["shots_block"] = _shots_block(shots)
+        kind = "thread_block"
+    text = substitute(template_id, load_template(template_id, template_dir), values)
+    return RenderedPrompt(
+        template_id, text, OutputContract(kind, len(t)), None, None, t.id,
+        tuple((u.index, u.speaker) for u in t.utterances),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -278,7 +304,7 @@ def _shots_block(shots: Sequence[tuple[Transcript, GoldAnnotations]]) -> str:
         f" Then I will provide {noun} and a new transcript without labels for threading."
     ]
     for k, (shot_t, shot_g) in enumerate(shots, start=1):
-        block = transcript_block(shot_t.utterances, shot_g.thread, require_labels=True)
+        block = _block(transcript_lines(shot_t.utterances, shot_g.thread), 1)
         parts.append(
             f"\n\n<<<EXAMPLE_{k}_START>>>\n{block}\n<<<EXAMPLE_{k}_END>>>"
         )
@@ -297,41 +323,12 @@ def render_thread_all_at_once(
     """
     if len(shots) > MAX_SHOTS:
         raise ValueError(f"at most {MAX_SHOTS} shots supported, got {len(shots)}")
-    text = substitute(
-        "thread_all_at_once",
-        load_template("thread_all_at_once", template_dir),
-        {
-            "shots_block": _shots_block(shots),
-            "transcript_block": transcript_block(t.utterances),
-            "num_utterances": len(t),
-        },
-    )
-    return RenderedPrompt(
-        template_id="thread_all_at_once",
-        text=text,
-        expected_output=OutputContract(kind="thread_block", n_lines=len(t)),
-        target_index=None,
-        target_speaker=None,
-        transcript_id=t.id,
-        expected_entries=tuple((u.index, u.speaker) for u in t.utterances),
-    )
+    return render_full("thread_all_at_once", t, shots=shots, template_dir=template_dir)
 
 
 # ---------------------------------------------------------------------------
 # Code-labeling prompts
 # ---------------------------------------------------------------------------
-
-
-def _window_payload(variant: str, payload: object) -> Window:
-    if not isinstance(payload, Window):
-        raise TypeError(f"{variant} expects a Window payload, got {type(payload).__name__}")
-    return payload
-
-
-def _transcript_payload(variant: str, payload: object) -> Transcript:
-    if not isinstance(payload, Transcript):
-        raise TypeError(f"{variant} expects a Transcript payload, got {type(payload).__name__}")
-    return payload
 
 
 def render_abcde(
@@ -353,32 +350,7 @@ def render_abcde(
     threaded = variant.endswith("_threaded")
     if threaded and thread_labels is None:
         raise MissingThreadLabel(0)
-
-    if variant.startswith("abcde_window"):
-        w = _window_payload(variant, payload)
-        lines = transcript_lines(
-            [u for u, _ in w.context] + [w.target], thread_labels if threaded else None
-        )
-        return render_window(variant, lines, w.target, w.n, w.transcript_id, template_dir)
-
-    t = _transcript_payload(variant, payload)
-    block = transcript_block(
-        t.utterances, thread_labels if threaded else None, require_labels=threaded
-    )
-    text = substitute(
-        variant,
-        load_template(variant, template_dir),
-        {"transcript_block": block, "num_utterances": len(t)},
-    )
-    return RenderedPrompt(
-        template_id=variant,
-        text=text,
-        expected_output=OutputContract(kind="code_block", n_lines=len(t)),
-        target_index=None,
-        target_speaker=None,
-        transcript_id=t.id,
-        expected_entries=tuple((u.index, u.speaker) for u in t.utterances),
-    )
+    return _render_code(variant, payload, thread_labels if threaded else None, template_dir)
 
 
 def render_baseline(
@@ -393,24 +365,26 @@ def render_baseline(
     """
     if variant not in BASELINE_VARIANTS:
         raise ValueError(f"unknown variant {variant!r}, expected one of {BASELINE_VARIANTS}")
+    return _render_code(variant, payload, None, template_dir)
 
-    if variant == "baseline_martinenghi":
-        t = _transcript_payload(variant, payload)
-        text = substitute(
-            variant,
-            load_template(variant, template_dir),
-            {"transcript_block": transcript_block(t.utterances), "num_utterances": len(t)},
-        )
-        return RenderedPrompt(
-            template_id=variant,
-            text=text,
-            expected_output=OutputContract(kind="code_block", n_lines=len(t)),
-            target_index=None,
-            target_speaker=None,
-            transcript_id=t.id,
-            expected_entries=tuple((u.index, u.speaker) for u in t.utterances),
-        )
 
-    w = _window_payload(variant, payload)
-    lines = transcript_lines([u for u, _ in w.context] + [w.target])
-    return render_window(variant, lines, w.target, w.n, w.transcript_id, template_dir)
+def _render_code(
+    variant: str,
+    payload: object,
+    labels: Mapping[int, ThreadLabel] | None,
+    template_dir: str | Path | None,
+) -> RenderedPrompt:
+    """A code-labeling prompt: a whole transcript's for the full-transcript
+    variants, a window target's for the others."""
+    full = variant.startswith("abcde_full") or variant == "baseline_martinenghi"
+    expected = Transcript if full else Window
+    if not isinstance(payload, expected):
+        raise TypeError(
+            f"{variant} expects a {expected.__name__} payload, got {type(payload).__name__}"
+        )
+    if full:
+        return render_full(variant, payload, labels, template_dir=template_dir)
+    lines = transcript_lines([u for u, _ in payload.context] + [payload.target], labels)
+    return render_window(
+        variant, lines, payload.target, payload.n, payload.transcript_id, template_dir
+    )

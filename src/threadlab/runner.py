@@ -402,6 +402,8 @@ def _run(
     for tid in spec.transcripts:
         if tid not in corpus:
             raise RunnerError(f"transcript {tid!r} not in corpus")
+    if pricing is not None:
+        pricing.rate(spec.model.model_id)  # an unpriced model fails before any call
     mode = _strictness_for(provider, strictness)
     thread_labels, source_fallbacks = resolve_thread_labels(spec, corpus, runs_dir)
     render = _renderer(spec, corpus, thread_labels)
@@ -648,61 +650,44 @@ def evaluate_run(
     unknown = set(subcats or ()) - SUBCATEGORY_TAGS
     if unknown:
         raise ValueError(f"unknown subcategory tags: {', '.join(sorted(unknown))}")
+    threading_run = log.spec.task == "threading"
+    if not threading_run and (code_letter not in "ABCDE" or len(code_letter) != 1):
+        raise ValueError(f"code_letter must be one of A-E, got {code_letter!r}")
     grouped = _records_by_transcript(log)
     per_conv: dict[str, metrics.MetricReport] = {}
-    reports: list[metrics.MetricReport] = []
-
-    if log.spec.task == "threading":
-        # one slice per distinct tag, in the order the tags are first given
-        sliced: dict[str, list[metrics.MetricReport]] = {tag: [] for tag in subcats or ()}
-        for tid in log.spec.transcripts:
-            if tid not in corpus:
-                raise GoldMismatch(f"transcript {tid!r} not in corpus")
-            t, g = corpus[tid]
-            recs = grouped.get(tid, [])
-            _check_coverage(tid, recs, t)
-            gold = [_gold_thread_canonical(g, r.index) for r in recs]
-            pred = [r.predicted for r in recs]
-            report = metrics.score(gold, pred)
-            per_conv[tid] = report
-            reports.append(report)
-            if sliced:
-                for tag, rep in metrics.subcategory_slices(gold, pred, g.subcat, sliced).items():
-                    sliced[tag].append(rep)
-        slices = {
-            tag: metrics.aggregate(reps) if reps else {"error": "EmptyCategory"}
-            for tag, reps in sliced.items()
-        } if subcats else None
-        return EvalResult(
-            run_id=log.run_id,
-            task="threading",
-            per_conversation=per_conv,
-            aggregate=metrics.aggregate(reports),
-            slices=slices,
-        )
-
-    if code_letter not in "ABCDE" or len(code_letter) != 1:
-        raise ValueError(f"code_letter must be one of A-E, got {code_letter!r}")
+    # one slice per distinct tag, in the order the tags are first given;
+    # code runs are not sliced
+    sliced: dict[str, list[metrics.MetricReport]] = (
+        {tag: [] for tag in subcats or ()} if threading_run else {}
+    )
     for tid in log.spec.transcripts:
         if tid not in corpus:
             raise GoldMismatch(f"transcript {tid!r} not in corpus")
         t, g = corpus[tid]
         recs = grouped.get(tid, [])
         _check_coverage(tid, recs, t)
-        gold_sets = [g.codes_at(r.index) for r in recs]
-        pred_sets: list[CodeSet | None] = []
-        for r in recs:
-            if r.predicted == PARSE_ERROR_LABEL:
-                pred_sets.append(None)
-            else:
-                pred_sets.append(CodeSet(frozenset(r.predicted)))
-        report = metrics.binary_code_metrics(gold_sets, pred_sets, code_letter)
-        per_conv[tid] = report
-        reports.append(report)
+        if threading_run:
+            gold = [_gold_thread_canonical(g, r.index) for r in recs]
+            pred = [r.predicted for r in recs]
+            per_conv[tid] = metrics.score(gold, pred)
+            if sliced:
+                for tag, rep in metrics.subcategory_slices(gold, pred, g.subcat, sliced).items():
+                    sliced[tag].append(rep)
+        else:
+            per_conv[tid] = metrics.binary_code_metrics(
+                [g.codes_at(r.index) for r in recs],
+                [None if r.predicted == PARSE_ERROR_LABEL else CodeSet(frozenset(r.predicted))
+                 for r in recs],
+                code_letter,
+            )
     return EvalResult(
         run_id=log.run_id,
-        task="abcde",
+        task=log.spec.task,
         per_conversation=per_conv,
-        aggregate=metrics.aggregate(reports),
-        code_letter=code_letter,
+        aggregate=metrics.aggregate(list(per_conv.values())),
+        code_letter=None if threading_run else code_letter,
+        slices={
+            tag: metrics.aggregate(reps) if reps else {"error": "EmptyCategory"}
+            for tag, reps in sliced.items()
+        } if sliced else None,
     )

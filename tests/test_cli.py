@@ -98,10 +98,20 @@ def test_a_corpus_error_exits_1_with_one_stderr_line(tmp_path):
     truncated = _one_transcript_corpus(tmp_path / "truncated")
     manifest = truncated / "manifest.json"
     manifest.write_text(manifest.read_text(encoding="utf-8")[:40], encoding="utf-8")
+    no_gold = _one_transcript_corpus(tmp_path / "no_gold")
+    (no_gold / "manifest.json").write_text(json.dumps({"transcripts": [
+        {"id": "ws01", "transcript": "ws01.jsonl"}]}))
+    a_list = _one_transcript_corpus(tmp_path / "a_list")
+    (a_list / "manifest.json").write_text("[1]")
+    no_manifest = _one_transcript_corpus(tmp_path / "no_manifest")
+    (no_manifest / "manifest.json").unlink()
     for corpus, stderr in (
         (surrogate, f"{surrogate / 'ws01.jsonl'}: line 3: text is not valid Unicode text\n"),
         (not_utf8, f"{transcript}: line 1: not UTF-8 text\n"),
         (truncated, f"{manifest}: line 1: invalid JSON: Unterminated string starting at\n"),
+        (no_gold, f'{no_gold / "manifest.json"}: transcripts entry 1 has no "gold" string\n'),
+        (a_list, f'{a_list / "manifest.json"}: not an object with a "transcripts" list\n'),
+        (no_manifest, f"{no_manifest / 'manifest.json'}: No such file or directory\n"),
     ):
         proc = subprocess.run(
             [sys.executable, "-m", "threadlab.cli", "validate", "--corpus", str(corpus)],

@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 from hypothesis import given, strategies as st
@@ -32,6 +33,8 @@ from threadlab.corpus import (
 )
 
 from conftest import FIXTURES
+
+README = FIXTURES.parent.parent / "README.md"
 
 
 # --- labels ----------------------------------------------------------------
@@ -190,6 +193,16 @@ def test_transcript_round_trip_jsonl(bundled):
 def test_gold_round_trip_jsonl(bundled):
     _, g = bundled["ws02"]
     assert parse_gold(serialize_gold(g), g.transcript_id) == g
+
+
+def test_readme_data_format_records_parse():
+    section = README.read_text(encoding="utf-8").split("\n## Data format\n")[1].split("\n## ")[0]
+    utterance, gold = re.findall(r"```\n(.*?)\n```", section, re.S)
+    assert parse_transcript(utterance).utterances == (Utterance(1, 13_000, "Farid", "..."),)
+    g = parse_gold(gold)
+    assert g.thread[5].surface() == "(4, 1)"
+    assert g.codes_at(5) == CodeSet.of("B", "E")
+    assert g.subcat == {5: "CI"}
 
 
 def test_parse_gold_errors():

@@ -11,7 +11,7 @@ from threadlab.prompts import (
     render_thread_all_at_once,
     render_thread_window,
     substitute,
-    transcript_block,
+    transcript_lines,
     utterance_line,
 )
 from threadlab.windowing import WindowConfig, make_window
@@ -73,7 +73,7 @@ def test_utterance_line_serialization(golden_target):
     t, g = golden_target
     assert utterance_line(t[1]) == "#1 Nadia: Should we sketch the circuit before lunch?"
     assert utterance_line(t[5], g.thread[5]).endswith(" [respond_line= (4, 1)]")
-    block = transcript_block(t.utterances, g.thread, require_labels=True)
+    block = "\n".join(transcript_lines(t.utterances, g.thread))
     assert len(block.splitlines()) == len(t)
 
 

@@ -29,6 +29,7 @@ from threadlab.llm import (
     ProviderResult,
     RateLimited,
     TransportError,
+    UnknownModelPricing,
     complete,
     prompt_digest,
 )
@@ -434,6 +435,24 @@ def test_all_at_once_totals_count_the_one_completion(bundled):
     rec = complete(render_thread_all_at_once(t), MODEL, _oracle(bundled))
     assert (log.input_tokens, log.output_tokens) == (rec.input_tokens, rec.output_tokens)
     assert log.cost_usd == pricing.cost(MODEL.model_id, rec.input_tokens, rec.output_tokens)
+
+
+def test_a_model_missing_from_the_pricing_table_fails_before_the_first_call(bundled):
+    class Counting:
+        name = "oracle"
+
+        def __init__(self):
+            self.oracle, self.calls = _oracle(bundled), 0
+
+        def send(self, prompt, model, prompt_hash):
+            self.calls += 1
+            return self.oracle.send(prompt, model, prompt_hash)
+
+    provider = Counting()
+    pricing = PricingTable.from_dict({"other-model": {"input_per_1m": 1.0, "output_per_1m": 2.0}})
+    with pytest.raises(UnknownModelPricing):
+        run_threading(_spec(), bundled, provider, pricing=pricing)
+    assert provider.calls == 0
 
 
 def test_shots_excluded_from_target(bundled):
