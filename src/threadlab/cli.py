@@ -13,6 +13,7 @@ import argparse
 import json
 import sys
 from pathlib import Path
+from typing import Callable
 
 from . import corpus as corpus_mod
 from . import report as report_mod
@@ -35,10 +36,26 @@ def _load_corpus(corpus_dir: str | None):
     return corpus_mod.load_corpus(root)
 
 
-def _load_config(path: str | None) -> dict:
-    if path is None:
-        return {}
-    return json.loads(Path(path).read_text(encoding="utf-8"))
+def _load_file(load: Callable, path: str):
+    """``load(path)``; a file that cannot be read or is not JSON exits naming it."""
+    try:
+        return load(path)
+    except OSError as exc:
+        raise SystemExit(f"{path}: {exc.strerror or exc}")
+    except json.JSONDecodeError as exc:
+        raise SystemExit(f"{path}: line {exc.lineno}: invalid JSON: {exc.msg}")
+
+
+def _load_inputs(args: argparse.Namespace) -> tuple[dict, dict]:
+    """The ``--config`` file's settings ({} without one) and the corpus they or
+    ``--corpus`` name."""
+    config = {}
+    if args.config is not None:
+        config = _load_file(
+            lambda path: json.loads(Path(path).read_text(encoding="utf-8")), args.config)
+        if not isinstance(config, dict):
+            raise SystemExit(f"{args.config}: not a JSON object")
+    return config, _load_corpus(args.corpus or config.get("corpus_dir"))
 
 
 def _build_spec(task: str, config: dict, args: argparse.Namespace) -> runner_mod.ExperimentSpec:
@@ -56,7 +73,7 @@ def _build_spec(task: str, config: dict, args: argparse.Namespace) -> runner_mod
         w["n"] = args.window
         spec_dict["window"] = w
         spec_dict.setdefault("strategy", "window")
-    if args.shots is not None:
+    if getattr(args, "shots", None) is not None:
         spec_dict["shots"] = args.shots
     if getattr(args, "thread_source", None):
         spec_dict["thread_source"] = args.thread_source
@@ -88,7 +105,7 @@ def _pricing(config: dict) -> PricingTable | None:
     path = config.get("pricing")
     if not path:
         return None
-    return PricingTable.from_json(path)
+    return _load_file(PricingTable.from_json, path)
 
 
 def _cache(config: dict) -> CompletionCache | None:
@@ -131,10 +148,9 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     return worst
 
 
-def _run_common(args: argparse.Namespace, task: str) -> int:
-    config = _load_config(args.config)
-    corpus = _load_corpus(args.corpus or config.get("corpus_dir"))
-    spec = _build_spec(task, config, args)
+def _cmd_run(args: argparse.Namespace) -> int:
+    config, corpus = _load_inputs(args)
+    spec = _build_spec(args.task, config, args)
     provider = _build_provider(args.provider or config.get("provider", "oracle"),
                                config, corpus)
     cache = _cache(config)
@@ -146,7 +162,7 @@ def _run_common(args: argparse.Namespace, task: str) -> int:
         concurrency=args.concurrency, pricing=pricing,
     )
     try:
-        if task == "threading":
+        if args.task == "threading":
             log = runner_mod.run_threading(spec, **kwargs)
         else:
             log = runner_mod.run_abcde(spec, runs_dir=runs_dir, **kwargs)
@@ -163,17 +179,8 @@ def _run_common(args: argparse.Namespace, task: str) -> int:
     return 0
 
 
-def _cmd_thread(args: argparse.Namespace) -> int:
-    return _run_common(args, "threading")
-
-
-def _cmd_code(args: argparse.Namespace) -> int:
-    return _run_common(args, "abcde")
-
-
 def _cmd_eval(args: argparse.Namespace) -> int:
-    config = _load_config(args.config)
-    corpus = _load_corpus(args.corpus or config.get("corpus_dir"))
+    _, corpus = _load_inputs(args)
     runs_dir = Path(args.out) / "runs"
     log = runner_mod.RunLog.load(runs_dir, args.run)
     subcats = args.subcats.split(",") if args.subcats else None
@@ -192,8 +199,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
-    config = _load_config(args.config)
-    corpus = _load_corpus(args.corpus or config.get("corpus_dir"))
+    config, corpus = _load_inputs(args)
     out = Path(args.out)
     runs_dir = out / "runs"
     run_ids = args.runs.split(",")
@@ -252,14 +258,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("thread", help="run a threading experiment")
     common(p, with_run_flags=True)
     p.add_argument("--shots", type=int, help="few-shot example count (all-at-once only)")
-    p.set_defaults(func=_cmd_thread)
+    p.set_defaults(func=_cmd_run, task="threading")
 
     p = sub.add_parser("code", help="run a collaborative-talk coding experiment")
     common(p, with_run_flags=True)
-    p.add_argument("--shots", type=int, help=argparse.SUPPRESS)
     p.add_argument("--thread-source", dest="thread_source",
                    help="none, human, or llm:<run_id>")
-    p.set_defaults(func=_cmd_code)
+    p.set_defaults(func=_cmd_run, task="abcde")
 
     p = sub.add_parser("eval", help="score a finished run against gold")
     common(p)
@@ -281,8 +286,9 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    # a run id or thread source with no log, or a corpus file that does not parse
-    except (runner_mod.MissingThreadSource, corpus_mod.CorpusError) as exc:
+    # a transcript, run log or thread source the run cannot find or use, or a
+    # corpus file that does not parse
+    except (runner_mod.RunnerError, corpus_mod.CorpusError) as exc:
         raise SystemExit(str(exc))
 
 

@@ -14,7 +14,7 @@ import json
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Container, Iterable, Mapping, Sequence
 
 VALID_CODES = frozenset("ABCDE")
 
@@ -443,6 +443,17 @@ def _iter_records(source: str | bytes) -> Iterable[tuple[int, dict]]:
         yield line_no, rec
 
 
+def _record_index(line_no: int, rec: dict, seen: Container[int]) -> int:
+    """The record's ``index``; one that is not an integer or is already in ``seen`` raises."""
+    try:
+        index = int(rec["index"])
+    except (TypeError, ValueError):
+        raise MalformedRecord(line_no, f"bad index {rec['index']!r}") from None
+    if index in seen:
+        raise DuplicateIndex(index)
+    return index
+
+
 def parse_transcript(
     source: str | bytes,
     transcript_id: str = "",
@@ -453,19 +464,13 @@ def parse_transcript(
     Source indices must be unique and timestamps non-decreasing; indices are
     then renumbered 1..n in file order.
     """
-    rows: list[tuple[int, int, str, str]] = []
+    rows: list[tuple[int, str, str]] = []
     seen_indices: set[int] = set()
     for line_no, rec in _iter_records(source):
         missing = [f for f in _TRANSCRIPT_FIELDS if f not in rec]
         if missing:
             raise MalformedRecord(line_no, f"missing fields: {', '.join(missing)}")
-        try:
-            src_index = int(rec["index"])
-        except (TypeError, ValueError):
-            raise MalformedRecord(line_no, f"bad index {rec['index']!r}") from None
-        if src_index in seen_indices:
-            raise DuplicateIndex(src_index)
-        seen_indices.add(src_index)
+        seen_indices.add(_record_index(line_no, rec, seen_indices))
         try:
             ts = parse_timestamp(rec["timestamp"])
         except ValueError as exc:
@@ -482,11 +487,11 @@ def parse_transcript(
                 value.encode("utf-8")
             except UnicodeEncodeError:
                 raise MalformedRecord(line_no, f"{field} is not valid Unicode text") from None
-        rows.append((src_index, ts, speaker, text))
+        rows.append((ts, speaker, text))
 
     utterances = []
     prev_ts = None
-    for pos, (_, ts, speaker, text) in enumerate(rows, start=1):
+    for pos, (ts, speaker, text) in enumerate(rows, start=1):
         if prev_ts is not None and ts < prev_ts:
             raise NonMonotonicTimestamp(pos)
         prev_ts = ts
@@ -526,20 +531,12 @@ def parse_gold(
     for line_no, rec in _iter_records(source):
         if "index" not in rec or "respond_line" not in rec:
             raise MalformedRecord(line_no, "missing index or respond_line")
-        try:
-            idx = int(rec["index"])
-        except (TypeError, ValueError):
-            raise MalformedRecord(line_no, f"bad index {rec['index']!r}") from None
-        if idx in thread:
-            raise DuplicateIndex(idx)
+        idx = _record_index(line_no, rec, thread)
         raw_label = str(rec["respond_line"])
         try:
             label = parse_respond_line(raw_label)
         except ValueError:
             raise BadThreadSyntax(idx, raw_label) from None
-        for ref in label.line_refs:
-            if ref.line >= idx:
-                raise ForwardLink(idx, ref.line)
         thread[idx] = label
 
         raw_codes = rec.get("abcde")
@@ -604,8 +601,8 @@ class ValidationReport:
 _PUNCT_STRIP_RE = re.compile(r"[^\w\s-]", re.UNICODE)
 
 
-def is_backchannel(text: str, lexicon: frozenset[str] = DEFAULT_BACKCHANNEL_LEXICON) -> bool:
-    """True when the text is just 1-2 acknowledgement tokens from the lexicon.
+def is_backchannel(text: str) -> bool:
+    """True when the text is just 1-2 tokens from ``DEFAULT_BACKCHANNEL_LEXICON``.
 
     Comparison lower-cases and strips punctuation, keeping internal hyphens so
     entries like ``uh-huh`` survive.
@@ -615,13 +612,12 @@ def is_backchannel(text: str, lexicon: frozenset[str] = DEFAULT_BACKCHANNEL_LEXI
     tokens = [t for t in tokens if t]
     if not 1 <= len(tokens) <= 2:
         return False
-    return all(t in lexicon for t in tokens)
+    return all(t in DEFAULT_BACKCHANNEL_LEXICON for t in tokens)
 
 
 def validate_thread_graph(
     t: Transcript,
     g: GoldAnnotations,
-    backchannel_lexicon: frozenset[str] = DEFAULT_BACKCHANNEL_LEXICON,
     long_gap: int = DEFAULT_LONG_GAP,
 ) -> ValidationReport:
     """Check a gold thread map against its transcript.
@@ -652,7 +648,7 @@ def validate_thread_graph(
                     )
                 )
                 continue
-            if is_backchannel(t[ref.line].text, backchannel_lexicon):
+            if is_backchannel(t[ref.line].text):
                 lints.append(
                     ValidationIssue(
                         "BackchannelLinked",

@@ -232,8 +232,6 @@ def binary_code_metrics(
     A None prediction stands for a failed parse and keeps its own class, so it
     disagrees with any gold value.
     """
-    if len(gold_codes) != len(pred_codes):
-        raise LengthMismatch(len(gold_codes), len(pred_codes))
     gold = [PRESENT if code in cs else ABSENT for cs in gold_codes]
     pred = [
         PARSE_ERROR_LABEL if cs is None else (PRESENT if code in cs else ABSENT)

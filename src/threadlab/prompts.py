@@ -22,18 +22,6 @@ from .windowing import Window
 
 TEMPLATES_DIR = Path(__file__).parent / "templates"
 
-TEMPLATE_IDS = (
-    "thread_all_at_once",
-    "thread_window",
-    "abcde_window_plain",
-    "abcde_window_threaded",
-    "abcde_full_plain",
-    "abcde_full_threaded",
-    "baseline_lee",
-    "baseline_qamar",
-    "baseline_martinenghi",
-)
-
 # Substitution variables each template declares. Anything else in braces is
 # literal prompt text.
 TEMPLATE_VARIABLES: dict[str, frozenset[str]] = {
@@ -51,6 +39,12 @@ TEMPLATE_VARIABLES: dict[str, frozenset[str]] = {
     "baseline_qamar": frozenset({"transcript_block"}),
     "baseline_martinenghi": frozenset({"transcript_block", "num_utterances"}),
 }
+TEMPLATE_IDS = tuple(TEMPLATE_VARIABLES)
+# Templates that ask about every utterance of a whole transcript, which is
+# what stating its length means; every other template asks about one target.
+WHOLE_TRANSCRIPT_TEMPLATES = frozenset(
+    t for t, names in TEMPLATE_VARIABLES.items() if "num_utterances" in names
+)
 
 ABCDE_VARIANTS = (
     "abcde_window_plain",
@@ -376,7 +370,7 @@ def _render_code(
 ) -> RenderedPrompt:
     """A code-labeling prompt: a whole transcript's for the full-transcript
     variants, a window target's for the others."""
-    full = variant.startswith("abcde_full") or variant == "baseline_martinenghi"
+    full = variant in WHOLE_TRANSCRIPT_TEMPLATES
     expected = Transcript if full else Window
     if not isinstance(payload, expected):
         raise TypeError(

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Sequence
 
@@ -19,16 +19,6 @@ from .llm import PricingTable, UnknownModelPricing
 from .runner import EvalResult, RunLog
 
 HUMAN_CONDITION = "human"
-
-_FLOAT_FIELDS = (
-    "kappa_mean",
-    "kappa_std",
-    "time_hours_total",
-    "time_hours_per_transcript",
-    "cost_usd_total",
-    "cost_usd_per_transcript",
-)
-CSV_COLUMNS = ("condition", "n_transcripts") + _FLOAT_FIELDS
 
 
 @dataclass(frozen=True)
@@ -51,10 +41,13 @@ class TradeoffRow:
     cost_usd_per_transcript: float
 
     def as_csv_row(self) -> list[str]:
-        vals = [self.condition, str(self.n_transcripts)]
-        for name in _FLOAT_FIELDS:
-            vals.append(f"{getattr(self, name):.6f}")
-        return vals
+        # A float field keeps six places also when given an int; the
+        # annotations are strings under ``from __future__ import annotations``.
+        return [format(getattr(self, f.name), ".6f" if f.type == "float" else "")
+                for f in fields(self)]
+
+
+CSV_COLUMNS = tuple(f.name for f in fields(TradeoffRow))
 
 
 def _model_row(condition: str, log: RunLog, result: EvalResult,

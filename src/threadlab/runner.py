@@ -84,6 +84,9 @@ class ExperimentSpec:
             raise ValueError(f"strategy must be one of {STRATEGIES}, got {self.strategy!r}")
         if not self.transcripts:
             raise ValueError("spec needs at least one transcript id")
+        for k, tid in enumerate(self.transcripts):
+            if tid in self.transcripts[:k]:
+                raise ValueError(f"transcript {tid!r} is listed twice")
         if self.strategy == "window" and self.window is None:
             raise ValueError("window strategy needs a window config")
         if not 0 <= self.shots <= prompts.MAX_SHOTS:
@@ -101,7 +104,8 @@ class ExperimentSpec:
                 raise ValueError("template_override only applies to the abcde task")
             if self.template_override not in prompts.BASELINE_VARIANTS:
                 raise ValueError(f"unknown template override {self.template_override!r}")
-            wanted = "all_at_once" if self.template_override == "baseline_martinenghi" else "window"
+            whole = self.template_override in prompts.WHOLE_TRANSCRIPT_TEMPLATES
+            wanted = "all_at_once" if whole else "window"
             if self.strategy != wanted:
                 raise ValueError(f"{self.template_override} requires strategy {wanted}")
             if self.thread_source != THREAD_SOURCE_NONE:
@@ -346,8 +350,10 @@ def _renderer(
     threaded = spec.thread_source != THREAD_SOURCE_NONE
     if spec.strategy == "all_at_once":
         if spec.task == "threading":
+            # Every transcript's examples, resolved before the run's first call.
+            shots = {tid: _resolve_shots(spec, corpus, exclude=tid) for tid in spec.transcripts}
             return lambda t, _, __: prompts.render_thread_all_at_once(
-                t, _resolve_shots(spec, corpus, exclude=t.id), template_dir=tdir
+                t, shots[t.id], template_dir=tdir
             )
         if override:
             return lambda t, _, __: prompts.render_baseline(override, t, template_dir=tdir)

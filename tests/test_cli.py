@@ -157,6 +157,55 @@ def test_an_auth_error_without_a_cache_says_no_cache_keeps_the_calls(
     )
 
 
+# fault: (config file text or None, extra argv, the one line it exits with);
+# {tmp} stands for the test's directory
+INPUT_FAULTS = {
+    "unknown transcript id": (None, ["--transcripts", "zz"], "transcript 'zz' not in corpus"),
+    "repeated transcript id": (
+        None, ["--transcripts", "ws01,cs01,ws01"],
+        "bad experiment spec: transcript 'ws01' is listed twice",
+    ),
+    "missing config file": (
+        None, ["--config", "{tmp}/none.json"], "{tmp}/none.json: No such file or directory",
+    ),
+    "config not JSON": (
+        '{"cache": ', ["--config", "{tmp}/config.json"],
+        "{tmp}/config.json: line 1: invalid JSON: Expecting value",
+    ),
+    "config not an object": (
+        "[1]", ["--config", "{tmp}/config.json"], "{tmp}/config.json: not a JSON object",
+    ),
+    "missing pricing file": (
+        '{"pricing": "{tmp}/none.json"}', ["--config", "{tmp}/config.json"],
+        "{tmp}/none.json: No such file or directory",
+    ),
+}
+
+
+@pytest.mark.parametrize("fault", list(INPUT_FAULTS))
+def test_a_run_input_fault_is_a_one_line_error(tmp_path, fault):
+    config, extra, line = INPUT_FAULTS[fault]
+    if config is not None:
+        (tmp_path / "config.json").write_text(config.replace("{tmp}", str(tmp_path)))
+    with pytest.raises(SystemExit) as exc:
+        main(["thread", "--provider", "oracle", "--model", "m", "--window", "5",
+              "--transcripts", "ws01", "--out", str(tmp_path / "out"),
+              *(arg.replace("{tmp}", str(tmp_path)) for arg in extra)])
+    assert exc.value.code == line.replace("{tmp}", str(tmp_path))
+    assert not (tmp_path / "out").exists()
+
+
+def test_eval_of_a_log_that_misses_a_gold_line_is_a_one_line_error(capsys, tmp_path):
+    run_id = _thread_run(capsys, tmp_path)
+    log = tmp_path / "runs" / run_id / "log.jsonl"
+    lines = log.read_text(encoding="utf-8").splitlines()
+    del lines[2]  # after the meta line, ws01's record for utterance 2
+    log.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(SystemExit) as exc:
+        main(["eval", "--run", run_id, "--out", str(tmp_path)])
+    assert exc.value.code == "ws01: records cover [1, 3, 4, 5, 6]..., expected 1..21"
+
+
 def test_validate_bundled_corpus_clean(capsys):
     code, out, err = _run(capsys, "validate")
     assert code == 0

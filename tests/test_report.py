@@ -82,6 +82,13 @@ def test_custom_baseline(two_runs):
     assert rows[-1].cost_usd_total == 120.0
 
 
+def test_csv_formats_float_columns_by_field(two_runs, tmp_path):
+    path = tmp_path / "tradeoff.csv"
+    write_csv(tradeoff_rows(two_runs, baseline=HumanBaseline(2, 40)), path)
+    human = path.read_text(encoding="utf-8").splitlines()[-1]
+    assert human == "human,3,1.000000,0.000000,6.000000,2.000000,120.000000,40.000000"
+
+
 def test_csv_layout(two_runs, tmp_path):
     rows = tradeoff_rows(two_runs)
     path = tmp_path / "tradeoff.csv"

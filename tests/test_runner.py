@@ -62,6 +62,19 @@ def _oracle(corpus):
     return OracleProvider({tid: g for tid, (_, g) in corpus.items()})
 
 
+class CountingOracle:
+    """The oracle, counting the calls that reach it."""
+
+    name = "oracle"
+
+    def __init__(self, corpus):
+        self.oracle, self.calls = _oracle(corpus), 0
+
+    def send(self, prompt, model, prompt_hash):
+        self.calls += 1
+        return self.oracle.send(prompt, model, prompt_hash)
+
+
 def _spec(**kw):
     kw.setdefault("task", "threading")
     kw.setdefault("strategy", "window")
@@ -92,6 +105,7 @@ def test_spec_round_trip_and_run_id():
         dict(task="threading", thread_source="human"),
         dict(task="threading", template_override="baseline_lee"),
         dict(transcripts=()),
+        dict(transcripts=("ws01", "cs01", "ws01")),
     ],
 )
 def test_spec_rejects_bad_combinations(kw):
@@ -438,20 +452,20 @@ def test_all_at_once_totals_count_the_one_completion(bundled):
 
 
 def test_a_model_missing_from_the_pricing_table_fails_before_the_first_call(bundled):
-    class Counting:
-        name = "oracle"
-
-        def __init__(self):
-            self.oracle, self.calls = _oracle(bundled), 0
-
-        def send(self, prompt, model, prompt_hash):
-            self.calls += 1
-            return self.oracle.send(prompt, model, prompt_hash)
-
-    provider = Counting()
+    provider = CountingOracle(bundled)
     pricing = PricingTable.from_dict({"other-model": {"input_per_1m": 1.0, "output_per_1m": 2.0}})
     with pytest.raises(UnknownModelPricing):
         run_threading(_spec(), bundled, provider, pricing=pricing)
+    assert provider.calls == 0
+
+
+def test_shots_are_resolved_before_the_first_call(bundled):
+    # ws02 is a valid example for ws01, but not for itself
+    provider = CountingOracle(bundled)
+    spec = _spec(strategy="all_at_once", window=None, shots=1, shot_ids=("ws02",),
+                 transcripts=("ws01", "ws02"))
+    with pytest.raises(RunnerError, match="'ws02' is also the target"):
+        run_threading(spec, bundled, provider, concurrency=1)
     assert provider.calls == 0
 
 
