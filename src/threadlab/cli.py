@@ -37,13 +37,16 @@ def _load_corpus(corpus_dir: str | None):
 
 
 def _load_file(load: Callable, path: str):
-    """``load(path)``; a file that cannot be read or is not JSON exits naming it."""
+    """``load(path)``; a file that cannot be read, is not JSON or is misshapen
+    (``load`` raises ValueError) exits naming it."""
     try:
         return load(path)
     except OSError as exc:
         raise SystemExit(f"{path}: {exc.strerror or exc}")
     except json.JSONDecodeError as exc:
         raise SystemExit(f"{path}: line {exc.lineno}: invalid JSON: {exc.msg}")
+    except ValueError as exc:
+        raise SystemExit(f"{path}: {exc}")
 
 
 def _load_inputs(args: argparse.Namespace) -> tuple[dict, dict]:
@@ -59,30 +62,31 @@ def _load_inputs(args: argparse.Namespace) -> tuple[dict, dict]:
 
 
 def _build_spec(task: str, config: dict, args: argparse.Namespace) -> runner_mod.ExperimentSpec:
-    spec_dict = dict(config.get("spec") or {})
-    spec_dict.setdefault("task", task)
-    if spec_dict["task"] != task:
-        raise SystemExit(f"config spec task {spec_dict['task']!r} does not match subcommand")
-    if args.model:
-        spec_dict.setdefault("model", {})
-        spec_dict["model"] = {**spec_dict["model"], "model_id": args.model}
-    if "model" not in spec_dict:
-        raise SystemExit("no model configured; pass --model or set spec.model in the config")
-    if args.window is not None:
-        w = dict(spec_dict.get("window") or {"feedback": "self" if task == "threading" else "none"})
-        w["n"] = args.window
-        spec_dict["window"] = w
-        spec_dict.setdefault("strategy", "window")
-    if getattr(args, "shots", None) is not None:
-        spec_dict["shots"] = args.shots
-    if getattr(args, "thread_source", None):
-        spec_dict["thread_source"] = args.thread_source
-    if args.transcripts:
-        spec_dict["transcripts"] = args.transcripts.split(",")
-    spec_dict.setdefault("strategy", "window" if spec_dict.get("window") else "all_at_once")
-    if config.get("template_dir"):
-        spec_dict.setdefault("template_dir", config["template_dir"])
     try:
+        spec_dict = dict(config.get("spec") or {})
+        spec_dict.setdefault("task", task)
+        if spec_dict["task"] != task:
+            raise SystemExit(f"config spec task {spec_dict['task']!r} does not match subcommand")
+        if args.model:
+            spec_dict.setdefault("model", {})
+            spec_dict["model"] = {**spec_dict["model"], "model_id": args.model}
+        if "model" not in spec_dict:
+            raise SystemExit("no model configured; pass --model or set spec.model in the config")
+        if args.window is not None:
+            w = dict(spec_dict.get("window")
+                     or {"feedback": "self" if task == "threading" else "none"})
+            w["n"] = args.window
+            spec_dict["window"] = w
+            spec_dict.setdefault("strategy", "window")
+        if getattr(args, "shots", None) is not None:
+            spec_dict["shots"] = args.shots
+        if getattr(args, "thread_source", None):
+            spec_dict["thread_source"] = args.thread_source
+        if args.transcripts:
+            spec_dict["transcripts"] = args.transcripts.split(",")
+        spec_dict.setdefault("strategy", "window" if spec_dict.get("window") else "all_at_once")
+        if config.get("template_dir"):
+            spec_dict.setdefault("template_dir", config["template_dir"])
         return runner_mod.ExperimentSpec.from_dict(spec_dict)
     except (KeyError, TypeError, ValueError) as exc:
         raise SystemExit(f"bad experiment spec: {exc}")

@@ -615,17 +615,13 @@ def is_backchannel(text: str) -> bool:
     return all(t in DEFAULT_BACKCHANNEL_LEXICON for t in tokens)
 
 
-def validate_thread_graph(
-    t: Transcript,
-    g: GoldAnnotations,
-    long_gap: int = DEFAULT_LONG_GAP,
-) -> ValidationReport:
+def validate_thread_graph(t: Transcript, g: GoldAnnotations) -> ValidationReport:
     """Check a gold thread map against its transcript.
 
     Hard errors: utterances without a label, labels for unknown indices, and
     references to lines outside the transcript. Lints: links whose target is a
     bare backchannel (the guidebook says to skip those), and links reaching
-    back more than ``long_gap`` lines.
+    back more than ``DEFAULT_LONG_GAP`` lines.
     """
     errors: list[ValidationIssue] = []
     lints: list[ValidationIssue] = []
@@ -657,10 +653,10 @@ def validate_thread_graph(
                     )
                 )
             gap = idx - ref.line
-            if gap > long_gap:
+            if gap > DEFAULT_LONG_GAP:
                 lints.append(
                     ValidationIssue(
-                        "LongGap", idx, f"gap {gap} to line {ref.line} exceeds {long_gap}"
+                        "LongGap", idx, f"gap {gap} to line {ref.line} exceeds {DEFAULT_LONG_GAP}"
                     )
                 )
     return ValidationReport(errors=tuple(errors), lints=tuple(lints))

@@ -94,10 +94,18 @@ class PricingTable:
 
     @classmethod
     def from_dict(cls, raw: Mapping[str, Mapping[str, float]]) -> "PricingTable":
-        rates = {
-            model: (float(entry["input_per_1m"]), float(entry["output_per_1m"]))
-            for model, entry in raw.items()
-        }
+        """Rates from ``{model: {"input_per_1m": x, "output_per_1m": y}}``; any
+        other shape raises ValueError naming the bad entry."""
+        if not isinstance(raw, Mapping):
+            raise ValueError("not a JSON object")
+        rates = {}
+        for model, entry in raw.items():
+            try:
+                rates[model] = (float(entry["input_per_1m"]), float(entry["output_per_1m"]))
+            except (KeyError, TypeError, ValueError):
+                raise ValueError(
+                    f"pricing entry {model!r} needs numbers input_per_1m and output_per_1m"
+                ) from None
         return cls(rates=rates)
 
     def rate(self, model_id: str) -> tuple[float, float]:
@@ -280,37 +288,21 @@ class OracleProvider:
     def __init__(self, gold_by_id: Mapping[str, GoldAnnotations]):
         self._gold = dict(gold_by_id)
 
-    def _gold_for(self, prompt: RenderedPrompt) -> GoldAnnotations:
+    def send(
+        self, prompt: RenderedPrompt, model: ModelConfig, prompt_hash: str
+    ) -> ProviderResult:
         try:
-            return self._gold[prompt.transcript_id]
+            g = self._gold[prompt.transcript_id]
         except KeyError:
             raise LlmError(
                 f"oracle has no gold for transcript {prompt.transcript_id!r}"
             ) from None
-
-    def _line(self, g: GoldAnnotations, kind: str, index: int, speaker: str) -> str:
-        if kind in ("thread_line", "thread_block"):
-            return f"{index} {speaker} [respond line = {g.thread[index].surface()}]"
-        return f"{index} {speaker} {g.codes_at(index).to_string()}"
-
-    def send(
-        self, prompt: RenderedPrompt, model: ModelConfig, prompt_hash: str
-    ) -> ProviderResult:
-        g = self._gold_for(prompt)
-        kind = prompt.expected_output.kind
-        if kind in ("thread_line", "code_line"):
-            if prompt.target_index is None or prompt.target_speaker is None:
-                raise LlmError("single-line prompt lacks target metadata")
-            text = self._line(g, kind, prompt.target_index, prompt.target_speaker)
+        entries = prompt.expected_entries
+        if prompt.expected_output.kind.startswith("thread"):
+            lines = [f"{i} {spk} [respond line = {g.thread[i].surface()}]" for i, spk in entries]
         else:
-            if not prompt.expected_entries:
-                raise LlmError("block prompt lacks expected entries")
-            text = "\n".join(
-                self._line(g, kind, idx, spk) for idx, spk in prompt.expected_entries
-            )
-        return ProviderResult(
-            response_text=text, input_tokens=None, output_tokens=None, latency_ms=0
-        )
+            lines = [f"{i} {spk} {g.codes_at(i).to_string()}" for i, spk in entries]
+        return ProviderResult("\n".join(lines), None, None, 0)
 
 
 class ReplayProvider:
@@ -346,6 +338,9 @@ class RetryPolicy:
         return base + rng.uniform(0, base * self.jitter_frac)
 
 
+# Seconds to wait for one HTTP response.
+_TIMEOUT_S = 120.0
+
 _CONTEXT_OVERFLOW_MARKERS = (
     "context_length_exceeded",
     "context length",
@@ -369,11 +364,9 @@ class HttpProvider:
         self,
         retry: RetryPolicy = RetryPolicy(),
         session: requests.Session | None = None,
-        timeout_s: float = 120.0,
     ):
         self._retry = retry
         self._session = session or requests.Session()
-        self._timeout_s = timeout_s
         self._rng = random.Random()
 
     def _headers(self, model: ModelConfig) -> dict[str, str]:
@@ -407,7 +400,7 @@ class HttpProvider:
             started = time.perf_counter()
             try:
                 resp = self._session.post(
-                    model.endpoint, headers=headers, json=body, timeout=self._timeout_s
+                    model.endpoint, headers=headers, json=body, timeout=_TIMEOUT_S
                 )
             except requests.RequestException:
                 last_throttle = False

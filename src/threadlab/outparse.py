@@ -9,7 +9,7 @@ line out of surrounding prose and forgives spelling drift (the right default
 when mining live model output). A line that is exactly the instructed one
 is read with string operations and gives the outcome either regex would;
 every other line goes through the regexes. A failed parse is never an
-exception; it becomes a Failed outcome carrying the raw text, and evaluation
+exception; it becomes a failed outcome carrying its reason, and evaluation
 scores it as the reserved parse-error class.
 """
 
@@ -34,34 +34,21 @@ UNKNOWN_CODE = "UnknownCode"
 
 @dataclass(frozen=True)
 class ParsedThreadLine:
-    index: int | None
-    speaker: str | None
     label: ThreadLabel
 
 
 @dataclass(frozen=True)
 class ParsedCodeLine:
-    index: int | None
-    speaker: str | None
     codes: CodeSet
 
 
 @dataclass(frozen=True)
 class ParseOutcome:
-    """Ok(value) or Failed(reason); the raw response text rides along either way."""
+    """Ok(value) or Failed(reason)."""
 
     ok: bool
     value: ParsedThreadLine | ParsedCodeLine | None
     reason: str | None
-    raw: str
-
-    @classmethod
-    def success(cls, value, raw: str) -> "ParseOutcome":
-        return cls(True, value, None, raw)
-
-    @classmethod
-    def failure(cls, reason: str, raw: str) -> "ParseOutcome":
-        return cls(False, None, reason, raw)
 
 
 def _norm_speaker(name: str) -> str:
@@ -163,7 +150,6 @@ def _finish(
     index: int | None,
     speaker: str | None,
     payload: str,
-    raw: str,
     expected_index: int,
     expected_speaker: str,
     strictness: str,
@@ -171,25 +157,25 @@ def _finish(
     """The outcome of a line read as (index, speaker, payload) for one expected entry."""
     if strictness == "strict":
         if index != expected_index:
-            return ParseOutcome.failure(INDEX_MISMATCH, raw)
+            return ParseOutcome(False, None, INDEX_MISMATCH)
         if speaker is None or (
             speaker != expected_speaker
             and _norm_speaker(speaker) != _norm_speaker(expected_speaker)
         ):
-            return ParseOutcome.failure(SPEAKER_MISMATCH, raw)
+            return ParseOutcome(False, None, SPEAKER_MISMATCH)
     if kind == "code":
         codes = _parse_code_list(payload, strictness)
         if isinstance(codes, str):
-            return ParseOutcome.failure(codes, raw)
-        return ParseOutcome.success(ParsedCodeLine(index, speaker, codes), raw)
+            return ParseOutcome(False, None, codes)
+        return ParseOutcome(True, ParsedCodeLine(codes), None)
     try:
         label = parse_respond_line(payload)
     except ValueError:
-        return ParseOutcome.failure(NO_MATCH, raw)
+        return ParseOutcome(False, None, NO_MATCH)
     for target in label.targets:
         if isinstance(target, LineRef) and target.line >= expected_index:
-            return ParseOutcome.failure(FORWARD_LINK, raw)
-    return ParseOutcome.success(ParsedThreadLine(index, speaker, label), raw)
+            return ParseOutcome(False, None, FORWARD_LINK)
+    return ParseOutcome(True, ParsedThreadLine(label), None)
 
 
 def _parse_line(
@@ -201,7 +187,7 @@ def _parse_line(
     payload = None if head is None else _read(line, head)
     if payload is not None:
         # The instructed line itself, which both strictness levels read alike.
-        return _finish(kind, expected_index, expected_speaker, payload, raw,
+        return _finish(kind, expected_index, expected_speaker, payload,
                        expected_index, expected_speaker, strictness)
     strict_re, lenient_re = _LINE_RES[kind]
     m = None
@@ -217,8 +203,8 @@ def _parse_line(
                           != NO_MATCH):
                 m = match
     if m is None:
-        return ParseOutcome.failure(NO_MATCH, raw)
-    return _finish(kind, *_groups(m), raw, expected_index, expected_speaker, strictness)
+        return ParseOutcome(False, None, NO_MATCH)
+    return _finish(kind, *_groups(m), expected_index, expected_speaker, strictness)
 
 
 def parse_thread_response(
@@ -252,10 +238,9 @@ def parse_code_response(
 
 @dataclass(frozen=True)
 class BlockParse:
-    """One outcome per expected entry, plus how many response lines went unused."""
+    """One outcome per expected entry."""
 
     outcomes: tuple[ParseOutcome, ...]
-    surplus_lines: int
 
 
 def parse_block_response(
@@ -269,8 +254,8 @@ def parse_block_response(
     Lines whose index parses are aligned to the matching expected entry, so
     shuffled output still lands in the right place; index-less lines fill the
     remaining entries in order. Every expected entry yields exactly one
-    outcome (NoMatch when nothing aligned to it), and surplus or duplicate
-    lines are counted, never fatal.
+    outcome (NoMatch when nothing aligned to it); surplus or duplicate lines
+    are ignored.
     """
     _check_strictness(strictness)
     if kind not in _OPENERS:
@@ -282,10 +267,9 @@ def parse_block_response(
         if head is not None:
             heads[str(idx)] = (idx, speaker, head)
 
-    # Label lines as (index, speaker, payload, line), by index or in order.
+    # Label lines as (index, speaker, payload), by index or in order.
     by_index: dict[int, tuple] = {}
     positional: list[tuple] = []
-    surplus = 0
     expected_indices = {idx for idx, _ in expected}
     for line in raw.splitlines():
         s = line.strip()
@@ -294,30 +278,27 @@ def parse_block_response(
         known = heads.get(s.partition(" ")[0])
         payload = None if known is None else _read(s, known[2])
         if payload is not None:
-            found = (known[0], known[1], payload, s)
+            found = (known[0], known[1], payload)
         else:
             m = _LINE_RES[kind][1].match(s)
             if not m:
                 continue
-            found = (*_groups(m), s)
+            found = _groups(m)
         if kind == "code" and _parse_code_list(found[2], "lenient") == NO_MATCH:
             continue
         if found[0] is None:
             positional.append(found)
         elif found[0] in expected_indices and found[0] not in by_index:
             by_index[found[0]] = found
-        else:
-            surplus += 1
 
     unfilled = [idx for idx, _ in expected if idx not in by_index]
     pos_assignment = dict(zip(unfilled, positional))
-    surplus += max(0, len(positional) - len(unfilled))
 
     outcomes: list[ParseOutcome] = []
     for idx, speaker in expected:
         found = by_index.get(idx) or pos_assignment.get(idx)
         if found is None:
-            outcomes.append(ParseOutcome.failure(NO_MATCH, ""))
+            outcomes.append(ParseOutcome(False, None, NO_MATCH))
         else:
             outcomes.append(_finish(kind, *found, idx, speaker, strictness))
-    return BlockParse(outcomes=tuple(outcomes), surplus_lines=surplus)
+    return BlockParse(tuple(outcomes))

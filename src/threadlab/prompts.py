@@ -46,13 +46,8 @@ WHOLE_TRANSCRIPT_TEMPLATES = frozenset(
     t for t, names in TEMPLATE_VARIABLES.items() if "num_utterances" in names
 )
 
-ABCDE_VARIANTS = (
-    "abcde_window_plain",
-    "abcde_window_threaded",
-    "abcde_full_plain",
-    "abcde_full_threaded",
-)
-BASELINE_VARIANTS = ("baseline_lee", "baseline_qamar", "baseline_martinenghi")
+ABCDE_VARIANTS = tuple(t for t in TEMPLATE_IDS if t.startswith("abcde_"))
+BASELINE_VARIANTS = tuple(t for t in TEMPLATE_IDS if t.startswith("baseline_"))
 
 MAX_SHOTS = 3
 
@@ -64,7 +59,7 @@ class MissingThreadLabel(Exception):
 
 
 # Markers every prompt of a template carries: around the transcript block,
-# and on code-labeling windows around the target line too.
+# and around the target line on templates that show its text.
 _TRANSCRIPT_DELIMITERS = ("<<<TRANSCRIPT_START>>>", "<<<TRANSCRIPT_END>>>")
 _TARGET_DELIMITERS = ("<<<TARGET_START>>>", "<<<TARGET_END>>>")
 
@@ -79,7 +74,7 @@ def _load(template_id: str, template_dir: str | None) -> str:
     base = Path(template_dir) if template_dir else TEMPLATES_DIR
     raw = (base / f"{template_id}.txt").read_text(encoding="utf-8").replace("\r\n", "\n")
     needles = _TRANSCRIPT_DELIMITERS
-    if template_id.startswith("abcde_window"):
+    if "target_text" in TEMPLATE_VARIABLES[template_id]:
         needles += _TARGET_DELIMITERS
     lost = [needle for needle in needles if needle not in raw]
     if lost:
@@ -172,43 +167,36 @@ def _block(lines: Sequence[str | None], first: int) -> str:
 # Rendered prompt container
 # ---------------------------------------------------------------------------
 
-OUTPUT_KINDS = ("thread_line", "code_line", "thread_block", "code_block")
-
-
 @dataclass(frozen=True)
 class OutputContract:
-    """What a well-behaved response to this prompt looks like."""
+    """What a well-behaved response to this prompt looks like: one of
+    ``thread_line``, ``code_line``, ``thread_block`` or ``code_block``."""
 
     kind: str
-    n_lines: int
-
-    def __post_init__(self):
-        if self.kind not in OUTPUT_KINDS:
-            raise ValueError(f"unknown output kind {self.kind!r}")
-        if self.n_lines < 1:
-            raise ValueError("n_lines must be >= 1")
 
 
 @dataclass(frozen=True)
 class RenderedPrompt:
     """Prompt text plus the metadata needed to parse and attribute the response.
 
-    ``target_index``/``target_speaker`` identify the one line a single-line
-    prompt asks about; block prompts instead carry the full ``expected_entries``
-    of (index, speaker) pairs.
+    ``expected_entries`` are the (index, speaker) pairs the response must
+    label, in order: a window prompt's one target, or every utterance of a
+    block prompt's transcript. ``target_index``/``target_speaker`` repeat a
+    window prompt's target and are None on block prompts.
     """
 
-    template_id: str
     text: str
     expected_output: OutputContract
     target_index: int | None
     target_speaker: str | None
-    transcript_id: str = ""
-    expected_entries: tuple[tuple[int, str], ...] | None = None
+    transcript_id: str
+    expected_entries: tuple[tuple[int, str], ...]
 
 
-_THREAD_LINE = OutputContract(kind="thread_line", n_lines=1)
-_CODE_LINE = OutputContract(kind="code_line", n_lines=1)
+_THREAD_LINE = OutputContract("thread_line")
+_CODE_LINE = OutputContract("code_line")
+_THREAD_BLOCK = OutputContract("thread_block")
+_CODE_BLOCK = OutputContract("code_block")
 
 
 def render_window(
@@ -239,7 +227,10 @@ def render_window(
             values["target_timestamp"] = format_timestamp(target.timestamp_ms)
     text = substitute(template_id, load_template(template_id, template_dir), values)
     contract = _THREAD_LINE if template_id == "thread_window" else _CODE_LINE
-    return RenderedPrompt(template_id, text, contract, target.index, target.speaker, transcript_id)
+    return RenderedPrompt(
+        text, contract, target.index, target.speaker, transcript_id,
+        ((target.index, target.speaker),),
+    )
 
 
 def render_full(
@@ -261,14 +252,13 @@ def render_full(
         "transcript_block": _block(transcript_lines(t.utterances, labels), 1),
         "num_utterances": len(t),
     }
-    kind = "code_block"
+    contract = _CODE_BLOCK
     if template_id == "thread_all_at_once":
         values["shots_block"] = _shots_block(shots)
-        kind = "thread_block"
+        contract = _THREAD_BLOCK
     text = substitute(template_id, load_template(template_id, template_dir), values)
     return RenderedPrompt(
-        template_id, text, OutputContract(kind, len(t)), None, None, t.id,
-        tuple((u.index, u.speaker) for u in t.utterances),
+        text, contract, None, None, t.id, tuple((u.index, u.speaker) for u in t.utterances)
     )
 
 

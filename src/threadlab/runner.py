@@ -441,10 +441,7 @@ def _run(
             if lost.is_set():
                 break
             p = render(t, target, lines)
-            if p.target_index is None:
-                entries = p.expected_entries
-            else:
-                entries = ((p.target_index, p.target_speaker),)
+            entries = p.expected_entries
             fed = _FALLBACK_LABEL
             try:
                 rec = complete(p, spec.model, provider, cache)

@@ -179,6 +179,36 @@ INPUT_FAULTS = {
         '{"pricing": "{tmp}/none.json"}', ["--config", "{tmp}/config.json"],
         "{tmp}/none.json: No such file or directory",
     ),
+    "spec not an object": (
+        '{"spec": [1]}', ["--config", "{tmp}/config.json"],
+        "bad experiment spec: cannot convert dictionary update sequence element #0 to a sequence",
+    ),
+    "model not an object": (
+        '{"spec": {"model": [1]}}', ["--config", "{tmp}/config.json"],
+        "bad experiment spec: 'list' object is not a mapping",
+    ),
+    "window not an object": (
+        '{"spec": {"window": 5}}', ["--config", "{tmp}/config.json"],
+        "bad experiment spec: 'int' object is not iterable",
+    ),
+    "pricing not an object": (
+        '{"pricing": "{tmp}/pricing.json"}', ["--config", "{tmp}/config.json"],
+        "{tmp}/pricing.json: not a JSON object",
+    ),
+    "pricing rate not a number": (
+        '{"pricing": "{tmp}/pricing.json"}', ["--config", "{tmp}/config.json"],
+        "{tmp}/pricing.json: pricing entry 'm' needs numbers input_per_1m and output_per_1m",
+    ),
+    "pricing rate missing": (
+        '{"pricing": "{tmp}/pricing.json"}', ["--config", "{tmp}/config.json"],
+        "{tmp}/pricing.json: pricing entry 'm' needs numbers input_per_1m and output_per_1m",
+    ),
+}
+# the pricing file each pricing fault's config names
+PRICING_FILES = {
+    "pricing not an object": "[1]",
+    "pricing rate not a number": '{"m": {"input_per_1m": "x", "output_per_1m": 1}}',
+    "pricing rate missing": '{"m": {"input_per_1m": 1}}',
 }
 
 
@@ -187,6 +217,8 @@ def test_a_run_input_fault_is_a_one_line_error(tmp_path, fault):
     config, extra, line = INPUT_FAULTS[fault]
     if config is not None:
         (tmp_path / "config.json").write_text(config.replace("{tmp}", str(tmp_path)))
+    if fault in PRICING_FILES:
+        (tmp_path / "pricing.json").write_text(PRICING_FILES[fault])
     with pytest.raises(SystemExit) as exc:
         main(["thread", "--provider", "oracle", "--model", "m", "--window", "5",
               "--transcripts", "ws01", "--out", str(tmp_path / "out"),

@@ -44,12 +44,12 @@ FAST_RETRY = RetryPolicy(max_attempts=3, backoff_base_s=0.001, backoff_cap_s=0.0
 
 def _prompt(text="hello world", kind="thread_line"):
     return RenderedPrompt(
-        template_id="thread_window",
         text=text,
-        expected_output=OutputContract(kind=kind, n_lines=1),
+        expected_output=OutputContract(kind=kind),
         target_index=3,
         target_speaker="Ana",
         transcript_id="t1",
+        expected_entries=((3, "Ana"),),
     )
 
 
@@ -500,9 +500,8 @@ def test_oracle_code_line(oracle):
 
 def test_oracle_blocks(oracle):
     p = RenderedPrompt(
-        template_id="thread_all_at_once",
         text="t",
-        expected_output=OutputContract(kind="thread_block", n_lines=3),
+        expected_output=OutputContract(kind="thread_block"),
         target_index=None,
         target_speaker=None,
         transcript_id="t1",
@@ -515,9 +514,8 @@ def test_oracle_blocks(oracle):
         "3 Ana [respond line = 2]",
     ]
     p_codes = RenderedPrompt(
-        template_id="abcde_full_plain",
         text="t",
-        expected_output=OutputContract(kind="code_block", n_lines=3),
+        expected_output=OutputContract(kind="code_block"),
         target_index=None,
         target_speaker=None,
         transcript_id="t1",

@@ -124,7 +124,6 @@ def test_block_happy_path():
     raw = "1 Ana [respond line = -]\n2 Ben [respond line = 1]\n3 Ana [respond line = 2]"
     block = parse_block_response(raw, EXPECTED, "thread", "strict")
     assert all(o.ok for o in block.outcomes)
-    assert block.surplus_lines == 0
     labels = [o.value.label for o in block.outcomes]
     assert labels[0].is_new_thread_only
     assert labels[2].line_refs == (LineRef(2),)
@@ -149,7 +148,6 @@ def test_block_duplicate_and_out_of_range_are_surplus():
     )
     block = parse_block_response(raw, EXPECTED, "thread", "strict")
     assert all(o.ok for o in block.outcomes)
-    assert block.surplus_lines == 2
 
 
 def test_block_indexless_lines_fill_positionally():
@@ -163,7 +161,6 @@ def test_block_counts_indexless_lines_left_over():
     raw = "[respond line = -]\n[respond line = 1]\n3 Ana [respond line = 2]\n[respond line = 1]"
     block = parse_block_response(raw, EXPECTED, "thread", "lenient")
     assert all(o.ok for o in block.outcomes)
-    assert block.surplus_lines == 1
 
 def test_code_block_with_noise():
     raw = (

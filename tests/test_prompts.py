@@ -177,6 +177,17 @@ def test_a_template_without_its_delimiters_is_refused_on_every_render(tmp_path, 
             render_abcde("abcde_window_plain", w_plain, template_dir=tmp_path)
 
 
+def test_every_template_with_a_target_line_needs_the_target_markers(tmp_path, golden_target):
+    _, _, _, w_plain = _windows(golden_target)
+    (tmp_path / "baseline_lee.txt").write_text(
+        "<<<TRANSCRIPT_START>>>\n{transcript_block}\n<<<TRANSCRIPT_END>>>\n"
+        "{target_speaker}: {target_text}\n",
+        encoding="utf-8",
+    )
+    with pytest.raises(ValueError, match="baseline_lee.*TARGET_START.*TARGET_END"):
+        render_baseline("baseline_lee", w_plain, template_dir=tmp_path)
+
+
 def test_substitute_keeps_placeholder_like_text_in_values():
     tmpl = load_template("thread_window")
     text = substitute(
@@ -202,5 +213,4 @@ def test_block_prompt_metadata(golden_target):
     t, _ = golden_target
     p = render_abcde("abcde_full_plain", t)
     assert p.expected_output.kind == "code_block"
-    assert p.expected_output.n_lines == len(t)
     assert p.expected_entries == tuple((u.index, u.speaker) for u in t.utterances)
