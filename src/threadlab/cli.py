@@ -16,6 +16,7 @@ from pathlib import Path
 from typing import Callable
 
 from . import corpus as corpus_mod
+from . import prompts
 from . import report as report_mod
 from . import runner as runner_mod
 from .llm import (
@@ -49,6 +50,12 @@ def _load_file(load: Callable, path: str):
         raise SystemExit(f"{path}: {exc}")
 
 
+# The keys a ``--config`` file may set; all but provider and spec name a file
+# or directory.
+_CONFIG_PATHS = ("cache", "corpus_dir", "fixtures", "pricing", "template_dir")
+_CONFIG_KEYS = frozenset(("provider", "spec", *_CONFIG_PATHS))
+
+
 def _load_inputs(args: argparse.Namespace) -> tuple[dict, dict]:
     """The ``--config`` file's settings ({} without one) and the corpus they or
     ``--corpus`` name."""
@@ -58,6 +65,12 @@ def _load_inputs(args: argparse.Namespace) -> tuple[dict, dict]:
             lambda path: json.loads(Path(path).read_text(encoding="utf-8")), args.config)
         if not isinstance(config, dict):
             raise SystemExit(f"{args.config}: not a JSON object")
+        unknown = sorted(set(config) - _CONFIG_KEYS)
+        if unknown:
+            raise SystemExit(f"{args.config}: unknown key {unknown[0]!r}")
+        for key in _CONFIG_PATHS:
+            if not isinstance(config.get(key), (str, type(None))):
+                raise SystemExit(f"{args.config}: {key!r} is not a path string")
     return config, _load_corpus(args.corpus or config.get("corpus_dir"))
 
 
@@ -291,8 +304,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     # a transcript, run log or thread source the run cannot find or use, or a
-    # corpus file that does not parse
-    except (runner_mod.RunnerError, corpus_mod.CorpusError) as exc:
+    # corpus or template file that does not parse
+    except (runner_mod.RunnerError, corpus_mod.CorpusError, prompts.TemplateError) as exc:
         raise SystemExit(str(exc))
 
 

@@ -25,7 +25,7 @@ from typing import Mapping, Protocol, TextIO
 import requests
 
 from .corpus import GoldAnnotations
-from .prompts import RenderedPrompt
+from .prompts import TRANSCRIPT_START, RenderedPrompt
 from .schema import as_fields
 
 DEFAULT_TEMPERATURE = 0.0
@@ -131,12 +131,6 @@ class CompletionRecord:
     tokens_estimated: bool = False
 
 
-# Prompt text before this marker is a template's fixed instructions (plus
-# values that rarely change, such as the window size), shared by every prompt
-# of a run.
-_DIGEST_HEAD_END = "<<<TRANSCRIPT_START>>>"
-
-
 def _digest_head(model_id: str, temperature: float, head: str) -> tuple[hashlib._Hash, bytes]:
     """sha256 state after the payload's constant head, and the payload's tail."""
     state = hashlib.sha256(
@@ -166,12 +160,14 @@ def prompt_digest(model: ModelConfig, prompt_text: str) -> str:
     t = model.temperature
     key = (model.model_id, t, repr(t))
     last = _last_head.get(key)
-    # The marker cannot overlap itself, so a prompt that starts with the last
-    # head and has the marker right after it has its first marker there.
+    # The head (a template's fixed instructions, up to the marker) is shared by
+    # every prompt of a run. The marker cannot overlap itself, so a prompt that
+    # starts with the last head and has the marker right after it has its first
+    # marker there.
     if last is None or not (
-        prompt_text.startswith(last[0]) and prompt_text.startswith(_DIGEST_HEAD_END, len(last[0]))
+        prompt_text.startswith(last[0]) and prompt_text.startswith(TRANSCRIPT_START, len(last[0]))
     ):
-        cut = max(prompt_text.find(_DIGEST_HEAD_END), 0)
+        cut = max(prompt_text.find(TRANSCRIPT_START), 0)
         if len(_last_head) >= 32:  # a few models per process; stay bounded for more
             _last_head.clear()
         last = _last_head[key] = (

@@ -58,67 +58,48 @@ class MissingThreadLabel(Exception):
         self.index = index
 
 
+class TemplateError(ValueError):
+    """A template file that cannot be read, or lacks a delimiter or a declared placeholder."""
+
+
 # Markers every prompt of a template carries: around the transcript block,
 # and around the target line on templates that show its text.
-_TRANSCRIPT_DELIMITERS = ("<<<TRANSCRIPT_START>>>", "<<<TRANSCRIPT_END>>>")
+TRANSCRIPT_START = "<<<TRANSCRIPT_START>>>"
+_TRANSCRIPT_DELIMITERS = (TRANSCRIPT_START, "<<<TRANSCRIPT_END>>>")
 _TARGET_DELIMITERS = ("<<<TARGET_START>>>", "<<<TARGET_END>>>")
 
 
 @lru_cache(maxsize=None)
-def _load(template_id: str, template_dir: str | None) -> str:
-    """A template's text, checked once for its delimiters.
-
-    Substitution keeps all literal text, so every prompt rendered from a
-    template that has them has them too. The error is not cached.
-    """
-    base = Path(template_dir) if template_dir else TEMPLATES_DIR
-    raw = (base / f"{template_id}.txt").read_text(encoding="utf-8").replace("\r\n", "\n")
-    needles = _TRANSCRIPT_DELIMITERS
-    if "target_text" in TEMPLATE_VARIABLES[template_id]:
-        needles += _TARGET_DELIMITERS
-    lost = [needle for needle in needles if needle not in raw]
-    if lost:
-        raise ValueError(f"{template_id}: template lacks delimiters {lost}")
-    return raw
-
-
-def load_template(template_id: str, template_dir: str | Path | None = None) -> str:
-    if template_id not in TEMPLATE_VARIABLES:
-        raise KeyError(f"unknown template {template_id!r}")
-    return _load(template_id, str(template_dir) if template_dir else None)
-
-
-@lru_cache(maxsize=64)
-def _split(template_id: str, text: str) -> tuple[str, ...]:
-    """Template text cut at its declared placeholders.
+def _compile(template_id: str, template_dir: str | Path | None) -> tuple[str, ...]:
+    """A template's text, read and checked once, cut at its declared placeholders.
 
     Literal text sits at even positions and placeholder names at odd ones.
-    A template that never mentions a declared variable raises; the error is
-    not cached, so it is raised again on every call.
+    Filling the names keeps every literal, so a template with its delimiters
+    and every declared placeholder renders prompts that have them too. Errors
+    are not cached, so a faulty template raises on every render.
     """
+    path = (Path(template_dir) if template_dir else TEMPLATES_DIR) / f"{template_id}.txt"
+    try:
+        text = path.read_text(encoding="utf-8").replace("\r\n", "\n")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise TemplateError(f"{path}: {getattr(exc, 'strerror', None) or exc}") from None
     declared = sorted(TEMPLATE_VARIABLES[template_id])
+    needles = _TRANSCRIPT_DELIMITERS
+    if "target_text" in declared:
+        needles += _TARGET_DELIMITERS
+    lost = [needle for needle in needles if needle not in text]
+    if lost:
+        raise TemplateError(f"{path}: template lacks delimiters {lost}")
     absent = [name for name in declared if "{" + name + "}" not in text]
     if absent:
-        raise ValueError(f"{template_id}: template never mentions {absent}")
+        raise TemplateError(f"{path}: template never mentions {absent}")
     pattern = re.compile(r"\{(" + "|".join(re.escape(name) for name in declared) + r")\}")
     return tuple(pattern.split(text))
 
 
-def substitute(template_id: str, text: str, values: Mapping[str, object]) -> str:
-    """Replace declared ``{name}`` placeholders in a single pass.
-
-    Single-pass means substituted content is never rescanned, so utterance
-    text cannot smuggle in further placeholders. Raises if a declared variable
-    is missing from ``values`` or an undeclared one is supplied.
-    """
-    declared = TEMPLATE_VARIABLES[template_id]
-    if values.keys() != declared:
-        extra = set(values) - declared
-        if extra:
-            raise ValueError(f"{template_id}: undeclared variables {sorted(extra)}")
-        missing = declared - set(values)
-        raise ValueError(f"{template_id}: missing variables {sorted(missing)}")
-    parts = list(_split(template_id, text))
+def _fill(template_id: str, template_dir: str | Path | None, values: Mapping[str, object]) -> str:
+    """The template filled in one pass: utterance text cannot smuggle in placeholders."""
+    parts = list(_compile(template_id, template_dir))
     for i in range(1, len(parts), 2):
         parts[i] = str(values[parts[i]])
     return "".join(parts)
@@ -225,7 +206,7 @@ def render_window(
         values["target_text"] = target.text
         if template_id != "baseline_lee":
             values["target_timestamp"] = format_timestamp(target.timestamp_ms)
-    text = substitute(template_id, load_template(template_id, template_dir), values)
+    text = _fill(template_id, template_dir, values)
     contract = _THREAD_LINE if template_id == "thread_window" else _CODE_LINE
     return RenderedPrompt(
         text, contract, target.index, target.speaker, transcript_id,
@@ -256,7 +237,7 @@ def render_full(
     if template_id == "thread_all_at_once":
         values["shots_block"] = _shots_block(shots)
         contract = _THREAD_BLOCK
-    text = substitute(template_id, load_template(template_id, template_dir), values)
+    text = _fill(template_id, template_dir, values)
     return RenderedPrompt(
         text, contract, None, None, t.id, tuple((u.index, u.speaker) for u in t.utterances)
     )

@@ -17,13 +17,15 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor, as_completed
 from dataclasses import dataclass
+from itertools import filterfalse
 from operator import attrgetter
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
 from . import metrics, outparse, prompts
 from .corpus import (
-    SUBCATEGORY_TAGS, CodeSet, GoldAnnotations, ThreadLabel, Transcript, parse_respond_line
+    SUBCATEGORY_TAGS, VALID_CODES, CodeSet, GoldAnnotations, ThreadLabel, Transcript,
+    parse_respond_line,
 )
 from .llm import (
     CompletionCache,
@@ -110,6 +112,8 @@ class ExperimentSpec:
                 raise ValueError(f"{self.template_override} requires strategy {wanted}")
             if self.thread_source != THREAD_SOURCE_NONE:
                 raise ValueError("baseline templates take no thread labels")
+        if not isinstance(self.template_dir, (str, type(None))):
+            raise ValueError(f"template_dir must be a path string, got {self.template_dir!r}")
 
     @classmethod
     def from_dict(cls, d: Mapping) -> "ExperimentSpec":
@@ -239,11 +243,15 @@ def _strictness_for(provider: Provider, override: str | None) -> str:
     return "strict" if provider.name in ("oracle", "replay") else "lenient"
 
 
-def _gold_thread_canonical(g: GoldAnnotations, index: int) -> str:
-    label = g.thread.get(index)
-    if label is None:
-        raise GoldMismatch(f"{g.transcript_id}: no gold thread label for utterance {index}")
-    return label.canonical()
+def _gold_pair(corpus: Corpus, tid: str) -> tuple[Transcript, GoldAnnotations]:
+    """A spec transcript and its gold, which must label every utterance's thread."""
+    if tid not in corpus:
+        raise GoldMismatch(f"transcript {tid!r} not in corpus")
+    t, g = corpus[tid]
+    unlabeled = next(filterfalse(g.thread.__contains__, range(1, len(t) + 1)), None)
+    if unlabeled is not None:
+        raise GoldMismatch(f"{tid}: no gold thread label for utterance {unlabeled}")
+    return t, g
 
 
 def _resolve_shots(
@@ -278,7 +286,7 @@ def resolve_thread_labels(
     spec: ExperimentSpec,
     corpus: Corpus,
     runs_dir: str | Path | None = None,
-) -> tuple[dict[str, dict[int, ThreadLabel]], int]:
+) -> tuple[dict[str, Mapping[int, ThreadLabel]], int]:
     """Thread-label maps for an abcde run, per its thread_source.
 
     Returns ({transcript_id: {index: label}}, fallback_count). For an llm run
@@ -288,7 +296,7 @@ def resolve_thread_labels(
     if spec.thread_source == THREAD_SOURCE_NONE:
         return {}, 0
     if spec.thread_source == THREAD_SOURCE_HUMAN:
-        return {tid: dict(g.thread) for tid, (_, g) in corpus.items()}, 0
+        return {tid: corpus[tid][1].thread for tid in spec.transcripts}, 0
 
     ref = spec.thread_source[len(LLM_SOURCE_PREFIX):]
     if runs_dir is None:
@@ -301,14 +309,12 @@ def resolve_thread_labels(
     by_tid: dict[str, dict[int, str]] = {}
     for rec in source_log.records:
         by_tid.setdefault(rec.transcript_id, {})[rec.index] = rec.predicted
-    for tid, (t, _) in corpus.items():
-        if tid not in spec.transcripts:
-            continue
+    for tid in spec.transcripts:
         labels: dict[int, ThreadLabel] = {}
         source = by_tid.get(tid)
         if source is None:
             raise MissingThreadSource(f"run {ref} has no predictions for transcript {tid!r}")
-        for i in range(1, len(t) + 1):
+        for i in range(1, len(corpus[tid][0]) + 1):
             raw = source.get(i)
             if raw is None or raw == PARSE_ERROR_LABEL:
                 labels[i] = ThreadLabel.new_thread()
@@ -406,8 +412,7 @@ def _run(
     runs_dir: str | Path | None,
 ) -> RunLog:
     for tid in spec.transcripts:
-        if tid not in corpus:
-            raise RunnerError(f"transcript {tid!r} not in corpus")
+        _gold_pair(corpus, tid)
     if pricing is not None:
         pricing.rate(spec.model.model_id)  # an unpriced model fails before any call
     mode = _strictness_for(provider, strictness)
@@ -415,7 +420,7 @@ def _run(
     render = _renderer(spec, corpus, thread_labels)
     thread_task = spec.task == "threading"
     feedback = spec.window.feedback if thread_task and spec.strategy == "window" else "none"
-    gold_of = _gold_thread_canonical if thread_task else _gold_codes_canonical
+    gold_of = (lambda g, i: g.thread[i].canonical()) if thread_task else _gold_codes_canonical
     parse_line = outparse.parse_thread_response if thread_task else outparse.parse_code_response
     block_kind = "thread" if thread_task else "code"
     parsed_label = attrgetter("label" if thread_task else "codes")
@@ -654,7 +659,7 @@ def evaluate_run(
     if unknown:
         raise ValueError(f"unknown subcategory tags: {', '.join(sorted(unknown))}")
     threading_run = log.spec.task == "threading"
-    if not threading_run and (code_letter not in "ABCDE" or len(code_letter) != 1):
+    if not threading_run and code_letter not in VALID_CODES:
         raise ValueError(f"code_letter must be one of A-E, got {code_letter!r}")
     grouped = _records_by_transcript(log)
     per_conv: dict[str, metrics.MetricReport] = {}
@@ -664,13 +669,11 @@ def evaluate_run(
         {tag: [] for tag in subcats or ()} if threading_run else {}
     )
     for tid in log.spec.transcripts:
-        if tid not in corpus:
-            raise GoldMismatch(f"transcript {tid!r} not in corpus")
-        t, g = corpus[tid]
+        t, g = _gold_pair(corpus, tid)
         recs = grouped.get(tid, [])
         _check_coverage(tid, recs, t)
         if threading_run:
-            gold = [_gold_thread_canonical(g, r.index) for r in recs]
+            gold = [g.thread[r.index].canonical() for r in recs]
             pred = [r.predicted for r in recs]
             per_conv[tid] = metrics.score(gold, pred)
             if sliced:

@@ -1,5 +1,6 @@
 import json
 import re
+import shutil
 import subprocess
 import sys
 
@@ -203,12 +204,53 @@ INPUT_FAULTS = {
         '{"pricing": "{tmp}/pricing.json"}', ["--config", "{tmp}/config.json"],
         "{tmp}/pricing.json: pricing entry 'm' needs numbers input_per_1m and output_per_1m",
     ),
+    "unknown config key": (
+        '{"pricng": "{tmp}/pricing.json"}', ["--config", "{tmp}/config.json"],
+        "{tmp}/config.json: unknown key 'pricng'",
+    ),
+    "cache not a path": (
+        '{"cache": 5}', ["--config", "{tmp}/config.json"],
+        "{tmp}/config.json: 'cache' is not a path string",
+    ),
+    "corpus_dir not a path": (
+        '{"corpus_dir": [1]}', ["--config", "{tmp}/config.json"],
+        "{tmp}/config.json: 'corpus_dir' is not a path string",
+    ),
+    "pricing not a path": (
+        '{"pricing": 5}', ["--config", "{tmp}/config.json"],
+        "{tmp}/config.json: 'pricing' is not a path string",
+    ),
+    "fixtures not a path": (
+        '{"fixtures": 5}', ["--config", "{tmp}/config.json", "--provider", "replay"],
+        "{tmp}/config.json: 'fixtures' is not a path string",
+    ),
+    "spec template_dir not a path": (
+        '{"spec": {"template_dir": 5}}', ["--config", "{tmp}/config.json"],
+        "bad experiment spec: template_dir must be a path string, got 5",
+    ),
+    "missing template directory": (
+        '{"template_dir": "{tmp}/nope"}', ["--config", "{tmp}/config.json"],
+        "{tmp}/nope/thread_window.txt: No such file or directory",
+    ),
+    "template without delimiters": (
+        '{"template_dir": "{tmp}/templates"}', ["--config", "{tmp}/config.json"],
+        "{tmp}/templates/thread_window.txt: template lacks delimiters ['<<<TRANSCRIPT_START>>>']",
+    ),
+    "template not UTF-8": (
+        '{"template_dir": "{tmp}/templates"}', ["--config", "{tmp}/config.json"],
+        "{tmp}/templates/thread_window.txt: "
+        "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte",
+    ),
 }
-# the pricing file each pricing fault's config names
-PRICING_FILES = {
-    "pricing not an object": "[1]",
-    "pricing rate not a number": '{"m": {"input_per_1m": "x", "output_per_1m": 1}}',
-    "pricing rate missing": '{"m": {"input_per_1m": 1}}',
+# the file, beside the config, that each fault's config names
+FAULT_FILES = {
+    "pricing not an object": ("pricing.json", "[1]"),
+    "pricing rate not a number": (
+        "pricing.json", '{"m": {"input_per_1m": "x", "output_per_1m": 1}}'),
+    "pricing rate missing": ("pricing.json", '{"m": {"input_per_1m": 1}}'),
+    "template without delimiters": (
+        "templates/thread_window.txt", "{window_n}\n{transcript_block}\n<<<TRANSCRIPT_END>>>\n"),
+    "template not UTF-8": ("templates/thread_window.txt", "\xff{window_n}"),
 }
 
 
@@ -217,13 +259,30 @@ def test_a_run_input_fault_is_a_one_line_error(tmp_path, fault):
     config, extra, line = INPUT_FAULTS[fault]
     if config is not None:
         (tmp_path / "config.json").write_text(config.replace("{tmp}", str(tmp_path)))
-    if fault in PRICING_FILES:
-        (tmp_path / "pricing.json").write_text(PRICING_FILES[fault])
+    if fault in FAULT_FILES:
+        name, text = FAULT_FILES[fault]
+        (tmp_path / name).parent.mkdir(exist_ok=True)
+        # as latin-1, so "\xff" is a byte that is never valid UTF-8
+        (tmp_path / name).write_bytes(text.encode("latin-1"))
     with pytest.raises(SystemExit) as exc:
         main(["thread", "--provider", "oracle", "--model", "m", "--window", "5",
               "--transcripts", "ws01", "--out", str(tmp_path / "out"),
               *(arg.replace("{tmp}", str(tmp_path)) for arg in extra)])
     assert exc.value.code == line.replace("{tmp}", str(tmp_path))
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv", [["thread"], ["code", "--thread-source", "human"]])
+def test_a_gold_file_that_leaves_an_utterance_unlabeled_is_a_one_line_error(tmp_path, argv):
+    corpus = tmp_path / "corpus"
+    shutil.copytree(bundled_corpus_dir(), corpus)
+    gold = corpus / "ws01.gold.jsonl"
+    gold.write_text("\n".join(gold.read_text(encoding="utf-8").splitlines()[:-1]) + "\n",
+                    encoding="utf-8")
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--provider", "oracle", "--model", "m", "--window", "5",
+              "--transcripts", "ws01", "--corpus", str(corpus), "--out", str(tmp_path / "out")])
+    assert exc.value.code == "ws01: no gold thread label for utterance 21"
     assert not (tmp_path / "out").exists()
 
 

@@ -5,12 +5,11 @@ from threadlab.prompts import (
     MAX_SHOTS,
     TEMPLATE_IDS,
     MissingThreadLabel,
-    load_template,
+    TemplateError,
     render_abcde,
     render_baseline,
     render_thread_all_at_once,
     render_thread_window,
-    substitute,
     transcript_lines,
     utterance_line,
 )
@@ -110,43 +109,6 @@ def test_threaded_variant_requires_every_label(golden_target):
         render_abcde("abcde_window_threaded", w_plain, None)
 
 
-def test_substitute_rejects_unknown_and_missing():
-    tmpl = load_template("thread_window")
-    with pytest.raises(ValueError):
-        substitute("thread_window", tmpl, {"window_n": 10})  # transcript_block missing
-    with pytest.raises(ValueError):
-        substitute(
-            "thread_window",
-            tmpl,
-            {"window_n": 10, "transcript_block": "x", "bogus": 1},
-        )
-
-
-@pytest.mark.parametrize(
-    "text, values, message",
-    [
-        ("{window_n} {transcript_block}", {"window_n": 1, "transcript_block": "x", "bogus": 1},
-         "undeclared variables"),
-        ("{window_n} {transcript_block}", {"window_n": 1}, "missing variables"),
-        ("{window_n} only", {"window_n": 1, "transcript_block": "x"}, "never mentions"),
-    ],
-)
-def test_substitute_raises_on_every_call(text, values, message):
-    # The template is split once and cached; its errors must not be.
-    for _ in range(2):
-        with pytest.raises(ValueError, match=message):
-            substitute("thread_window", text, values)
-
-
-def test_substitute_fills_every_occurrence():
-    text = substitute(
-        "thread_window",
-        "{window_n} of {window_n}: {transcript_block}",
-        {"window_n": 7, "transcript_block": "#1 A: hi"},
-    )
-    assert text == "7 of 7: #1 A: hi"
-
-
 def test_template_dir_overrides_a_builtin_template_by_its_own_text(tmp_path, golden_target):
     _, _, w_labeled, _ = _windows(golden_target)
     builtin = render_thread_window(w_labeled).text
@@ -188,15 +150,43 @@ def test_every_template_with_a_target_line_needs_the_target_markers(tmp_path, go
         render_baseline("baseline_lee", w_plain, template_dir=tmp_path)
 
 
-def test_substitute_keeps_placeholder_like_text_in_values():
-    tmpl = load_template("thread_window")
-    text = substitute(
-        "thread_window",
-        tmpl,
-        {"window_n": 10, "transcript_block": "#1 A: say {transcript_block} aloud"},
+def _window_template(tmp_path, head):
+    (tmp_path / "thread_window.txt").write_text(
+        head + "\n<<<TRANSCRIPT_START>>>\n{transcript_block}\n<<<TRANSCRIPT_END>>>\n",
+        encoding="utf-8",
     )
-    # a placeholder-looking string inside an utterance must survive verbatim
-    assert "say {transcript_block} aloud" in text
+
+
+def test_a_template_missing_a_declared_variable_is_refused_on_every_render(
+    tmp_path, golden_target
+):
+    _, _, w_labeled, _ = _windows(golden_target)
+    _window_template(tmp_path, "Window.")
+    for _ in range(2):  # the template is compiled once and cached; its errors are not
+        with pytest.raises(TemplateError, match=r"thread_window\.txt: template never mentions"):
+            render_thread_window(w_labeled, template_dir=tmp_path)
+
+
+def test_a_repeated_placeholder_is_filled_at_every_occurrence(tmp_path, golden_target):
+    _, _, w_labeled, _ = _windows(golden_target)
+    _window_template(tmp_path, "Window {window_n} of {window_n}.")
+    text = render_thread_window(w_labeled, template_dir=tmp_path).text
+    assert text.startswith("Window 10 of 10.\n<<<TRANSCRIPT_START>>>\n")
+
+
+def test_placeholder_like_text_in_an_utterance_survives_verbatim(tmp_path):
+    t = Transcript("t", (
+        Utterance(1, 0, "A", "say {transcript_block} aloud"),
+        Utterance(2, 1000, "B", "and {window_n} too"),
+    ))
+    _window_template(tmp_path, "Window {window_n}.")
+    text = render_thread_window(
+        make_window(t, 2, WindowConfig(n=5, feedback="none")), template_dir=tmp_path
+    ).text
+    assert text == (
+        "Window 5.\n<<<TRANSCRIPT_START>>>\n"
+        "#1 A: say {transcript_block} aloud\n#2 B: and {window_n} too\n<<<TRANSCRIPT_END>>>\n"
+    )
 
 
 def test_render_baseline_rejects_wrong_payload(golden_target):

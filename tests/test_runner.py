@@ -459,6 +459,25 @@ def test_a_model_missing_from_the_pricing_table_fails_before_the_first_call(bund
     assert provider.calls == 0
 
 
+@pytest.mark.parametrize("task", ["threading", "abcde"])
+def test_gold_that_leaves_an_utterance_unlabeled_stops_the_run_before_its_first_call(
+    bundled, task
+):
+    t, g = bundled["ws01"]
+    thread = dict(g.thread)
+    del thread[len(t)]
+    corpus = {**bundled, "ws01": (t, dataclasses.replace(g, thread=thread))}
+    provider = CountingOracle(corpus)
+    if task == "threading":
+        run, spec = run_threading, _spec()
+    else:
+        run, spec = run_abcde, _spec(task="abcde", window=WindowConfig(n=10, feedback="none"),
+                                     thread_source="human")
+    with pytest.raises(GoldMismatch, match=r"^ws01: no gold thread label for utterance 21$"):
+        run(spec, corpus, provider)
+    assert provider.calls == 0
+
+
 def test_shots_are_resolved_before_the_first_call(bundled):
     # ws02 is a valid example for ws01, but not for itself
     provider = CountingOracle(bundled)
