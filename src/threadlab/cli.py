@@ -13,10 +13,8 @@ import argparse
 import json
 import sys
 from pathlib import Path
-from typing import Callable
 
 from . import corpus as corpus_mod
-from . import prompts
 from . import report as report_mod
 from . import runner as runner_mod
 from .llm import (
@@ -28,6 +26,7 @@ from .llm import (
     Provider,
     ReplayProvider,
 )
+from .schema import FileError, json_value, read
 
 PROVIDERS = ("http", "replay", "oracle")
 
@@ -35,19 +34,6 @@ PROVIDERS = ("http", "replay", "oracle")
 def _load_corpus(corpus_dir: str | None):
     root = Path(corpus_dir) if corpus_dir else corpus_mod.bundled_corpus_dir()
     return corpus_mod.load_corpus(root)
-
-
-def _load_file(load: Callable, path: str):
-    """``load(path)``; a file that cannot be read, is not JSON or is misshapen
-    (``load`` raises ValueError) exits naming it."""
-    try:
-        return load(path)
-    except OSError as exc:
-        raise SystemExit(f"{path}: {exc.strerror or exc}")
-    except json.JSONDecodeError as exc:
-        raise SystemExit(f"{path}: line {exc.lineno}: invalid JSON: {exc.msg}")
-    except ValueError as exc:
-        raise SystemExit(f"{path}: {exc}")
 
 
 # The keys a ``--config`` file may set; all but provider and spec name a file
@@ -59,19 +45,21 @@ _CONFIG_KEYS = frozenset(("provider", "spec", *_CONFIG_PATHS))
 def _load_inputs(args: argparse.Namespace) -> tuple[dict, dict]:
     """The ``--config`` file's settings ({} without one) and the corpus they or
     ``--corpus`` name."""
-    config = {}
-    if args.config is not None:
-        config = _load_file(
-            lambda path: json.loads(Path(path).read_text(encoding="utf-8")), args.config)
-        if not isinstance(config, dict):
-            raise SystemExit(f"{args.config}: not a JSON object")
-        unknown = sorted(set(config) - _CONFIG_KEYS)
-        if unknown:
-            raise SystemExit(f"{args.config}: unknown key {unknown[0]!r}")
-        for key in _CONFIG_PATHS:
-            if not isinstance(config.get(key), (str, type(None))):
-                raise SystemExit(f"{args.config}: {key!r} is not a path string")
+    config = {} if args.config is None else read(args.config, _parse_config)
     return config, _load_corpus(args.corpus or config.get("corpus_dir"))
+
+
+def _parse_config(source: bytes) -> dict:
+    config = json_value(source)
+    if not isinstance(config, dict):
+        raise ValueError("not a JSON object")
+    unknown = sorted(set(config) - _CONFIG_KEYS)
+    if unknown:
+        raise ValueError(f"unknown key {unknown[0]!r}")
+    for key in _CONFIG_PATHS:
+        if not isinstance(config.get(key), (str, type(None))):
+            raise ValueError(f"{key!r} is not a path string")
+    return config
 
 
 def _build_spec(task: str, config: dict, args: argparse.Namespace) -> runner_mod.ExperimentSpec:
@@ -120,9 +108,7 @@ def _build_provider(name: str, config: dict, corpus) -> Provider:
 
 def _pricing(config: dict) -> PricingTable | None:
     path = config.get("pricing")
-    if not path:
-        return None
-    return _load_file(PricingTable.from_json, path)
+    return read(path, lambda data: PricingTable.from_dict(json_value(data))) if path else None
 
 
 def _cache(config: dict) -> CompletionCache | None:
@@ -228,8 +214,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
         log = runner_mod.RunLog.load(runs_dir, run_id)
         eval_path = runs_dir / run_id / "eval.json"
         if eval_path.exists():
-            d = json.loads(eval_path.read_text(encoding="utf-8"))
-            result = runner_mod.EvalResult.from_dict(d)
+            result = read(eval_path, lambda data: runner_mod.EvalResult.from_dict(json_value(data)))
         else:
             result = runner_mod.evaluate_run(log, corpus)
         entries.append((label, log, result))
@@ -304,8 +289,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     # a transcript, run log or thread source the run cannot find or use, or a
-    # corpus or template file that does not parse
-    except (runner_mod.RunnerError, corpus_mod.CorpusError, prompts.TemplateError) as exc:
+    # file that cannot be read or does not parse
+    except (runner_mod.RunnerError, FileError) as exc:
         raise SystemExit(str(exc))
 
 

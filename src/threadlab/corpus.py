@@ -14,7 +14,9 @@ import json
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Container, Iterable, Mapping, Sequence
+from typing import Container, Iterable, Mapping, Sequence
+
+from .schema import FileError, MalformedRecord, json_value, objects, read
 
 VALID_CODES = frozenset("ABCDE")
 
@@ -45,24 +47,8 @@ DEFAULT_BACKCHANNEL_LEXICON = frozenset(
 DEFAULT_LONG_GAP = 13
 
 
-class CorpusError(Exception):
-    """Base class for malformed transcript or annotation input.
-
-    ``path`` is the file the input came from, when known; it leads the message.
-    """
-
-    path: Path | None = None
-
-    def __str__(self) -> str:
-        text = super().__str__()
-        return f"{self.path}: {text}" if self.path else text
-
-
-class MalformedRecord(CorpusError):
-    def __init__(self, line_no: int, reason: str):
-        super().__init__(f"line {line_no}: {reason}")
-        self.line_no = line_no
-        self.reason = reason
+class CorpusError(FileError):
+    """Base class for malformed transcript or annotation input."""
 
 
 class NonMonotonicTimestamp(CorpusError):
@@ -419,30 +405,6 @@ def format_timestamp(ms: int) -> str:
 _TRANSCRIPT_FIELDS = ("index", "timestamp", "speaker", "text")
 
 
-def _text(source: str | bytes) -> str:
-    """``source`` as text; bytes that are not UTF-8 raise MalformedRecord naming their line."""
-    if isinstance(source, str):
-        return source
-    try:
-        return source.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise MalformedRecord(source.count(b"\n", 0, exc.start) + 1, "not UTF-8 text") from None
-
-
-def _iter_records(source: str | bytes) -> Iterable[tuple[int, dict]]:
-    """Yield (line_no, record) pairs from JSONL text."""
-    for line_no, line in enumerate(_text(source).splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            rec = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise MalformedRecord(line_no, f"invalid JSON: {exc.msg}") from exc
-        if not isinstance(rec, dict):
-            raise MalformedRecord(line_no, "record is not an object")
-        yield line_no, rec
-
-
 def _record_index(line_no: int, rec: dict, seen: Container[int]) -> int:
     """The record's ``index``; one that is not an integer or is already in ``seen`` raises."""
     try:
@@ -466,7 +428,7 @@ def parse_transcript(
     """
     rows: list[tuple[int, str, str]] = []
     seen_indices: set[int] = set()
-    for line_no, rec in _iter_records(source):
+    for line_no, rec in objects(source):
         missing = [f for f in _TRANSCRIPT_FIELDS if f not in rec]
         if missing:
             raise MalformedRecord(line_no, f"missing fields: {', '.join(missing)}")
@@ -528,7 +490,7 @@ def parse_gold(
     thread: dict[int, ThreadLabel] = {}
     abcde: dict[int, CodeSet] = {}
     subcat: dict[int, str] = {}
-    for line_no, rec in _iter_records(source):
+    for line_no, rec in objects(source):
         if "index" not in rec or "respond_line" not in rec:
             raise MalformedRecord(line_no, "missing index or respond_line")
         idx = _record_index(line_no, rec, thread)
@@ -760,20 +722,17 @@ def load_corpus(corpus_dir: str | Path) -> dict[str, tuple[Transcript, GoldAnnot
     """
     corpus_dir = Path(corpus_dir)
     pairs: dict[str, tuple[Transcript, GoldAnnotations]] = {}
-    for entry in _parse_file(_parse_manifest, corpus_dir / "manifest.json"):
-        t = _parse_file(parse_transcript, corpus_dir / entry["transcript"],
-                        transcript_id=entry["id"], scenario=entry.get("scenario", ""))
-        g = _parse_file(parse_gold, corpus_dir / entry["gold"], transcript_id=entry["id"])
+    for entry in read(corpus_dir / "manifest.json", _parse_manifest):
+        t = read(corpus_dir / entry["transcript"], parse_transcript,
+                 transcript_id=entry["id"], scenario=entry.get("scenario", ""))
+        g = read(corpus_dir / entry["gold"], parse_gold, transcript_id=entry["id"])
         pairs[entry["id"]] = (t, g)
     return pairs
 
 
 def _parse_manifest(source: bytes) -> list[dict]:
     """The manifest's transcript entries, each checked for its id and file names."""
-    try:
-        manifest = json.loads(_text(source))
-    except json.JSONDecodeError as exc:
-        raise MalformedRecord(exc.lineno, f"invalid JSON: {exc.msg}") from None
+    manifest = json_value(source)
     entries = manifest.get("transcripts") if isinstance(manifest, dict) else None
     if not isinstance(entries, list):
         raise CorpusError('not an object with a "transcripts" list')
@@ -787,20 +746,6 @@ def _parse_manifest(source: bytes) -> list[dict]:
             raise CorpusError(f"duplicate transcript id {entry['id']!r}")
         seen.add(entry["id"])
     return entries
-
-
-def _parse_file(parse: Callable, path: Path, **kw):
-    """``parse`` the file's bytes; a CorpusError, bad UTF-8 and an unreadable file
-    included, names the file."""
-    try:
-        return parse(path.read_bytes(), **kw)
-    except OSError as exc:
-        error = CorpusError(exc.strerror or str(exc))
-        error.path = path
-        raise error from None
-    except CorpusError as exc:
-        exc.path = path
-        raise
 
 
 def bundled_corpus_dir() -> Path:

@@ -26,7 +26,7 @@ import requests
 
 from .corpus import GoldAnnotations
 from .prompts import TRANSCRIPT_START, RenderedPrompt
-from .schema import as_fields
+from .schema import as_fields, build, objects, read
 
 DEFAULT_TEMPERATURE = 0.0
 
@@ -86,11 +86,6 @@ class PricingTable:
     """USD per million input/output tokens, by model id."""
 
     rates: Mapping[str, tuple[float, float]]
-
-    @classmethod
-    def from_json(cls, source: str | Path) -> "PricingTable":
-        raw = json.loads(Path(source).read_text(encoding="utf-8"))
-        return cls.from_dict(raw)
 
     @classmethod
     def from_dict(cls, raw: Mapping[str, Mapping[str, float]]) -> "PricingTable":
@@ -207,20 +202,18 @@ class CompletionCache:
         self._truncate_to: int | None = None
         self._fh: TextIO | None = None
         if self._path and self._path.exists():
-            data = self._path.read_bytes()
-            end = data.rfind(b"\n") + 1
-            # put() ends every record with a newline, so bytes after the last
-            # one are an append cut short, as by a run killed mid-write. They
-            # are dropped here and cut off the file by the next put, so its
-            # record starts on a line of its own. A bad line before the last
-            # newline is corruption and still raises.
-            if end < len(data):
-                self._truncate_to = end
-            for line in data[:end].decode("utf-8").split("\n"):
-                if not line.strip():
-                    continue
-                rec = CompletionRecord(**json.loads(line))
-                self._records[rec.prompt_hash] = rec
+            read(self._path, self._load)
+
+    def _load(self, data: bytes) -> None:
+        # put() ends every record with a newline: bytes after the last one are an
+        # append cut short (a run killed mid-write), dropped here and cut off the
+        # file by the next put. A bad line before the last newline raises.
+        end = data.rfind(b"\n") + 1
+        if end < len(data):
+            self._truncate_to = end
+        for line_no, d in objects(data[:end]):
+            rec = build(CompletionRecord, line_no, d)
+            self._records[rec.prompt_hash] = rec
 
     def __len__(self) -> int:
         return len(self._records)

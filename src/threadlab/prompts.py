@@ -18,6 +18,7 @@ from pathlib import Path
 from typing import Mapping, Sequence
 
 from .corpus import GoldAnnotations, ThreadLabel, Transcript, Utterance, format_timestamp
+from .schema import FileError, decoded, read
 from .windowing import Window
 
 TEMPLATES_DIR = Path(__file__).parent / "templates"
@@ -58,8 +59,8 @@ class MissingThreadLabel(Exception):
         self.index = index
 
 
-class TemplateError(ValueError):
-    """A template file that cannot be read, or lacks a delimiter or a declared placeholder."""
+class TemplateError(FileError):
+    """A template file that lacks a delimiter or a declared placeholder."""
 
 
 # Markers every prompt of a template carries: around the transcript block,
@@ -79,10 +80,7 @@ def _compile(template_id: str, template_dir: str | Path | None) -> tuple[str, ..
     are not cached, so a faulty template raises on every render.
     """
     path = (Path(template_dir) if template_dir else TEMPLATES_DIR) / f"{template_id}.txt"
-    try:
-        text = path.read_text(encoding="utf-8").replace("\r\n", "\n")
-    except (OSError, UnicodeDecodeError) as exc:
-        raise TemplateError(f"{path}: {getattr(exc, 'strerror', None) or exc}") from None
+    text = read(path, decoded).replace("\r\n", "\n")
     declared = sorted(TEMPLATE_VARIABLES[template_id])
     needles = _TRANSCRIPT_DELIMITERS
     if "target_text" in declared:

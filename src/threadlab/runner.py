@@ -39,7 +39,7 @@ from .llm import (
     prompt_digest,
 )
 from .metrics import PARSE_ERROR_LABEL
-from .schema import as_fields, from_fields
+from .schema import FileError, MalformedRecord, as_fields, build, from_fields, objects, read
 # make_window stays importable from here: perfbench/spans.py patches runner.make_window.
 from .windowing import WindowConfig, context_slice, make_window  # noqa: F401
 
@@ -180,25 +180,28 @@ class RunLog:
         return "\n".join(lines) + "\n"
 
     @classmethod
-    def from_jsonl(cls, text: str) -> "RunLog":
-        meta = None
-        summary: dict = {}
-        records = []
-        for line in text.splitlines():
-            if not line.strip():
-                continue
-            d = json.loads(line)
+    def from_jsonl(cls, text: str | bytes) -> "RunLog":
+        lines, records = {}, []
+        for line_no, d in objects(text):
             kind = d.pop("kind", None)
             if kind == "record":
-                records.append(UtteranceRecord(**d))
-            elif kind == "meta":
-                meta = d
-            elif kind == "summary":
-                summary = d
-        if meta is None:
-            raise RunnerError("run log has no meta line")
-        spec = ExperimentSpec.from_dict(meta.pop("spec"))
-        return from_fields(cls, summary, **meta, spec=spec, records=records)
+                records.append(build(UtteranceRecord, line_no, d))
+            else:
+                lines[kind] = line_no, d
+        if "meta" not in lines:
+            raise FileError("run log has no meta line")
+        (line_no, meta), (end, summary) = lines["meta"], lines.get("summary", (0, {}))
+        # a missing, unknown or misshapen key is a fault on the meta line, then the summary's
+        try:
+            spec = ExperimentSpec.from_dict(meta.pop("spec"))
+            run_id = meta.pop("run_id")
+            if meta:
+                raise ValueError(f"unknown key {min(meta)!r}")
+            line_no = end
+            return from_fields(cls, summary, run_id=run_id, spec=spec, records=records)
+        except (KeyError, TypeError, ValueError) as exc:
+            reason = f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
+            raise MalformedRecord(line_no, reason) from None
 
     def save(self, runs_dir: str | Path) -> Path:
         run_dir = Path(runs_dir) / self.run_id
@@ -212,7 +215,7 @@ class RunLog:
         path = Path(runs_dir) / run_id / "log.jsonl"
         if not path.exists():
             raise MissingThreadSource(f"no run log at {path}")
-        return cls.from_jsonl(path.read_text(encoding="utf-8"))
+        return read(path, cls.from_jsonl)
 
 
 def write_atomic(path: Path, text: str) -> None:

@@ -1,17 +1,92 @@
-"""The JSON form of threadlab's records: a dataclass's fields are its schema.
+"""The JSON form of threadlab's records, and the one reader of every file threadlab reads.
 
 Run logs, completion caches and eval reports write each record as its fields,
 by name and in declaration order, and read it back by the same names, so the
-field list is the one place the on-disk format is declared.
+field list is the one place the on-disk format is declared. A fault in any
+file read is a FileError whose message starts with the path and the line.
 """
 
 from __future__ import annotations
 
+import json
 from dataclasses import fields
 from functools import cache
-from typing import Mapping, TypeVar
+from pathlib import Path
+from typing import Callable, Iterator, Mapping, TypeVar
 
 T = TypeVar("T")
+
+
+class FileError(ValueError):
+    """A file that cannot be read or does not hold what it should; ``path`` leads the message."""
+
+    path: Path | None = None
+
+    def __str__(self) -> str:
+        text = super().__str__()
+        return f"{self.path}: {text}" if self.path else text
+
+
+class MalformedRecord(FileError):
+    def __init__(self, line_no: int, reason: str):
+        super().__init__(f"line {line_no}: {reason}")
+        self.line_no = line_no
+        self.reason = reason
+
+
+def read(path: str | Path, parse: Callable[..., T], **kw) -> T:
+    """``parse`` of the file's bytes; an unreadable file, or a ValueError from
+    ``parse``, raises FileError naming the file."""
+    path = Path(path)
+    try:
+        return parse(path.read_bytes(), **kw)
+    except FileError as exc:
+        error = exc
+    except (OSError, ValueError) as exc:
+        error = FileError(getattr(exc, "strerror", None) or str(exc))
+    error.path = path
+    raise error from None
+
+
+def decoded(source: str | bytes) -> str:
+    """``source`` as text; bytes that are not UTF-8 raise MalformedRecord naming their line."""
+    if isinstance(source, str):
+        return source
+    try:
+        return source.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise MalformedRecord(source.count(b"\n", 0, exc.start) + 1, "not UTF-8 text") from None
+
+
+def json_value(source: str | bytes):
+    """The one JSON value of a whole file."""
+    try:
+        return json.loads(decoded(source))
+    except json.JSONDecodeError as exc:
+        raise MalformedRecord(exc.lineno, f"invalid JSON: {exc.msg}") from None
+
+
+def objects(source: str | bytes) -> Iterator[tuple[int, dict]]:
+    """(line number, object) for each non-blank line of JSONL text; only ``"\\n"``
+    ends a line, as ``ensure_ascii=False`` leaves U+0085, U+2028 and U+2029 unescaped."""
+    for line_no, line in enumerate(decoded(source).split("\n"), start=1):
+        if not line.strip():
+            continue
+        try:
+            rec = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise MalformedRecord(line_no, f"invalid JSON: {exc.msg}") from None
+        if not isinstance(rec, dict):
+            raise MalformedRecord(line_no, "record is not an object")
+        yield line_no, rec
+
+
+def build(cls: type[T], line_no: int, d: Mapping) -> T:
+    """``cls(**d)``, the record on line ``line_no``; a missing or unknown key raises."""
+    try:
+        return cls(**d)
+    except TypeError as exc:  # "... got an unexpected keyword argument 'x'", or "missing ..."
+        raise MalformedRecord(line_no, str(exc)) from None
 
 
 @cache

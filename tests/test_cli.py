@@ -238,8 +238,7 @@ INPUT_FAULTS = {
     ),
     "template not UTF-8": (
         '{"template_dir": "{tmp}/templates"}', ["--config", "{tmp}/config.json"],
-        "{tmp}/templates/thread_window.txt: "
-        "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte",
+        "{tmp}/templates/thread_window.txt: line 1: not UTF-8 text",
     ),
 }
 # the file, beside the config, that each fault's config names
@@ -295,6 +294,68 @@ def test_eval_of_a_log_that_misses_a_gold_line_is_a_one_line_error(capsys, tmp_p
     with pytest.raises(SystemExit) as exc:
         main(["eval", "--run", run_id, "--out", str(tmp_path)])
     assert exc.value.code == "ws01: records cover [1, 3, 4, 5, 6]..., expected 1..21"
+
+
+def _line_2(new):
+    return lambda data: b"\n".join([data.split(b"\n")[0], new, *data.split(b"\n")[2:]])
+
+
+RUN = "--provider oracle --model test-model --window 10 --transcripts ws01,cs01 --out {tmp}"
+# fault: (the file broken, its bytes from the old ones, the command then run,
+# the line it exits with); {tmp} is the test's directory and {run} the run id,
+# of an oracle threading run with {"cache": "{tmp}/c.jsonl"}, then evaluated
+RUN_FILE_FAULTS = {
+    "log with an unknown key": (
+        "runs/{run}/log.jsonl",
+        lambda data: data.replace(b'"record", ', b'"record", "bogus": 1, ', 1),
+        "eval --run {run} --out {tmp}",
+        "line 2: UtteranceRecord.__init__() got an unexpected keyword argument 'bogus'",
+    ),
+    "log cut mid-line, eval": (
+        "runs/{run}/log.jsonl", lambda data: data[:200], "eval --run {run} --out {tmp}",
+        "line 1: invalid JSON: Unterminated string starting at",
+    ),
+    "log cut mid-line, report": (
+        "runs/{run}/log.jsonl", lambda data: data[:200], "report --runs {run} --out {tmp}",
+        "line 1: invalid JSON: Unterminated string starting at",
+    ),
+    "log cut mid-line, code": (
+        "runs/{run}/log.jsonl", lambda data: data[:200],
+        f"code {RUN} --thread-source llm:{{run}}",
+        "line 1: invalid JSON: Unterminated string starting at",
+    ),
+    "cache line 2 not JSON": (
+        "c.jsonl", _line_2(b"{not json"), f"thread {RUN} --config {{tmp}}/cache.json",
+        "line 2: invalid JSON: Expecting property name enclosed in double quotes",
+    ),
+    "cache not UTF-8": (
+        "c.jsonl", lambda data: b"\xff\xfe" + data, f"thread {RUN} --config {{tmp}}/cache.json",
+        "line 1: not UTF-8 text",
+    ),
+    "replay fixture line not an object": (
+        "c.jsonl", _line_2(b"[1]"),
+        f"thread {RUN} --config {{tmp}}/replay.json".replace("oracle", "replay"),
+        "line 2: record is not an object",
+    ),
+    "eval.json cut": (
+        "runs/{run}/eval.json", lambda data: data[:100], "report --runs {run} --out {tmp}",
+        "line 7: invalid JSON: Expecting value",
+    ),
+}
+
+
+@pytest.mark.parametrize("fault", list(RUN_FILE_FAULTS))
+def test_a_broken_run_file_is_a_one_line_error_naming_it(capsys, tmp_path, fault):
+    name, edit, command, line = RUN_FILE_FAULTS[fault]
+    (tmp_path / "cache.json").write_text(json.dumps({"cache": str(tmp_path / "c.jsonl")}))
+    (tmp_path / "replay.json").write_text(json.dumps({"fixtures": str(tmp_path / "c.jsonl")}))
+    run_id = _thread_run(capsys, tmp_path, extra=("--config", str(tmp_path / "cache.json")))
+    assert _run(capsys, "eval", "--run", run_id, "--out", str(tmp_path))[0] == 0
+    path = tmp_path / name.format(run=run_id)
+    path.write_bytes(edit(path.read_bytes()))
+    with pytest.raises(SystemExit) as exc:
+        main(command.format(tmp=tmp_path, run=run_id).split())
+    assert exc.value.code == f"{path}: {line}"
 
 
 def test_validate_bundled_corpus_clean(capsys):

@@ -185,9 +185,11 @@ def test_bytes_that_are_not_utf8_fail_on_their_line():
     assert (exc.value.line_no, exc.value.reason) == (2, "not UTF-8 text")
 
 def test_transcript_round_trip_jsonl(bundled):
-    t, _ = bundled["ws01"]
-    again = parse_transcript(serialize_transcript(t), t.id, t.scenario)
-    assert again == t
+    # JSON leaves U+0085, U+2028 and U+2029 unescaped; they end no line
+    separators = Transcript("sep", (Utterance(1, 0, "Ana", "a\x85b\u2028c\u2029d"),))
+    for t in (bundled["ws01"][0], separators):
+        again = parse_transcript(serialize_transcript(t), t.id, t.scenario)
+        assert again == t
 
 
 def test_gold_round_trip_jsonl(bundled):

@@ -6,6 +6,7 @@ encoded cannot silently change what earlier runs wrote.
 
 import dataclasses
 import json
+import re
 
 import pytest
 
@@ -19,6 +20,7 @@ from threadlab.llm import (
     TransportError,
 )
 from threadlab.runner import ExperimentSpec, RunLog, run_threading
+from threadlab.schema import MalformedRecord
 from threadlab.windowing import WindowConfig
 
 SPEC_KEYS = ["task", "strategy", "model", "transcripts", "window", "shots", "shot_ids",
@@ -93,7 +95,7 @@ def test_run_log_round_trip_is_exact(bundled):
 def test_run_log_line_missing_a_field_raises(bundled, line, key):
     lines = _log_lines(bundled)
     del lines[line][key]
-    with pytest.raises((KeyError, TypeError)):
+    with pytest.raises(MalformedRecord, match=rf"^line {line + 1}: .*missing .*'{key}'$"):
         _from_lines(lines)
 
 
@@ -125,14 +127,16 @@ def _cache_line(**changes):
 def test_cache_line_missing_a_field_raises(tmp_path):
     path = tmp_path / "cache.jsonl"
     path.write_text(_cache_line(response_text=None))
-    with pytest.raises((KeyError, TypeError)):
+    with pytest.raises(MalformedRecord,
+                       match=rf"^{re.escape(str(path))}: line 1: .*missing .*'response_text'$"):
         CompletionCache(path)
 
 
 def test_cache_line_with_an_unknown_key_raises(tmp_path):
     path = tmp_path / "cache.jsonl"
     path.write_text(_cache_line(note="x"))
-    with pytest.raises(TypeError, match="note"):
+    with pytest.raises(MalformedRecord,
+                       match=rf"^{re.escape(str(path))}: line 1: .*unexpected .*'note'$"):
         CompletionCache(path)
 
 

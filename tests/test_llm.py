@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import re
 import sys
 import threading
 from contextlib import contextmanager
@@ -32,7 +33,7 @@ from threadlab.llm import (
     prompt_digest,
 )
 from threadlab.prompts import OutputContract, RenderedPrompt
-from threadlab.schema import as_fields
+from threadlab.schema import MalformedRecord, as_fields
 
 OK_PAYLOAD = {
     "choices": [{"message": {"content": "3 Ana [respond line = 1]"}}],
@@ -266,7 +267,8 @@ def test_cache_drops_torn_tail_and_put_cuts_it_off(tmp_path):
 def test_cache_corruption_before_last_line_raises(tmp_path):
     path = tmp_path / "cache.jsonl"
     path.write_text(_record_line("h1") + "\n" + '{"prompt_hash": "h2", "resp\n' + _record_line("h3") + "\n")
-    with pytest.raises(json.JSONDecodeError):
+    with pytest.raises(MalformedRecord,
+                       match=rf"^{re.escape(str(path))}: line 2: invalid JSON: Unterminated "):
         CompletionCache(path)
 
 
