@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
 from pathlib import Path
 from typing import Container, Iterable, Mapping, Sequence
 
@@ -193,6 +194,20 @@ class ThreadLabel:
         Single link -> ``24``; new thread -> ``-``; splits -> ``(24, -)`` or
         ``(3, 9)``. Splits keep source order.
         """
+        return self._surface
+
+    def canonical(self) -> str:
+        """Render as a stable category string for metric comparison.
+
+        The :meth:`normalized` label's surface with no internal whitespace, so
+        ``(9, 3)`` and ``(3, 9)`` map to the same string, ``(3,9)``.
+        """
+        return self._canonical
+
+    # Each rendering is computed once per label and kept in the instance's
+    # __dict__, outside the fields, so equality, hashing and repr ignore it.
+    @cached_property
+    def _surface(self) -> str:
         targets = self.targets
         if len(targets) == 1:
             return "-" if targets[0] is NEW_THREAD else str(targets[0].line)
@@ -213,25 +228,25 @@ class ThreadLabel:
             return self
         return ThreadLabel((b, a))
 
-    def canonical(self) -> str:
-        """Render as a stable category string for metric comparison.
-
-        The :meth:`normalized` label's surface with no internal whitespace, so
-        ``(9, 3)`` and ``(3, 9)`` map to the same string, ``(3,9)``.
-        """
+    @cached_property
+    def _canonical(self) -> str:
         if len(self.targets) == 1:
-            return self.surface()
-        return self.normalized().surface().replace(" ", "")
+            return self._surface
+        return self.normalized()._surface.replace(" ", "")
 
 
 _NEW_THREAD_LABEL = ThreadLabel((NEW_THREAD,))
 _LABEL_SPLIT_RE = re.compile(r"^\(\s*([^\s,()]+)\s*,\s*([^\s,()]+)\s*\)$")
 
 
+@lru_cache(maxsize=1 << 14)
 def parse_respond_line(raw: str) -> ThreadLabel:
     """Parse a thread-label string: ``-``, ``24``, ``(24, -)``, or ``(3, 9)``.
 
-    Raises ValueError on anything else (including ``(-, -)``).
+    Raises ValueError on anything else (including ``(-, -)``). Labels are
+    interned: gold files, replies and fed-back windows repeat the same few
+    strings, so each string is parsed once and shares one label, whose
+    renderings are then computed once. Errors are not cached.
     """
     s = raw.strip()
     if s == "-":
@@ -392,10 +407,8 @@ def parse_timestamp(value: object) -> int:
 
 def format_timestamp(ms: int) -> str:
     """Render milliseconds as ``HH:MM:SS`` (sub-second remainder dropped)."""
-    total = ms // 1000
-    h, rem = divmod(total, 3600)
-    m, s = divmod(rem, 60)
-    return f"{h:02d}:{m:02d}:{s:02d}"
+    s = ms // 1000
+    return "%02d:%02d:%02d" % (s // 3600, s // 60 % 60, s % 60)
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 import os
 import random
 import threading
@@ -20,7 +19,7 @@ import weakref
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring
 from pathlib import Path
-from typing import Mapping, Protocol, TextIO
+from typing import Mapping, NamedTuple, Protocol, TextIO
 
 import requests
 
@@ -32,7 +31,8 @@ DEFAULT_TEMPERATURE = 0.0
 
 
 class LlmError(Exception):
-    pass
+    # The digest of the prompt whose completion failed, set by complete().
+    prompt_hash: str | None = None
 
 
 class ContextOverflow(LlmError):
@@ -132,15 +132,37 @@ def _digest_head(model_id: str, temperature: float, head: str) -> tuple[hashlib.
         ('{"model": ' + json.dumps(model_id, ensure_ascii=False) + ', "prompt": "').encode("utf-8")
         + encode_basestring(head)[1:-1].encode("utf-8")
     )
-    return state, (', "temperature": ' + json.dumps(temperature) + "}").encode("utf-8")
+    return state, ('", "temperature": ' + json.dumps(temperature) + "}").encode("utf-8")
 
 
-# The head last hashed for each (model id, temperature, temperature repr), with
-# its _digest_head state and tail. A run's prompts share one head, so most calls
-# check it in place instead of hashing it again. The state is shared by every
-# caller, across threads: copy it, never update it. The repr is part of the key
-# because 0.0 == -0.0 (and 0 == 0.0) while their JSON differs.
-_last_head: dict[tuple[str, float, str], tuple[str, hashlib._Hash, bytes]] = {}
+# The head last hashed for each (model id, temperature, temperature repr): its
+# text, length, _digest_head state and tail. A run's prompts share one head, so
+# most calls check it in place instead of hashing it again. The state is shared
+# by every caller, across threads: copy it, never update it. The repr is part of
+# the key because 0.0 == -0.0 (and 0 == 0.0) while their JSON differs.
+_last_head: dict[tuple[str, float, str], tuple[str, int, hashlib._Hash, bytes]] = {}
+# The last call's model and _last_head entry: a run's calls find the entry by
+# the model's identity, without building the key.
+_last_call: tuple[ModelConfig | None, tuple[str, int, hashlib._Hash, bytes] | None] = (None, None)
+# UTF-8 bytes that JSON escapes other than the quote, the backslash and "\n".
+_RARE_ESCAPES = bytes(b for b in range(0x20) if b != 0x0A)
+
+
+def _head_entry(model: ModelConfig, prompt_text: str) -> tuple[str, int, hashlib._Hash, bytes]:
+    """The _last_head entry that ``prompt_text`` starts with, hashing its head if it is new."""
+    t = model.temperature
+    key = (model.model_id, t, repr(t))
+    entry = _last_head.get(key)
+    if entry is None or not (
+        prompt_text.startswith(entry[0]) and prompt_text.startswith(TRANSCRIPT_START, entry[1])
+    ):
+        cut = max(prompt_text.find(TRANSCRIPT_START), 0)
+        if len(_last_head) >= 32:  # a few models per process; stay bounded for more
+            _last_head.clear()
+        entry = _last_head[key] = (
+            prompt_text[:cut], cut, *_digest_head(model.model_id, t, prompt_text[:cut])
+        )
+    return entry
 
 
 def prompt_digest(model: ModelConfig, prompt_text: str) -> str:
@@ -152,32 +174,36 @@ def prompt_digest(model: ModelConfig, prompt_text: str) -> str:
     pieces: the model id and the prompt up to ``<<<TRANSCRIPT_START>>>`` (whose
     hash state is cached), the rest of the prompt, and the temperature.
     """
-    t = model.temperature
-    key = (model.model_id, t, repr(t))
-    last = _last_head.get(key)
     # The head (a template's fixed instructions, up to the marker) is shared by
     # every prompt of a run. The marker cannot overlap itself, so a prompt that
     # starts with the last head and has the marker right after it has its first
     # marker there.
-    if last is None or not (
-        prompt_text.startswith(last[0]) and prompt_text.startswith(TRANSCRIPT_START, len(last[0]))
+    global _last_call
+    last_model, entry = _last_call
+    if last_model is not model or not (
+        prompt_text.startswith(entry[0]) and prompt_text.startswith(TRANSCRIPT_START, entry[1])
     ):
-        cut = max(prompt_text.find(TRANSCRIPT_START), 0)
-        if len(_last_head) >= 32:  # a few models per process; stay bounded for more
-            _last_head.clear()
-        last = _last_head[key] = (
-            prompt_text[:cut], *_digest_head(model.model_id, t, prompt_text[:cut])
-        )
-    head_text, head, tail = last
+        entry = _head_entry(model, prompt_text)
+        _last_call = (model, entry)
+    _, cut, head, tail = entry
+    # With ensure_ascii=False JSON escapes only ASCII characters: the quote, the
+    # backslash and the control characters. Multi-byte UTF-8 sequences hold no
+    # ASCII byte, so the encoded rest is escaped in place when "\n" is its only
+    # control character; any other one takes encode_basestring.
+    rest = prompt_text[cut:].encode("utf-8")
+    if len(rest.translate(None, _RARE_ESCAPES)) == len(rest):
+        rest = rest.replace(b"\\", b"\\\\").replace(b'"', b'\\"').replace(b"\n", b"\\n")
+    else:
+        rest = encode_basestring(prompt_text[cut:])[1:-1].encode("utf-8")
     h = head.copy()
-    h.update(encode_basestring(prompt_text[len(head_text):])[1:].encode("utf-8"))
+    h.update(rest)
     h.update(tail)
     return h.hexdigest()
 
 
 def estimate_tokens(text: str) -> int:
-    """Crude fallback when the provider reports no usage: ceil(chars / 4)."""
-    return max(1, math.ceil(len(text) / 4))
+    """Crude fallback when the provider reports no usage: ceil(chars / 4), at least 1."""
+    return (len(text) + 3) // 4 or 1
 
 
 # ---------------------------------------------------------------------------
@@ -249,8 +275,9 @@ class CompletionCache:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ProviderResult:
+class ProviderResult(NamedTuple):
+    """One reply; a named tuple, as it is built per call (see RenderedPrompt)."""
+
     response_text: str
     input_tokens: int | None
     output_tokens: int | None
@@ -286,12 +313,18 @@ class OracleProvider:
             raise LlmError(
                 f"oracle has no gold for transcript {prompt.transcript_id!r}"
             ) from None
-        entries = prompt.expected_entries
-        if prompt.expected_output.kind.startswith("thread"):
-            lines = [f"{i} {spk} [respond line = {g.thread[i].surface()}]" for i, spk in entries]
+        thread = prompt.expected_output.kind.startswith("thread")
+
+        def line(i: int, spk: str) -> str:
+            if thread:
+                return f"{i} {spk} [respond line = {g.thread[i].surface()}]"
+            return f"{i} {spk} {g.codes_at(i).to_string()}"
+
+        if prompt.target_index is not None:  # a window prompt: its one line
+            text = line(prompt.target_index, prompt.target_speaker)
         else:
-            lines = [f"{i} {spk} {g.codes_at(i).to_string()}" for i, spk in entries]
-        return ProviderResult("\n".join(lines), None, None, 0)
+            text = "\n".join([line(i, spk) for i, spk in prompt.expected_entries])
+        return ProviderResult(text, None, None, 0)
 
 
 class ReplayProvider:
@@ -449,14 +482,19 @@ def complete(
     """Run one completion through the cache, then the provider.
 
     A cache hit never reaches the provider. Missing token usage is estimated
-    from character counts and flagged as such on the record.
+    from character counts and flagged as such on the record. An LlmError from
+    the provider carries the prompt's digest as ``prompt_hash``.
     """
     h = prompt_digest(model, prompt.text)
     if cache is not None:
         hit = cache.get(h)
         if hit is not None:
             return hit
-    result = provider.send(prompt, model, h)
+    try:
+        result = provider.send(prompt, model, h)
+    except LlmError as exc:
+        exc.prompt_hash = h
+        raise
     estimated = result.input_tokens is None or result.output_tokens is None
     # Positional arguments: a window run builds one record per utterance.
     record = CompletionRecord(

@@ -15,7 +15,7 @@ import re
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .corpus import GoldAnnotations, ThreadLabel, Transcript, Utterance, format_timestamp
 from .schema import FileError, decoded, read
@@ -137,9 +137,12 @@ def _block(lines: Sequence[str | None], first: int) -> str:
 
     A None line raises MissingThreadLabel for its utterance.
     """
-    if None in lines:
-        raise MissingThreadLabel(first + lines.index(None))
-    return "\n".join(lines)
+    try:
+        return "\n".join(lines)
+    except TypeError:
+        if None in lines:
+            raise MissingThreadLabel(first + lines.index(None)) from None
+        raise
 
 
 # ---------------------------------------------------------------------------
@@ -154,14 +157,15 @@ class OutputContract:
     kind: str
 
 
-@dataclass(frozen=True)
-class RenderedPrompt:
+class RenderedPrompt(NamedTuple):
     """Prompt text plus the metadata needed to parse and attribute the response.
 
     ``expected_entries`` are the (index, speaker) pairs the response must
     label, in order: a window prompt's one target, or every utterance of a
     block prompt's transcript. ``target_index``/``target_speaker`` repeat a
-    window prompt's target and are None on block prompts.
+    window prompt's target and are None on block prompts. A named tuple, as
+    a window run builds one per call and a frozen dataclass's per-field
+    ``object.__setattr__`` shows there.
     """
 
     text: str
@@ -194,16 +198,15 @@ def render_window(
     thread label that is missing and raises MissingThreadLabel. ``n`` is the
     configured window size, which ``thread_window`` states.
     """
+    # Each template reads the names it declares; only the timestamp costs work.
     values: dict[str, object] = {
-        "transcript_block": _block(lines, target.index - len(lines) + 1)
+        "transcript_block": _block(lines, target.index - len(lines) + 1),
+        "window_n": n,
+        "target_speaker": target.speaker,
+        "target_text": target.text,
     }
-    if template_id == "thread_window":
-        values["window_n"] = n
-    elif template_id != "baseline_qamar":
-        values["target_speaker"] = target.speaker
-        values["target_text"] = target.text
-        if template_id != "baseline_lee":
-            values["target_timestamp"] = format_timestamp(target.timestamp_ms)
+    if "target_timestamp" in TEMPLATE_VARIABLES[template_id]:
+        values["target_timestamp"] = format_timestamp(target.timestamp_ms)
     text = _fill(template_id, template_dir, values)
     contract = _THREAD_LINE if template_id == "thread_window" else _CODE_LINE
     return RenderedPrompt(

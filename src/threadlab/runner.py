@@ -36,10 +36,10 @@ from .llm import (
     RateLimited,
     TransportError,
     complete,
-    prompt_digest,
+    prompt_digest,  # noqa: F401  (perfbench/spans.py patches runner.prompt_digest)
 )
 from .metrics import PARSE_ERROR_LABEL
-from .schema import FileError, MalformedRecord, as_fields, build, from_fields, objects, read
+from .schema import FileError, MalformedRecord, as_fields, build_typed, from_fields, objects, read
 # make_window stays importable from here: perfbench/spans.py patches runner.make_window.
 from .windowing import WindowConfig, context_slice, make_window  # noqa: F401
 
@@ -185,7 +185,7 @@ class RunLog:
         for line_no, d in objects(text):
             kind = d.pop("kind", None)
             if kind == "record":
-                records.append(build(UtteranceRecord, line_no, d))
+                records.append(build_typed(UtteranceRecord, line_no, d))
             else:
                 lines[kind] = line_no, d
         if "meta" not in lines:
@@ -449,44 +449,50 @@ def _run(
             if lost.is_set():
                 break
             p = render(t, target, lines)
-            entries = p.expected_entries
             fed = _FALLBACK_LABEL
             try:
                 rec = complete(p, spec.model, provider, cache)
             except _FAULTS as exc:
-                h = prompt_digest(spec.model, p.text)
-                done = [
-                    UtteranceRecord(tid, i, h, PARSE_ERROR_LABEL, gold_of(g, i), ok=False,
-                                    fail_reason=type(exc).__name__)
-                    for i, _ in entries
-                ]
+                records.extend(
+                    UtteranceRecord(tid, i, exc.prompt_hash, PARSE_ERROR_LABEL, gold_of(g, i),
+                                    ok=False, fail_reason=type(exc).__name__)
+                    for i, _ in p.expected_entries
+                )
             else:
                 input_tokens += rec.input_tokens
                 output_tokens += rec.output_tokens
-                if p.target_index is None:
+                if target is None:
                     outcomes = outparse.parse_block_response(
-                        rec.response_text, entries, block_kind, mode
+                        rec.response_text, p.expected_entries, block_kind, mode
                     ).outcomes
-                else:
-                    outcomes = (parse_line(rec.response_text, *entries[0], mode),)
-                    if outcomes[0].ok and feedback == "self":
-                        fed = outcomes[0].value.label.normalized()
-                # Positional arguments: this builds one record per utterance.
-                done = [
-                    UtteranceRecord(
-                        tid, i, rec.prompt_hash,
-                        parsed_label(o.value).canonical() if o.ok else PARSE_ERROR_LABEL,
-                        gold_of(g, i), o.ok, o.reason,
-                        rec.input_tokens, rec.output_tokens, rec.latency_ms,
+                    # Positional arguments: this builds one record per utterance.
+                    records.extend(
+                        UtteranceRecord(
+                            tid, i, rec.prompt_hash,
+                            parsed_label(o.value).canonical() if o.ok else PARSE_ERROR_LABEL,
+                            gold_of(g, i), o.ok, o.reason,
+                            rec.input_tokens, rec.output_tokens, rec.latency_ms,
+                        )
+                        for (i, _), o in zip(p.expected_entries, outcomes)
                     )
-                    for (i, _), o in zip(entries, outcomes)
-                ]
+                else:
+                    o = parse_line(rec.response_text, target, p.target_speaker, mode)
+                    if o.ok:
+                        label = parsed_label(o.value)
+                        predicted = label.canonical()
+                        if feedback == "self":
+                            fed = label.normalized()
+                    else:
+                        predicted = PARSE_ERROR_LABEL
+                    records.append(UtteranceRecord(
+                        tid, target, rec.prompt_hash, predicted, gold_of(g, target), o.ok,
+                        o.reason, rec.input_tokens, rec.output_tokens, rec.latency_ms,
+                    ))
             if feedback == "self":
                 # The fed-back label is the canonical form of the logged
                 # prediction, so the prompt stream is a pure function of the
                 # log; the target's line is rendered with it once, here.
                 lines.append(prompts.utterance_line(t.utterances[target - 1], fed))
-            records.extend(done)
         return records, input_tokens, output_tokens
 
     chains = _chains(spec, corpus, feedback == "self")
@@ -606,23 +612,31 @@ class EvalResult:
 
     @classmethod
     def from_dict(cls, d: Mapping) -> "EvalResult":
+        """The report of :meth:`as_dict`; a missing or misshapen key raises ValueError."""
         def aggregate(a: Mapping) -> metrics.AggregateReport:
             return metrics.AggregateReport(**{
                 k: from_fields(metrics.MetricSummary, v) if isinstance(v, Mapping) else v
                 for k, v in a.items()
             })
 
-        slices = d.get("slices")
-        return from_fields(cls, {
-            **d,
-            "per_conversation": {
-                tid: metrics.MetricReport(**rep) for tid, rep in d["per_conversation"].items()
-            },
-            "aggregate": aggregate(d["aggregate"]),
-            "slices": None if slices is None else {
-                tag: val if "error" in val else aggregate(val) for tag, val in slices.items()
-            },
-        })
+        if not isinstance(d, Mapping):
+            raise ValueError("eval report is not a JSON object")
+        try:
+            slices = d.get("slices")
+            return from_fields(cls, {
+                **d,
+                "per_conversation": {
+                    tid: metrics.MetricReport(**rep) for tid, rep in d["per_conversation"].items()
+                },
+                "aggregate": aggregate(d["aggregate"]),
+                "slices": None if slices is None else {
+                    tag: val if "error" in val else aggregate(val) for tag, val in slices.items()
+                },
+            })
+        except KeyError as exc:
+            raise ValueError(f"missing key {exc}") from None
+        except (AttributeError, TypeError) as exc:
+            raise ValueError(f"misshapen eval report: {exc}") from None
 
     def to_json(self) -> str:
         return json.dumps(self.as_dict(), default=as_fields, sort_keys=True, indent=2) + "\n"

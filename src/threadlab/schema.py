@@ -12,7 +12,7 @@ import json
 from dataclasses import fields
 from functools import cache
 from pathlib import Path
-from typing import Callable, Iterator, Mapping, TypeVar
+from typing import Callable, Iterator, Mapping, TypeVar, get_args, get_type_hints
 
 T = TypeVar("T")
 
@@ -89,9 +89,26 @@ def build(cls: type[T], line_no: int, d: Mapping) -> T:
         raise MalformedRecord(line_no, str(exc)) from None
 
 
+def build_typed(cls: type[T], line_no: int, d: Mapping) -> T:
+    """:func:`build`, and a value whose JSON type is not its field's raises too."""
+    record = build(cls, line_no, d)
+    types = _types(cls)
+    for name, value in d.items():
+        if type(value) not in types[name]:
+            expected = " or ".join(t.__name__ for t in types[name])
+            raise MalformedRecord(line_no, f"{name} is {value!r}, expected {expected}")
+    return record
+
+
 @cache
 def _names(cls: type) -> tuple[str, ...]:
     return tuple(f.name for f in fields(cls))
+
+
+@cache
+def _types(cls: type) -> dict[str, tuple[type, ...]]:
+    """Each field's types: its annotation, or the members of a union such as ``str | None``."""
+    return {name: get_args(t) or (t,) for name, t in get_type_hints(cls).items()}
 
 
 def as_fields(record) -> dict:

@@ -341,6 +341,15 @@ RUN_FILE_FAULTS = {
         "runs/{run}/eval.json", lambda data: data[:100], "report --runs {run} --out {tmp}",
         "line 7: invalid JSON: Expecting value",
     ),
+    "eval.json of the wrong shape": (
+        "runs/{run}/eval.json", lambda data: b"{}", "report --runs {run} --out {tmp}",
+        "missing key 'per_conversation'",
+    ),
+    "log value of the wrong type": (
+        "runs/{run}/log.jsonl", lambda data: data.replace(b'"index": 1,', b'"index": "x",', 1),
+        "eval --run {run} --out {tmp}",
+        "line 2: index is 'x', expected int",
+    ),
 }
 
 

@@ -32,6 +32,8 @@ from threadlab.corpus import (
     validate_thread_graph,
 )
 
+from threadlab.schema import as_fields
+
 from conftest import FIXTURES
 
 README = FIXTURES.parent.parent / "README.md"
@@ -67,6 +69,31 @@ def test_respond_line_canonical_sorts_and_strips_space():
 def test_respond_line_rejects_bad_syntax(raw):
     with pytest.raises(ValueError):
         parse_respond_line(raw)
+
+
+@pytest.mark.parametrize("raw, surface, canonical", [
+    ("-", "-", "-"), ("24", "24", "24"), (" 24 ", "24", "24"), ("(24, -)", "(24, -)", "(24,-)"),
+    ("(-, 24)", "(-, 24)", "(24,-)"), ("(9, 3)", "(9, 3)", "(3,9)"), ("(3,9)", "(3, 9)", "(3,9)"),
+])
+def test_interned_labels_render_as_fresh_ones(raw, surface, canonical):
+    # A repeated string returns the one interned label, which renders, compares,
+    # hashes and prints like a label built from scratch.
+    label = parse_respond_line(raw)
+    assert parse_respond_line(raw) is label
+    for _ in range(2):  # the first call computes each rendering, the second reads it back
+        assert (label.surface(), label.canonical()) == (surface, canonical)
+    fresh = ThreadLabel(label.targets)
+    assert label == fresh and hash(label) == hash(fresh) and repr(label) == repr(fresh)
+    assert (fresh.surface(), fresh.canonical()) == (surface, canonical)
+    assert as_fields(label) == as_fields(fresh) == {"targets": label.targets}
+    assert label.normalized().canonical() == canonical
+
+
+@pytest.mark.parametrize("raw", ["(-, -)", "x", ""])
+def test_a_bad_label_raises_on_every_call(raw):
+    for _ in range(3):
+        with pytest.raises(ValueError):
+            parse_respond_line(raw)
 
 
 def test_thread_label_constraints():

@@ -1,11 +1,13 @@
 import hashlib
 import json
 import math
+import random
 import re
 import sys
 import threading
 from contextlib import contextmanager
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from json.encoder import encode_basestring
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -363,6 +365,30 @@ def test_prompt_digest_equals_its_formula(model_id, temperature, head, tails):
         assert prompt_digest(model, prompt) == reference_digest(model, prompt)
 
 
+# The characters the in-place escape must get right, and those it leaves to
+# encode_basestring: the tab, CR and NUL are control characters other than "\n".
+_FAST_CHARS = ['"', "\\", "\n", "\u0085", "\u2028", "é", "\U0001F600", "a", " ", "{"]
+_SLOW_CHARS = ["\t", "\r", "\x00"]
+
+
+@pytest.mark.parametrize("slow", [False, True], ids=["in-place escape", "encode_basestring"])
+@pytest.mark.parametrize("head", ["", "Label the line.\t \"Why\"\n"], ids=["no head", "head"])
+def test_prompt_digest_equals_its_formula_on_both_routes(monkeypatch, slow, head):
+    escaped = []  # texts given to encode_basestring, head aside
+    monkeypatch.setattr(llm, "encode_basestring",
+                        lambda text: escaped.append(text) or encode_basestring(text))
+    rng = random.Random(20261018)
+    model = ModelConfig(model_id="m")
+    for _ in range(200):
+        tail = rng.choices(_FAST_CHARS, k=rng.randrange(60))
+        if slow:
+            tail.insert(rng.randrange(len(tail) + 1), rng.choice(_SLOW_CHARS))
+        prompt = head + MARKER + "".join(tail) if head else "".join(tail)
+        escaped.clear()
+        assert prompt_digest(model, prompt) == reference_digest(model, prompt), prompt
+        assert [text for text in escaped if text != head] == ([prompt[len(head):]] if slow else [])
+
+
 def test_prompt_digest_tells_equal_temperatures_apart():
     # 0 == 0.0 == -0.0, but each encodes differently in the request JSON.
     prompt = "head " + MARKER + " tail"
@@ -403,18 +429,21 @@ def test_prompt_digest_shared_head_state_under_threads():
 
 
 def test_prompt_digest_alternating_heads_under_threads():
-    # Threads switch the last head back and forth; each must hash its prompt
-    # with the state of its own head.
-    model = ModelConfig(model_id="m-alternating")
+    # Threads switch the last head and the last model back and forth; each must
+    # hash its prompt with the state of its own head and model. The two models
+    # compare equal, but 0.0 and -0.0 encode differently in the request JSON.
+    models = [ModelConfig(model_id="m-alternating", temperature=t) for t in (0.0, -0.0)]
     prompts = [f"head {i % 2} {MARKER}\n#{i} A: line {i}" for i in range(40)]
-    expected = [reference_digest(model, p) for p in prompts]
+    model_of = [models[i // 2 % 2] for i in range(len(prompts))]
+    expected = [reference_digest(m, p) for m, p in zip(model_of, prompts)]
+    assert len(set(expected[:4])) == 4
     bad: list[int] = []
 
     def work(offset):
         for _ in range(25):
             for i in range(len(prompts)):
                 j = (i + offset) % len(prompts)
-                if prompt_digest(model, prompts[j]) != expected[j]:
+                if prompt_digest(model_of[j], prompts[j]) != expected[j]:
                     bad.append(j)
 
     old = sys.getswitchinterval()

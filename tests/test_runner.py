@@ -390,6 +390,38 @@ def test_provider_faults_cost_only_their_records(bundled, name, data):
         )
 
 
+class RateLimitedProvider:
+    name = "throttled"
+
+    def send(self, prompt, model, prompt_hash):
+        raise RateLimited("still throttled")
+
+
+@pytest.mark.parametrize("strategy", ["window", "all_at_once"])
+def test_a_faulted_prompt_is_hashed_once(bundled, monkeypatch, strategy):
+    # complete() hashes the prompt and the fault carries that hash to the record.
+    import threadlab.llm
+    import threadlab.runner
+
+    digests = []
+
+    def counting(model, text):
+        digests.append(prompt_digest(model, text))
+        return digests[-1]
+
+    monkeypatch.setattr(threadlab.llm, "prompt_digest", counting)
+    monkeypatch.setattr(threadlab.runner, "prompt_digest", counting)
+    spec = _spec(strategy=strategy, window=WindowConfig(n=5) if strategy == "window" else None)
+    log = run_threading(spec, bundled, RateLimitedProvider(), concurrency=1)
+    n = len(bundled["ws01"][0])
+    assert len(digests) == (n if strategy == "window" else 1)
+    assert all(r.fail_reason == "RateLimited" for r in log.records)
+    if strategy == "window":
+        assert [r.prompt_hash for r in log.records] == digests
+    else:
+        assert {r.prompt_hash for r in log.records} == set(digests)
+
+
 class SlowProvider:
     """Gold after a short sleep, recording the peak number of sends in flight."""
 
