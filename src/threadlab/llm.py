@@ -135,34 +135,16 @@ def _digest_head(model_id: str, temperature: float, head: str) -> tuple[hashlib.
     return state, ('", "temperature": ' + json.dumps(temperature) + "}").encode("utf-8")
 
 
-# The head last hashed for each (model id, temperature, temperature repr): its
-# text, length, _digest_head state and tail. A run's prompts share one head, so
-# most calls check it in place instead of hashing it again. The state is shared
-# by every caller, across threads: copy it, never update it. The repr is part of
-# the key because 0.0 == -0.0 (and 0 == 0.0) while their JSON differs.
-_last_head: dict[tuple[str, float, str], tuple[str, int, hashlib._Hash, bytes]] = {}
-# The last call's model and _last_head entry: a run's calls find the entry by
-# the model's identity, without building the key.
-_last_call: tuple[ModelConfig | None, tuple[str, int, hashlib._Hash, bytes] | None] = (None, None)
+# The last call's model and the head its prompt started with: the head's text,
+# length, _digest_head state and tail. A run's prompts share one head and one
+# ModelConfig, so most calls check the head in place instead of hashing it
+# again. The model is matched by identity: ModelConfig is frozen, so the same
+# object means the same model id and temperature (0.0 and -0.0, equal but
+# written differently, are separate objects). The slot is swapped whole and its
+# state is shared across threads: copy it, never update it.
+_last: tuple[ModelConfig | None, str, int, hashlib._Hash | None, bytes] = (None, "", 0, None, b"")
 # UTF-8 bytes that JSON escapes other than the quote, the backslash and "\n".
 _RARE_ESCAPES = bytes(b for b in range(0x20) if b != 0x0A)
-
-
-def _head_entry(model: ModelConfig, prompt_text: str) -> tuple[str, int, hashlib._Hash, bytes]:
-    """The _last_head entry that ``prompt_text`` starts with, hashing its head if it is new."""
-    t = model.temperature
-    key = (model.model_id, t, repr(t))
-    entry = _last_head.get(key)
-    if entry is None or not (
-        prompt_text.startswith(entry[0]) and prompt_text.startswith(TRANSCRIPT_START, entry[1])
-    ):
-        cut = max(prompt_text.find(TRANSCRIPT_START), 0)
-        if len(_last_head) >= 32:  # a few models per process; stay bounded for more
-            _last_head.clear()
-        entry = _last_head[key] = (
-            prompt_text[:cut], cut, *_digest_head(model.model_id, t, prompt_text[:cut])
-        )
-    return entry
 
 
 def prompt_digest(model: ModelConfig, prompt_text: str) -> str:
@@ -178,14 +160,17 @@ def prompt_digest(model: ModelConfig, prompt_text: str) -> str:
     # every prompt of a run. The marker cannot overlap itself, so a prompt that
     # starts with the last head and has the marker right after it has its first
     # marker there.
-    global _last_call
-    last_model, entry = _last_call
-    if last_model is not model or not (
-        prompt_text.startswith(entry[0]) and prompt_text.startswith(TRANSCRIPT_START, entry[1])
+    global _last
+    last = _last
+    if last[0] is not model or not (
+        prompt_text.startswith(last[1]) and prompt_text.startswith(TRANSCRIPT_START, last[2])
     ):
-        entry = _head_entry(model, prompt_text)
-        _last_call = (model, entry)
-    _, cut, head, tail = entry
+        cut = max(prompt_text.find(TRANSCRIPT_START), 0)
+        head_text = prompt_text[:cut]
+        last = _last = (
+            model, head_text, cut, *_digest_head(model.model_id, model.temperature, head_text)
+        )
+    _, _, cut, head, tail = last
     # With ensure_ascii=False JSON escapes only ASCII characters: the quote, the
     # backslash and the control characters. Multi-byte UTF-8 sequences hold no
     # ASCII byte, so the encoded rest is escaped in place when "\n" is its only

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import combinations
 from typing import Sequence
 
@@ -97,21 +96,15 @@ _CODE_SETS = {
 }
 
 
-@lru_cache(maxsize=1024)
-def _plain_speaker(speaker: str) -> bool:
-    """Whether every line regex reads ``speaker`` whole: it is printable, not
-    empty, and holds no bracket and no edge space. A transcript has few speakers."""
-    return (bool(speaker) and speaker == speaker.strip() and "[" not in speaker
-            and "]" not in speaker and speaker.isprintable())
-
-
 def _head(index: int, speaker: str, kind: str) -> str | None:
     """The instructed line for (index, speaker) up to its payload, or None.
 
     None unless every line regex reads that line as exactly this index and
-    speaker: the index is not negative and the speaker is plain.
+    speaker: the index is not negative, and the speaker is printable, not
+    empty, and holds no bracket and no edge space.
     """
-    if index < 0 or not _plain_speaker(speaker):
+    if (index < 0 or not speaker or speaker != speaker.strip() or "[" in speaker
+            or "]" in speaker or not speaker.isprintable()):
         return None
     return f"{index} {speaker} {_OPENERS[kind]}"
 
@@ -188,8 +181,7 @@ def _finish(
 def _parse_line(
     kind: str, raw: str, expected_index: int, expected_speaker: str, strictness: str
 ) -> ParseOutcome:
-    if strictness not in STRICTNESS_LEVELS:  # tested in place: this runs once per window
-        _check_strictness(strictness)
+    _check_strictness(strictness)
     line = raw.strip()
     head = _head(expected_index, expected_speaker, kind)
     payload = None if head is None else _read(line, head)

@@ -137,12 +137,9 @@ def _block(lines: Sequence[str | None], first: int) -> str:
 
     A None line raises MissingThreadLabel for its utterance.
     """
-    try:
-        return "\n".join(lines)
-    except TypeError:
-        if None in lines:
-            raise MissingThreadLabel(first + lines.index(None)) from None
-        raise
+    if None in lines:
+        raise MissingThreadLabel(first + lines.index(None))
+    return "\n".join(lines)
 
 
 # ---------------------------------------------------------------------------
@@ -163,9 +160,10 @@ class RenderedPrompt(NamedTuple):
     ``expected_entries`` are the (index, speaker) pairs the response must
     label, in order: a window prompt's one target, or every utterance of a
     block prompt's transcript. ``target_index``/``target_speaker`` repeat a
-    window prompt's target and are None on block prompts. A named tuple, as
-    a window run builds one per call and a frozen dataclass's per-field
-    ``object.__setattr__`` shows there.
+    window prompt's target and are None on block prompts. A named tuple: a
+    window run builds one per call, and a frozen dataclass's per-field
+    ``object.__setattr__`` shows in the window/all-at-once cost ratio. Like
+    any tuple it also indexes, iterates and equals a plain tuple of its values.
     """
 
     text: str
@@ -198,15 +196,16 @@ def render_window(
     thread label that is missing and raises MissingThreadLabel. ``n`` is the
     configured window size, which ``thread_window`` states.
     """
-    # Each template reads the names it declares; only the timestamp costs work.
     values: dict[str, object] = {
-        "transcript_block": _block(lines, target.index - len(lines) + 1),
-        "window_n": n,
-        "target_speaker": target.speaker,
-        "target_text": target.text,
+        "transcript_block": _block(lines, target.index - len(lines) + 1)
     }
-    if "target_timestamp" in TEMPLATE_VARIABLES[template_id]:
-        values["target_timestamp"] = format_timestamp(target.timestamp_ms)
+    if template_id == "thread_window":
+        values["window_n"] = n
+    elif template_id != "baseline_qamar":
+        values["target_speaker"] = target.speaker
+        values["target_text"] = target.text
+        if template_id != "baseline_lee":
+            values["target_timestamp"] = format_timestamp(target.timestamp_ms)
     text = _fill(template_id, template_dir, values)
     contract = _THREAD_LINE if template_id == "thread_window" else _CODE_LINE
     return RenderedPrompt(

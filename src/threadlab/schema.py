@@ -9,10 +9,11 @@ file read is a FileError whose message starts with the path and the line.
 from __future__ import annotations
 
 import json
+import types
 from dataclasses import fields
 from functools import cache
 from pathlib import Path
-from typing import Callable, Iterator, Mapping, TypeVar, get_args, get_type_hints
+from typing import Callable, Iterator, Mapping, TypeVar, Union, get_args, get_origin, get_type_hints
 
 T = TypeVar("T")
 
@@ -105,10 +106,27 @@ def _names(cls: type) -> tuple[str, ...]:
     return tuple(f.name for f in fields(cls))
 
 
+# The types a JSON scalar reads back as; build_typed checks only fields of these.
+_SCALARS = (str, int, float, bool, type(None))
+
+
 @cache
 def _types(cls: type) -> dict[str, tuple[type, ...]]:
-    """Each field's types: its annotation, or the members of a union such as ``str | None``."""
-    return {name: get_args(t) or (t,) for name, t in get_type_hints(cls).items()}
+    """Each field's types: its annotation, or the members of a union such as ``str | None``.
+
+    Any other annotation, a list or tuple among them, raises TypeError: a JSON
+    array needs more than a type check, so such a field must fail loudly here
+    rather than reject every record that holds it.
+    """
+    out = {}
+    for name, t in get_type_hints(cls).items():
+        members = get_args(t) if get_origin(t) in (Union, types.UnionType) else (t,)
+        if not all(m in _SCALARS for m in members):
+            raise TypeError(
+                f"build_typed checks only JSON scalar fields, not {cls.__name__}.{name}: {t}"
+            )
+        out[name] = members
+    return out
 
 
 def as_fields(record) -> dict:

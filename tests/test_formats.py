@@ -20,7 +20,7 @@ from threadlab.llm import (
     TransportError,
 )
 from threadlab.runner import ExperimentSpec, RunLog, run_threading
-from threadlab.schema import MalformedRecord
+from threadlab.schema import MalformedRecord, build_typed
 from threadlab.windowing import WindowConfig
 
 SPEC_KEYS = ["task", "strategy", "model", "transcripts", "window", "shots", "shot_ids",
@@ -105,6 +105,26 @@ def test_run_log_line_with_an_unknown_key_raises(bundled, line):
     lines[line]["note"] = "x"
     with pytest.raises((TypeError, ValueError), match="note"):
         _from_lines(lines)
+
+
+@pytest.mark.parametrize("key, value", [("index", "x"), ("ok", 1), ("fail_reason", 3)])
+def test_run_log_record_value_of_the_wrong_type_raises(bundled, key, value):
+    lines = _log_lines(bundled)
+    lines[1][key] = value
+    with pytest.raises(MalformedRecord, match=rf"^line 2: {key} is {value!r}, expected "):
+        _from_lines(lines)
+
+
+@dataclasses.dataclass
+class _Listed:
+    name: str | None
+    parts: tuple[str, ...]
+
+
+def test_build_typed_refuses_a_field_it_cannot_check():
+    # A tuple field read as its members' union would reject every JSON list.
+    with pytest.raises(TypeError, match="_Listed.parts"):
+        build_typed(_Listed, 1, {"name": None, "parts": ["a"]})
 
 
 def test_cache_line_keys_keep_their_order(tmp_path):
