@@ -285,8 +285,14 @@ class CodeSet:
         return cls(frozenset(letters))
 
     @classmethod
+    @lru_cache(maxsize=1024)
     def from_string(cls, raw: str) -> "CodeSet":
-        """Parse the bracketed form: ``[A, C]``, ``[E]``, or ``[]``."""
+        """Parse the bracketed form: ``[A, C]``, ``[E]``, or ``[]``.
+
+        Code sets are interned: a gold file repeats the same few strings (there
+        are only 32 code sets), so each string is parsed once. Errors are not
+        cached.
+        """
         s = raw.strip()
         if not (s.startswith("[") and s.endswith("]")):
             raise ValueError(f"code set must be bracketed, got {raw!r}")
@@ -416,14 +422,22 @@ def format_timestamp(ms: int) -> str:
 # ---------------------------------------------------------------------------
 
 _TRANSCRIPT_FIELDS = ("index", "timestamp", "speaker", "text")
+# The clock form every serialized transcript uses; any other timestamp takes parse_timestamp.
+_TS_HMS_RE = re.compile(r"[0-9]{2}:[0-5][0-9]:[0-5][0-9]")
 
 
-def _record_index(line_no: int, rec: dict, seen: Container[int]) -> int:
-    """The record's ``index``; one that is not an integer or is already in ``seen`` raises."""
-    try:
-        index = int(rec["index"])
-    except (TypeError, ValueError):
-        raise MalformedRecord(line_no, f"bad index {rec['index']!r}") from None
+def _record_index(line_no: int, raw: object, seen: Container[int]) -> int:
+    """``raw``, a record's ``index``: an integer, an integral float or a string
+    holding an integer, as an int. Anything else, a bool or ``1.7`` among them,
+    raises, and so does an index already in ``seen``."""
+    index = raw
+    if type(raw) is not int:
+        try:
+            if isinstance(raw, bool) or (isinstance(raw, float) and not raw.is_integer()):
+                raise ValueError
+            index = int(raw)
+        except (TypeError, ValueError):
+            raise MalformedRecord(line_no, f"bad index {raw!r}") from None
     if index in seen:
         raise DuplicateIndex(index)
     return index
@@ -437,40 +451,47 @@ def parse_transcript(
     """Parse a transcript file body.
 
     Source indices must be unique and timestamps non-decreasing; indices are
-    then renumbered 1..n in file order.
+    then renumbered 1..n in file order. A record fault raises before a
+    decreasing timestamp does, wherever the two are in the file.
     """
-    rows: list[tuple[int, str, str]] = []
+    utterances: list[Utterance] = []
     seen_indices: set[int] = set()
+    prev_ts = 0
+    decrease = None  # the position of the first timestamp that decreases
     for line_no, rec in objects(source):
-        missing = [f for f in _TRANSCRIPT_FIELDS if f not in rec]
-        if missing:
-            raise MalformedRecord(line_no, f"missing fields: {', '.join(missing)}")
-        seen_indices.add(_record_index(line_no, rec, seen_indices))
         try:
-            ts = parse_timestamp(rec["timestamp"])
-        except ValueError as exc:
-            raise MalformedRecord(line_no, str(exc)) from None
-        speaker = str(rec["speaker"]).strip()
+            index, ts, speaker, text = rec["index"], rec["timestamp"], rec["speaker"], rec["text"]
+        except KeyError:
+            missing = [f for f in _TRANSCRIPT_FIELDS if f not in rec]
+            raise MalformedRecord(line_no, f"missing fields: {', '.join(missing)}") from None
+        seen_indices.add(_record_index(line_no, index, seen_indices))
+        if type(ts) is str and _TS_HMS_RE.fullmatch(ts):
+            ts = (int(ts[:2]) * 3600 + int(ts[3:5]) * 60 + int(ts[6:])) * 1000
+        else:
+            try:
+                ts = parse_timestamp(ts)
+            except ValueError as exc:
+                raise MalformedRecord(line_no, str(exc)) from None
+        # A number reads as its JSON text; a null is no speaker or text at all.
+        if speaker is None or text is None:
+            raise MalformedRecord(line_no, "speaker is null" if speaker is None else "text is null")
+        speaker = str(speaker).strip()
         if not speaker:
             raise MalformedRecord(line_no, "empty speaker")
-        text = str(rec["text"])
+        text = str(text)
         # A JSON escape can give half a surrogate pair, which no prompt can carry.
-        for field, value in (("speaker", speaker), ("text", text)):
-            if value.isascii():
-                continue
-            try:
-                value.encode("utf-8")
-            except UnicodeEncodeError:
-                raise MalformedRecord(line_no, f"{field} is not valid Unicode text") from None
-        rows.append((ts, speaker, text))
-
-    utterances = []
-    prev_ts = None
-    for pos, (ts, speaker, text) in enumerate(rows, start=1):
-        if prev_ts is not None and ts < prev_ts:
-            raise NonMonotonicTimestamp(pos)
+        if not (speaker.isascii() and text.isascii()):
+            for field, value in (("speaker", speaker), ("text", text)):
+                try:
+                    value.encode("utf-8")
+                except UnicodeEncodeError:
+                    raise MalformedRecord(line_no, f"{field} is not valid Unicode text") from None
+        if ts < prev_ts and decrease is None:
+            decrease = len(utterances) + 1
         prev_ts = ts
-        utterances.append(Utterance(index=pos, timestamp_ms=ts, speaker=speaker, text=text))
+        utterances.append(Utterance(len(utterances) + 1, ts, speaker, text))
+    if decrease is not None:
+        raise NonMonotonicTimestamp(decrease)
     return Transcript(id=transcript_id, utterances=tuple(utterances), scenario=scenario)
 
 
@@ -506,7 +527,7 @@ def parse_gold(
     for line_no, rec in objects(source):
         if "index" not in rec or "respond_line" not in rec:
             raise MalformedRecord(line_no, "missing index or respond_line")
-        idx = _record_index(line_no, rec, thread)
+        idx = _record_index(line_no, rec["index"], thread)
         raw_label = str(rec["respond_line"])
         try:
             label = parse_respond_line(raw_label)

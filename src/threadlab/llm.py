@@ -25,7 +25,7 @@ import requests
 
 from .corpus import GoldAnnotations
 from .prompts import TRANSCRIPT_START, RenderedPrompt
-from .schema import as_fields, build, objects, read
+from .schema import as_fields, build_typed, objects, read
 
 DEFAULT_TEMPERATURE = 0.0
 
@@ -218,12 +218,13 @@ class CompletionCache:
     def _load(self, data: bytes) -> None:
         # put() ends every record with a newline: bytes after the last one are an
         # append cut short (a run killed mid-write), dropped here and cut off the
-        # file by the next put. A bad line before the last newline raises.
+        # file by the next put. A bad line before the last newline raises, and
+        # so does a value of the wrong JSON type, before any run reads it.
         end = data.rfind(b"\n") + 1
         if end < len(data):
             self._truncate_to = end
         for line_no, d in objects(data[:end]):
-            rec = build(CompletionRecord, line_no, d)
+            rec = build_typed(CompletionRecord, line_no, d)
             self._records[rec.prompt_hash] = rec
 
     def __len__(self) -> int:

@@ -12,6 +12,7 @@ import json
 import types
 from dataclasses import fields
 from functools import cache
+from json.scanner import make_scanner
 from pathlib import Path
 from typing import Callable, Iterator, Mapping, TypeVar, Union, get_args, get_origin, get_type_hints
 
@@ -67,33 +68,51 @@ def json_value(source: str | bytes):
         raise MalformedRecord(exc.lineno, f"invalid JSON: {exc.msg}") from None
 
 
+# json.loads's own scanner, called without its per-call wrappers.
+_scan = make_scanner(json.JSONDecoder())
+
+
 def objects(source: str | bytes) -> Iterator[tuple[int, dict]]:
     """(line number, object) for each non-blank line of JSONL text; only ``"\\n"``
     ends a line, as ``ensure_ascii=False`` leaves U+0085, U+2028 and U+2029 unescaped."""
     for line_no, line in enumerate(decoded(source).split("\n"), start=1):
-        if not line.strip():
-            continue
+        # An object that starts at the line's first character and ends at its
+        # last is what json.loads would return for the line. Any other line,
+        # blank, padded, not JSON or not an object, takes json.loads for its
+        # verdict and its error message.
         try:
-            rec = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise MalformedRecord(line_no, f"invalid JSON: {exc.msg}") from None
-        if not isinstance(rec, dict):
-            raise MalformedRecord(line_no, "record is not an object")
+            rec, end = _scan(line, 0)
+        except (StopIteration, ValueError):
+            rec, end = None, -1
+        if end != len(line) or type(rec) is not dict:
+            if not line.strip():
+                continue
+            try:
+                rec = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise MalformedRecord(line_no, f"invalid JSON: {exc.msg}") from None
+            if not isinstance(rec, dict):
+                raise MalformedRecord(line_no, "record is not an object")
         yield line_no, rec
 
 
-def build(cls: type[T], line_no: int, d: Mapping) -> T:
-    """``cls(**d)``, the record on line ``line_no``; a missing or unknown key raises."""
+def build_typed(cls: type[T], line_no: int, d: Mapping) -> T:
+    """``cls(**d)``, the record on line ``line_no``; a missing or unknown key, or a
+    value whose JSON type is not its field's, raises."""
+    types = _types(cls)
+    if tuple(d) == _names(cls):
+        # The keys are the fields in order, as every writer leaves them: check
+        # the values in one pass and build positionally. Any fault takes the
+        # route below, for its message.
+        for value, allowed in zip(d.values(), types.values()):
+            if type(value) not in allowed:
+                break
+        else:
+            return cls(*d.values())
     try:
-        return cls(**d)
+        record = cls(**d)
     except TypeError as exc:  # "... got an unexpected keyword argument 'x'", or "missing ..."
         raise MalformedRecord(line_no, str(exc)) from None
-
-
-def build_typed(cls: type[T], line_no: int, d: Mapping) -> T:
-    """:func:`build`, and a value whose JSON type is not its field's raises too."""
-    record = build(cls, line_no, d)
-    types = _types(cls)
     for name, value in d.items():
         if type(value) not in types[name]:
             expected = " or ".join(t.__name__ for t in types[name])
@@ -112,14 +131,17 @@ _SCALARS = (str, int, float, bool, type(None))
 
 @cache
 def _types(cls: type) -> dict[str, tuple[type, ...]]:
-    """Each field's types: its annotation, or the members of a union such as ``str | None``.
+    """Each field's types, in field order: its annotation, or the members of a
+    union such as ``str | None``.
 
     Any other annotation, a list or tuple among them, raises TypeError: a JSON
     array needs more than a type check, so such a field must fail loudly here
     rather than reject every record that holds it.
     """
     out = {}
-    for name, t in get_type_hints(cls).items():
+    hints = get_type_hints(cls)
+    for name in _names(cls):
+        t = hints[name]
         members = get_args(t) if get_origin(t) in (Union, types.UnionType) else (t,)
         if not all(m in _SCALARS for m in members):
             raise TypeError(

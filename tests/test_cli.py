@@ -300,6 +300,13 @@ def _line_2(new):
     return lambda data: b"\n".join([data.split(b"\n")[0], new, *data.split(b"\n")[2:]])
 
 
+def _cache_record(**changes):
+    """A cache line with the given fields changed."""
+    d = {"prompt_hash": "0" * 64, "response_text": "1 A [respond line = -]", "input_tokens": 12,
+         "output_tokens": 3, "latency_ms": 0, "provider": "oracle", "tokens_estimated": True}
+    return json.dumps({**d, **changes}).encode()
+
+
 RUN = "--provider oracle --model test-model --window 10 --transcripts ws01,cs01 --out {tmp}"
 # fault: (the file broken, its bytes from the old ones, the command then run,
 # the line it exits with); {tmp} is the test's directory and {run} the run id,
@@ -344,6 +351,21 @@ RUN_FILE_FAULTS = {
     "eval.json of the wrong shape": (
         "runs/{run}/eval.json", lambda data: b"{}", "report --runs {run} --out {tmp}",
         "missing key 'per_conversation'",
+    ),
+    "cache value of the wrong type": (
+        "c.jsonl", _line_2(_cache_record(input_tokens="12")),
+        f"thread {RUN} --config {{tmp}}/cache.json",
+        "line 2: input_tokens is '12', expected int",
+    ),
+    "cache value null": (
+        "c.jsonl", _line_2(_cache_record(response_text=None)),
+        f"thread {RUN} --config {{tmp}}/cache.json",
+        "line 2: response_text is None, expected str",
+    ),
+    "replay fixture value of the wrong type": (
+        "c.jsonl", _line_2(_cache_record(latency_ms=1.5)),
+        f"thread {RUN} --config {{tmp}}/replay.json".replace("oracle", "replay"),
+        "line 2: latency_ms is 1.5, expected int",
     ),
     "log value of the wrong type": (
         "runs/{run}/log.jsonl", lambda data: data.replace(b'"index": 1,', b'"index": "x",', 1),

@@ -180,6 +180,19 @@ def test_parse_transcript_nonmonotonic_timestamp():
     assert exc.value.index == 2
 
 
+def test_a_record_fault_raises_before_an_earlier_decreasing_timestamp():
+    src = _mk_jsonl(
+        [
+            {"index": 1, "timestamp": "00:00:05", "speaker": "A", "text": "one"},
+            {"index": 2, "timestamp": "00:00:01", "speaker": "B", "text": "two"},
+            {"index": 3, "timestamp": "00:00:06", "speaker": "", "text": "three"},
+        ]
+    )
+    with pytest.raises(MalformedRecord) as exc:
+        parse_transcript(src)
+    assert (exc.value.line_no, exc.value.reason) == (3, "empty speaker")
+
+
 def test_parse_transcript_missing_field():
     with pytest.raises(MalformedRecord):
         parse_transcript('{"index": 1, "timestamp": "00:00:01", "speaker": "A"}')
@@ -203,6 +216,57 @@ def test_parse_transcript_rejects_lone_surrogates(field):
         parse_transcript(src)
     assert exc.value.line_no == 2
     assert field in exc.value.reason
+
+
+@pytest.mark.parametrize("field", ["speaker", "text"])
+def test_parse_transcript_rejects_a_null_speaker_or_text(field):
+    rows = [{"index": 1, "timestamp": "00:00:01", "speaker": "A", "text": "one"},
+            {"index": 2, "timestamp": "00:00:02", "speaker": "B", "text": "two"}]
+    rows[1][field] = None
+    with pytest.raises(MalformedRecord) as exc:
+        parse_transcript(_mk_jsonl(rows))
+    assert (exc.value.line_no, exc.value.reason) == (2, f"{field} is null")
+
+
+def test_parse_transcript_reads_number_speaker_and_text_as_their_json_text():
+    t = parse_transcript(_mk_jsonl([{"index": 1, "timestamp": 0, "speaker": 7, "text": 2.5}]))
+    assert (t[1].speaker, t[1].text) == ("7", "2.5")
+
+
+@pytest.mark.parametrize("indices, line_no, bad", [
+    ([1.7], 1, "1.7"), ([1, 1.7, 1.2], 2, "1.7"), ([True], 1, "True"), ([1, "2.5"], 2, "'2.5'"),
+    ([float("inf")], 1, "inf"),
+])
+def test_an_index_that_is_not_an_integer_is_a_bad_index_on_its_line(indices, line_no, bad):
+    rows = [{"index": i, "timestamp": k, "speaker": "A", "text": "x"} for k, i in enumerate(indices)]
+    for parse in (parse_transcript, parse_gold):
+        with pytest.raises(MalformedRecord) as exc:
+            parse(_mk_jsonl([{**row, "respond_line": "-"} for row in rows]))
+        assert (exc.value.line_no, exc.value.reason) == (line_no, f"bad index {bad}")
+
+
+def test_integral_float_and_string_indices_keep_their_reading():
+    rows = [{"index": i, "timestamp": 0, "speaker": "A", "text": "x", "respond_line": "-"}
+            for i in (2.0, "3", 1)]
+    assert [u.index for u in parse_transcript(_mk_jsonl(rows)).utterances] == [1, 2, 3]
+    assert list(parse_gold(_mk_jsonl(rows)).thread) == [2, 3, 1]
+
+
+@pytest.mark.parametrize("raw, ms", [
+    ("00:00:13", 13_000), ("1:02", 62_000), ("99:59:59", 359_999_000), ("00:60:00", None),
+    ("\uff10\uff11:02:03", 3_723_000),
+])
+def test_transcript_timestamps_read_as_parse_timestamp_reads_them(raw, ms):
+    src = json.dumps({"index": 1, "timestamp": raw, "speaker": "A", "text": "x"})
+    if ms is None:
+        with pytest.raises(ValueError) as expected:
+            parse_timestamp(raw)
+        with pytest.raises(MalformedRecord) as exc:
+            parse_transcript(src)
+        assert exc.value.reason == str(expected.value)
+    else:
+        assert parse_timestamp(raw) == ms
+        assert parse_transcript(src)[1].timestamp_ms == ms
 
 
 def test_bytes_that_are_not_utf8_fail_on_their_line():
@@ -232,6 +296,16 @@ def test_readme_data_format_records_parse():
     assert g.thread[5].surface() == "(4, 1)"
     assert g.codes_at(5) == CodeSet.of("B", "E")
     assert g.subcat == {5: "CI"}
+
+
+@pytest.mark.parametrize("raw, bad", [("[A, Z]", "Z"), ("A", "A"), ("[A,, B]", "A,, B")])
+def test_a_bad_code_set_raises_on_every_load(raw, bad):
+    src = _mk_jsonl([{"index": 1, "respond_line": "-", "abcde": "[A, C]"},
+                     {"index": 2, "respond_line": "-", "abcde": raw}])
+    for _ in range(3):
+        with pytest.raises(UnknownCode) as exc:
+            parse_gold(src)
+        assert (exc.value.index, exc.value.code) == (2, bad)
 
 
 def test_parse_gold_errors():

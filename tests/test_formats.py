@@ -20,7 +20,7 @@ from threadlab.llm import (
     TransportError,
 )
 from threadlab.runner import ExperimentSpec, RunLog, run_threading
-from threadlab.schema import MalformedRecord, build_typed
+from threadlab.schema import MalformedRecord, build_typed, objects
 from threadlab.windowing import WindowConfig
 
 SPEC_KEYS = ["task", "strategy", "model", "transcripts", "window", "shots", "shot_ids",
@@ -158,6 +158,50 @@ def test_cache_line_with_an_unknown_key_raises(tmp_path):
     with pytest.raises(MalformedRecord,
                        match=rf"^{re.escape(str(path))}: line 1: .*unexpected .*'note'$"):
         CompletionCache(path)
+
+
+@pytest.mark.parametrize("key, value", [("input_tokens", "12"), ("response_text", None),
+                                        ("latency_ms", 1.5), ("tokens_estimated", 0)])
+def test_cache_line_value_of_the_wrong_type_raises(tmp_path, key, value):
+    path = tmp_path / "cache.jsonl"
+    path.write_text(_cache_line(prompt_hash="h0") + json.dumps({**json.loads(_cache_line()),
+                                                                 key: value}) + "\n")
+    with pytest.raises(MalformedRecord, match=rf"^{re.escape(str(path))}: line 2: "
+                                              rf"{key} is {re.escape(repr(value))}, expected "):
+        CompletionCache(path)
+
+
+def _per_line_loads(text):
+    """The JSONL reader's rule as json.loads states it: (line, object) pairs up
+    to the first bad line, and that line's number and reason."""
+    pairs = []
+    for line_no, line in enumerate(text.split("\n"), start=1):
+        if not line.strip():
+            continue
+        try:
+            rec = json.loads(line)
+        except json.JSONDecodeError as exc:
+            return pairs, (line_no, f"invalid JSON: {exc.msg}")
+        if not isinstance(rec, dict):
+            return pairs, (line_no, "record is not an object")
+        pairs.append((line_no, rec))
+    return pairs, None
+
+
+@pytest.mark.parametrize("line", [
+    "", "\u3000", '  {"a": 1}  ', '{"a": 1}\r', '\ufeff{"a": 1}',
+    '{"a": 1} {"b": 2}', '{"a":\n1}', "[1]", '"x"', "NaN",
+    '{"a": 1, "a": 2}', '{"a": "x\u2028y"}',
+])
+def test_objects_reads_each_line_as_json_loads_does(line):
+    text = '{"first": 0}\n' + line + '\n{"last": [1.5, null]}\n'
+    pairs, error = [], None
+    try:
+        for pair in objects(text):
+            pairs.append(pair)
+    except MalformedRecord as exc:
+        error = exc.line_no, exc.reason
+    assert (pairs, error) == _per_line_loads(text)
 
 
 def _spec_json(**changes):
