@@ -90,7 +90,7 @@ class UnknownCode(CorpusError):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Utterance:
     """One line of talk: 1-based index, milliseconds from session start, speaker, text."""
 
@@ -443,6 +443,18 @@ def _record_index(line_no: int, raw: object, seen: Container[int]) -> int:
     return index
 
 
+def _text_field(line_no: int, field: str, value: object) -> str:
+    """A transcript record's ``speaker`` or ``text``: a string, or a number read
+    as its JSON text. A null, a bool, an array or an object raises."""
+    if isinstance(value, str):
+        return value
+    if value is None:
+        raise MalformedRecord(line_no, f"{field} is null")
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise MalformedRecord(line_no, f"{field} is {value!r}, expected a string or number")
+    return str(value)
+
+
 def parse_transcript(
     source: str | bytes,
     transcript_id: str = "",
@@ -472,13 +484,12 @@ def parse_transcript(
                 ts = parse_timestamp(ts)
             except ValueError as exc:
                 raise MalformedRecord(line_no, str(exc)) from None
-        # A number reads as its JSON text; a null is no speaker or text at all.
-        if speaker is None or text is None:
-            raise MalformedRecord(line_no, "speaker is null" if speaker is None else "text is null")
-        speaker = str(speaker).strip()
+        if type(speaker) is not str or type(text) is not str:
+            speaker = _text_field(line_no, "speaker", speaker)
+            text = _text_field(line_no, "text", text)
+        speaker = speaker.strip()
         if not speaker:
             raise MalformedRecord(line_no, "empty speaker")
-        text = str(text)
         # A JSON escape can give half a surrogate pair, which no prompt can carry.
         if not (speaker.isascii() and text.isascii()):
             for field, value in (("speaker", speaker), ("text", text)):
@@ -535,20 +546,19 @@ def parse_gold(
             raise BadThreadSyntax(idx, raw_label) from None
         thread[idx] = label
 
-        raw_codes = rec.get("abcde")
-        if raw_codes is not None and str(raw_codes).strip() != "":
+        raw_codes = _gold_text(line_no, rec, "abcde", 'a bracketed string such as "[A, C]"')
+        if raw_codes:
             try:
-                abcde[idx] = CodeSet.from_string(str(raw_codes))
+                abcde[idx] = CodeSet.from_string(raw_codes)
             except ValueError:
                 # Pin down which letter broke it, for the error message.
-                inner = str(raw_codes).strip().strip("[]")
+                inner = raw_codes.strip("[]")
                 parts = [p.strip() for p in inner.split(",") if p.strip()]
                 bad = next((p for p in parts if p not in VALID_CODES), inner or raw_codes)
-                raise UnknownCode(idx, str(bad)) from None
+                raise UnknownCode(idx, bad) from None
 
-        raw_tag = rec.get("subcat")
-        if raw_tag is not None and str(raw_tag).strip() != "":
-            tag = str(raw_tag).strip()
+        tag = _gold_text(line_no, rec, "subcat", 'a tag string such as "CI"')
+        if tag:
             if tag not in SUBCATEGORY_TAGS:
                 raise MalformedRecord(line_no, f"unknown subcategory {tag!r}")
             subcat[idx] = tag
@@ -556,6 +566,17 @@ def parse_gold(
     return GoldAnnotations(
         transcript_id=transcript_id, thread=thread, abcde=abcde, subcat=subcat
     )
+
+
+def _gold_text(line_no: int, rec: Mapping, key: str, expected: str) -> str:
+    """A gold record's optional ``abcde`` or ``subcat``, stripped; absent or null
+    is ``""``, and any other value that is not a string raises."""
+    value = rec.get(key)
+    if value is None:
+        return ""
+    if not isinstance(value, str):
+        raise MalformedRecord(line_no, f"{key} is {value!r}, expected {expected}")
+    return value.strip()
 
 
 def serialize_gold(g: GoldAnnotations) -> str:

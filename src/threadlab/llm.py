@@ -19,7 +19,7 @@ import weakref
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring
 from pathlib import Path
-from typing import Mapping, NamedTuple, Protocol, TextIO
+from typing import Mapping, Protocol, TextIO
 
 import requests
 
@@ -115,7 +115,7 @@ class PricingTable:
         return input_tokens * rate_in / 1e6 + output_tokens * rate_out / 1e6
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class CompletionRecord:
     prompt_hash: str
     response_text: str
@@ -261,8 +261,9 @@ class CompletionCache:
 # ---------------------------------------------------------------------------
 
 
-class ProviderResult(NamedTuple):
-    """One reply; a named tuple, as it is built per call (see RenderedPrompt)."""
+@dataclass(slots=True)
+class ProviderResult:
+    """One reply."""
 
     response_text: str
     input_tokens: int | None

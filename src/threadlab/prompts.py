@@ -15,7 +15,7 @@ import re
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
-from typing import Mapping, NamedTuple, Sequence
+from typing import Mapping, Sequence
 
 from .corpus import GoldAnnotations, ThreadLabel, Transcript, Utterance, format_timestamp
 from .schema import FileError, decoded, read
@@ -154,16 +154,14 @@ class OutputContract:
     kind: str
 
 
-class RenderedPrompt(NamedTuple):
+@dataclass(slots=True)
+class RenderedPrompt:
     """Prompt text plus the metadata needed to parse and attribute the response.
 
     ``expected_entries`` are the (index, speaker) pairs the response must
     label, in order: a window prompt's one target, or every utterance of a
     block prompt's transcript. ``target_index``/``target_speaker`` repeat a
-    window prompt's target and are None on block prompts. A named tuple: a
-    window run builds one per call, and a frozen dataclass's per-field
-    ``object.__setattr__`` shows in the window/all-at-once cost ratio. Like
-    any tuple it also indexes, iterates and equals a plain tuple of its values.
+    window prompt's target and are None on block prompts.
     """
 
     text: str

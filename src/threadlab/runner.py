@@ -318,14 +318,17 @@ def resolve_thread_labels(
         if source is None:
             raise MissingThreadSource(f"run {ref} has no predictions for transcript {tid!r}")
         for i in range(1, len(corpus[tid][0]) + 1):
-            raw = source.get(i)
-            if raw is None or raw == PARSE_ERROR_LABEL:
-                labels[i] = ThreadLabel.new_thread()
-                fallbacks += 1
-            else:
-                labels[i] = parse_respond_line(raw)
+            raw = source.get(i, PARSE_ERROR_LABEL)
+            fallbacks += raw == PARSE_ERROR_LABEL
+            labels[i] = _fed_label(raw)
         predicted[tid] = labels
     return predicted, fallbacks
+
+
+def _fed_label(predicted: str) -> ThreadLabel:
+    """The label a later prompt shows for a logged thread prediction: its
+    canonical form, or the new-thread marker for the parse-error label."""
+    return parse_respond_line("-" if predicted == PARSE_ERROR_LABEL else predicted)
 
 
 def _gold_codes_canonical(g: GoldAnnotations, index: int) -> str:
@@ -339,8 +342,6 @@ def _gold_codes_canonical(g: GoldAnnotations, index: int) -> str:
 # Provider faults that cost only the records of the prompt they hit.
 _FAULTS = (ContextOverflow, RateLimited, TransportError)
 _FAULT_NAMES = frozenset(f.__name__ for f in _FAULTS)
-# What a self-feedback window feeds forward for a failed prediction.
-_FALLBACK_LABEL = ThreadLabel.new_thread()
 
 # A chain is a transcript id plus the targets to complete in order: utterance
 # indices for windows, None for the whole transcript.
@@ -449,7 +450,6 @@ def _run(
             if lost.is_set():
                 break
             p = render(t, target, lines)
-            fed = _FALLBACK_LABEL
             try:
                 rec = complete(p, spec.model, provider, cache)
             except _FAULTS as exc:
@@ -465,34 +465,25 @@ def _run(
                     outcomes = outparse.parse_block_response(
                         rec.response_text, p.expected_entries, block_kind, mode
                     ).outcomes
-                    # Positional arguments: this builds one record per utterance.
-                    records.extend(
-                        UtteranceRecord(
-                            tid, i, rec.prompt_hash,
-                            parsed_label(o.value).canonical() if o.ok else PARSE_ERROR_LABEL,
-                            gold_of(g, i), o.ok, o.reason,
-                            rec.input_tokens, rec.output_tokens, rec.latency_ms,
-                        )
-                        for (i, _), o in zip(p.expected_entries, outcomes)
-                    )
                 else:
-                    o = parse_line(rec.response_text, target, p.target_speaker, mode)
-                    if o.ok:
-                        label = parsed_label(o.value)
-                        predicted = label.canonical()
-                        if feedback == "self":
-                            fed = label.normalized()
-                    else:
-                        predicted = PARSE_ERROR_LABEL
-                    records.append(UtteranceRecord(
-                        tid, target, rec.prompt_hash, predicted, gold_of(g, target), o.ok,
-                        o.reason, rec.input_tokens, rec.output_tokens, rec.latency_ms,
-                    ))
+                    outcomes = (parse_line(rec.response_text, target, p.target_speaker, mode),)
+                # Positional arguments: this builds one record per utterance.
+                records.extend(
+                    UtteranceRecord(
+                        tid, i, rec.prompt_hash,
+                        parsed_label(o.value).canonical() if o.ok else PARSE_ERROR_LABEL,
+                        gold_of(g, i), o.ok, o.reason,
+                        rec.input_tokens, rec.output_tokens, rec.latency_ms,
+                    )
+                    for (i, _), o in zip(p.expected_entries, outcomes)
+                )
             if feedback == "self":
-                # The fed-back label is the canonical form of the logged
-                # prediction, so the prompt stream is a pure function of the
-                # log; the target's line is rendered with it once, here.
-                lines.append(prompts.utterance_line(t.utterances[target - 1], fed))
+                # Fed from the logged prediction, so the prompt stream is a
+                # pure function of the log; the target's line is rendered
+                # with it once, here.
+                lines.append(prompts.utterance_line(
+                    t.utterances[target - 1], _fed_label(records[-1].predicted)
+                ))
         return records, input_tokens, output_tokens
 
     chains = _chains(spec, corpus, feedback == "self")

@@ -228,6 +228,20 @@ def test_parse_transcript_rejects_a_null_speaker_or_text(field):
     assert (exc.value.line_no, exc.value.reason) == (2, f"{field} is null")
 
 
+@pytest.mark.parametrize("field, value", [
+    ("speaker", True), ("speaker", ["A"]), ("text", False), ("text", {"a": [1]}), ("text", []),
+])
+def test_parse_transcript_rejects_a_speaker_or_text_that_is_not_a_string_or_number(field, value):
+    rows = [{"index": 1, "timestamp": "00:00:01", "speaker": "A", "text": "one"},
+            {"index": 2, "timestamp": "00:00:02", "speaker": "B", "text": "two"}]
+    rows[1][field] = value
+    with pytest.raises(MalformedRecord) as exc:
+        parse_transcript(_mk_jsonl(rows))
+    assert (exc.value.line_no, exc.value.reason) == (
+        2, f"{field} is {value!r}, expected a string or number"
+    )
+
+
 def test_parse_transcript_reads_number_speaker_and_text_as_their_json_text():
     t = parse_transcript(_mk_jsonl([{"index": 1, "timestamp": 0, "speaker": 7, "text": 2.5}]))
     assert (t[1].speaker, t[1].text) == ("7", "2.5")
@@ -306,6 +320,28 @@ def test_a_bad_code_set_raises_on_every_load(raw, bad):
         with pytest.raises(UnknownCode) as exc:
             parse_gold(src)
         assert (exc.value.index, exc.value.code) == (2, bad)
+
+
+@pytest.mark.parametrize("key, value, expected", [
+    ("abcde", ["A", "C"], 'a bracketed string such as "[A, C]"'),
+    ("abcde", 5, 'a bracketed string such as "[A, C]"'),
+    ("abcde", True, 'a bracketed string such as "[A, C]"'),
+    ("subcat", ["AP"], 'a tag string such as "CI"'),
+    ("subcat", {"tag": "AP"}, 'a tag string such as "CI"'),
+])
+def test_a_gold_code_set_or_subcategory_that_is_not_a_string_is_malformed(key, value, expected):
+    src = _mk_jsonl([{"index": 1, "respond_line": "-", "abcde": "[A]", "subcat": "AP"},
+                     {"index": 2, "respond_line": "-", key: value}])
+    with pytest.raises(MalformedRecord) as exc:
+        parse_gold(src)
+    assert (exc.value.line_no, exc.value.reason) == (2, f"{key} is {value!r}, expected {expected}")
+
+
+def test_a_null_or_blank_gold_code_set_or_subcategory_is_none():
+    g = parse_gold(_mk_jsonl([{"index": 1, "respond_line": "-", "abcde": None, "subcat": None},
+                              {"index": 2, "respond_line": "-", "abcde": " ", "subcat": ""},
+                              {"index": 3, "respond_line": "-", "abcde": " [] ", "subcat": " AP"}]))
+    assert (g.abcde, g.subcat) == ({3: CodeSet()}, {3: "AP"})
 
 
 def test_parse_gold_errors():

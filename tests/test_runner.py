@@ -618,6 +618,56 @@ def test_abcde_llm_thread_source_chain(bundled, tmp_path):
     assert all(r.ok for r in log.records)
 
 
+class PlannedReplyProvider:
+    """The oracle, except at planned targets: a reply text, or a fault class to raise.
+    Keeps each prompt's text by target."""
+
+    name = "planned"
+
+    def __init__(self, corpus, plan):
+        self.oracle = _oracle(corpus)
+        self.plan = plan
+        self.texts = {}
+
+    def send(self, prompt, model, prompt_hash):
+        self.texts[prompt.target_index] = prompt.text
+        reply = self.plan.get(prompt.target_index)
+        if reply is None:
+            return self.oracle.send(prompt, model, prompt_hash)
+        if isinstance(reply, str):
+            return ProviderResult(reply, None, None, 0)
+        raise reply("injected")
+
+
+def test_self_feedback_and_an_llm_thread_source_feed_the_same_labels(bundled, tmp_path):
+    t = bundled["ws01"][0]
+    plan = {12: f"12 {t[12].speaker} [respond line = (9, 3)]", 5: "no idea, sorry",
+            8: TransportError}
+    threader = PlannedReplyProvider(bundled, plan)
+    thread_log = run_threading(_spec(transcripts=("ws01",)), bundled, threader, concurrency=1)
+    thread_log.save(tmp_path)
+    predicted = {r.index: (r.predicted, r.fail_reason) for r in thread_log.records}
+    assert predicted[12] == ("(3,9)", None)
+    assert predicted[5][0] == predicted[8][0] == PARSE_ERROR_LABEL
+    assert predicted[8][1] == "TransportError"
+
+    code_spec = _spec(task="abcde", transcripts=("ws01",),
+                      window=WindowConfig(n=10, feedback="none"),
+                      thread_source=f"llm:{thread_log.run_id}")
+    coder = RecordingProvider(bundled)
+    code_log = run_abcde(code_spec, bundled, coder, runs_dir=tmp_path)
+
+    def line(text, i):
+        return next(ln for ln in text.splitlines() if ln.startswith(f"#{i} "))
+
+    # Each line as the threading run's next window showed it, and as the code run shows it.
+    for i, shown in ((12, "(3, 9)"), (5, "-"), (8, "-")):
+        fed = line(threader.texts[i + 1], i)
+        assert fed.endswith(f" [respond_line= {shown}]")
+        assert line(coder.texts[("ws01", i + 1)], i) == fed
+    assert code_log.n_fallback_labels == thread_log.n_fallback_labels == 2
+
+
 def test_abcde_llm_thread_source_missing(bundled, tmp_path):
     spec = _spec(task="abcde", transcripts=("ws01",),
                  window=WindowConfig(n=10, feedback="none"), thread_source="llm:deadbeef")
