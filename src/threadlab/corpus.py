@@ -17,7 +17,7 @@ from functools import cached_property, lru_cache
 from pathlib import Path
 from typing import Container, Iterable, Mapping, Sequence
 
-from .schema import FileError, MalformedRecord, json_value, objects, read
+from .schema import MalformedRecord, json_value, objects, read
 
 VALID_CODES = frozenset("ABCDE")
 
@@ -46,43 +46,6 @@ DEFAULT_BACKCHANNEL_LEXICON = frozenset(
 
 # Links farther back than this many lines get flagged by the validator.
 DEFAULT_LONG_GAP = 13
-
-
-class CorpusError(FileError):
-    """Base class for malformed transcript or annotation input."""
-
-
-class NonMonotonicTimestamp(CorpusError):
-    def __init__(self, index: int):
-        super().__init__(f"timestamp decreases at utterance {index}")
-        self.index = index
-
-
-class DuplicateIndex(CorpusError):
-    def __init__(self, index: int):
-        super().__init__(f"duplicate utterance index {index}")
-        self.index = index
-
-
-class BadThreadSyntax(CorpusError):
-    def __init__(self, index: int, raw: str):
-        super().__init__(f"utterance {index}: cannot parse thread label {raw!r}")
-        self.index = index
-        self.raw = raw
-
-
-class ForwardLink(CorpusError):
-    def __init__(self, index: int, target: int):
-        super().__init__(f"utterance {index} links forward to line {target}")
-        self.index = index
-        self.target = target
-
-
-class UnknownCode(CorpusError):
-    def __init__(self, index: int, code: str):
-        super().__init__(f"utterance {index}: unknown code {code!r}")
-        self.index = index
-        self.code = code
 
 
 # ---------------------------------------------------------------------------
@@ -360,15 +323,6 @@ class GoldAnnotations:
     abcde: Mapping[int, CodeSet] = field(default_factory=dict)
     subcat: Mapping[int, str] = field(default_factory=dict)
 
-    def __post_init__(self):
-        for idx, label in self.thread.items():
-            for ref in label.line_refs:
-                if ref.line >= idx:
-                    raise ForwardLink(idx, ref.line)
-        bad_tags = set(self.subcat.values()) - SUBCATEGORY_TAGS
-        if bad_tags:
-            raise ValueError(f"unknown subcategory tags: {sorted(bad_tags)}")
-
     def codes_at(self, index: int) -> CodeSet:
         """Code set for an utterance; indices without a record count as empty."""
         return self.abcde.get(index, _NO_CODES)
@@ -439,7 +393,7 @@ def _record_index(line_no: int, raw: object, seen: Container[int]) -> int:
         except (TypeError, ValueError):
             raise MalformedRecord(line_no, f"bad index {raw!r}") from None
     if index in seen:
-        raise DuplicateIndex(index)
+        raise MalformedRecord(line_no, f"duplicate index {index}")
     return index
 
 
@@ -469,7 +423,7 @@ def parse_transcript(
     utterances: list[Utterance] = []
     seen_indices: set[int] = set()
     prev_ts = 0
-    decrease = None  # the position of the first timestamp that decreases
+    decrease = None  # the file line of the first timestamp that decreases
     for line_no, rec in objects(source):
         try:
             index, ts, speaker, text = rec["index"], rec["timestamp"], rec["speaker"], rec["text"]
@@ -498,11 +452,11 @@ def parse_transcript(
                 except UnicodeEncodeError:
                     raise MalformedRecord(line_no, f"{field} is not valid Unicode text") from None
         if ts < prev_ts and decrease is None:
-            decrease = len(utterances) + 1
+            decrease = line_no
         prev_ts = ts
         utterances.append(Utterance(len(utterances) + 1, ts, speaker, text))
     if decrease is not None:
-        raise NonMonotonicTimestamp(decrease)
+        raise MalformedRecord(decrease, "timestamp decreases")
     return Transcript(id=transcript_id, utterances=tuple(utterances), scenario=scenario)
 
 
@@ -529,8 +483,9 @@ def parse_gold(
 ) -> GoldAnnotations:
     """Parse a gold annotation file body.
 
-    Each record carries ``index`` and ``respond_line``, plus optional ``abcde``
-    (bracketed letters like ``[A, C]`` or ``[]``) and ``subcat`` columns.
+    Each record carries ``index`` and ``respond_line``, a thread label that
+    links back only, plus optional ``abcde`` (bracketed letters like ``[A, C]``
+    or ``[]``) and ``subcat`` columns. A fault raises MalformedRecord on its line.
     """
     thread: dict[int, ThreadLabel] = {}
     abcde: dict[int, CodeSet] = {}
@@ -539,23 +494,30 @@ def parse_gold(
         if "index" not in rec or "respond_line" not in rec:
             raise MalformedRecord(line_no, "missing index or respond_line")
         idx = _record_index(line_no, rec["index"], thread)
-        raw_label = str(rec["respond_line"])
+        raw_label = rec["respond_line"]
+        if type(raw_label) is not str:
+            # An integer reads as its text, as a speaker number does.
+            if type(raw_label) is not int:
+                raise MalformedRecord(line_no, f"respond_line is {raw_label!r}, expected a "
+                                      'thread label string such as "-", "24" or "(24, -)"')
+            raw_label = str(raw_label)
         try:
             label = parse_respond_line(raw_label)
         except ValueError:
-            raise BadThreadSyntax(idx, raw_label) from None
+            raise MalformedRecord(
+                line_no, f"respond_line {raw_label!r} is not a thread label"
+            ) from None
+        for target in label.targets:
+            if target is not NEW_THREAD and target.line >= idx:
+                raise MalformedRecord(line_no, f"respond_line {raw_label!r} links forward")
         thread[idx] = label
 
         raw_codes = _gold_text(line_no, rec, "abcde", 'a bracketed string such as "[A, C]"')
         if raw_codes:
             try:
                 abcde[idx] = CodeSet.from_string(raw_codes)
-            except ValueError:
-                # Pin down which letter broke it, for the error message.
-                inner = raw_codes.strip("[]")
-                parts = [p.strip() for p in inner.split(",") if p.strip()]
-                bad = next((p for p in parts if p not in VALID_CODES), inner or raw_codes)
-                raise UnknownCode(idx, bad) from None
+            except ValueError as exc:
+                raise MalformedRecord(line_no, f"abcde {raw_codes!r}: {exc}") from None
 
         tag = _gold_text(line_no, rec, "subcat", 'a tag string such as "CI"')
         if tag:
@@ -790,15 +752,15 @@ def _parse_manifest(source: bytes) -> list[dict]:
     manifest = json_value(source)
     entries = manifest.get("transcripts") if isinstance(manifest, dict) else None
     if not isinstance(entries, list):
-        raise CorpusError('not an object with a "transcripts" list')
+        raise ValueError('not an object with a "transcripts" list')
     seen: set[str] = set()
     for k, entry in enumerate(entries, start=1):
         fields = entry if isinstance(entry, dict) else {}
         for key in ("id", "transcript", "gold"):
             if not isinstance(fields.get(key), str):
-                raise CorpusError(f'transcripts entry {k} has no "{key}" string')
+                raise ValueError(f'transcripts entry {k} has no "{key}" string')
         if entry["id"] in seen:
-            raise CorpusError(f"duplicate transcript id {entry['id']!r}")
+            raise ValueError(f"duplicate transcript id {entry['id']!r}")
         seen.add(entry["id"])
     return entries
 

@@ -36,12 +36,6 @@ class EmptyInput(MetricsError):
     pass
 
 
-class EmptyCategory(MetricsError):
-    def __init__(self, tag: str):
-        super().__init__(f"no gold utterance carries subcategory {tag!r}")
-        self.tag = tag
-
-
 def _check_lengths(gold: Sequence[str], pred: Sequence[str]) -> None:
     if len(gold) != len(pred):
         raise LengthMismatch(len(gold), len(pred))

@@ -19,7 +19,7 @@ from typing import Mapping, Sequence
 
 from .corpus import GoldAnnotations, ThreadLabel, Transcript, Utterance, format_timestamp
 from .schema import FileError, decoded, read
-from .windowing import Window
+from .windowing import MissingThreadLabel, Window
 
 TEMPLATES_DIR = Path(__file__).parent / "templates"
 
@@ -51,12 +51,6 @@ ABCDE_VARIANTS = tuple(t for t in TEMPLATE_IDS if t.startswith("abcde_"))
 BASELINE_VARIANTS = tuple(t for t in TEMPLATE_IDS if t.startswith("baseline_"))
 
 MAX_SHOTS = 3
-
-
-class MissingThreadLabel(Exception):
-    def __init__(self, index: int):
-        super().__init__(f"no thread label available for utterance {index}")
-        self.index = index
 
 
 class TemplateError(FileError):

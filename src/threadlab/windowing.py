@@ -16,9 +16,11 @@ from .corpus import ThreadLabel, Transcript, Utterance
 FEEDBACK_MODES = ("self", "gold", "none")
 
 
-class MissingFeedbackLabel(Exception):
+class MissingThreadLabel(Exception):
+    """A window or prompt line needs the thread label of an utterance that has none."""
+
     def __init__(self, index: int):
-        super().__init__(f"no feedback label for context utterance {index}")
+        super().__init__(f"no thread label available for utterance {index}")
         self.index = index
 
 
@@ -90,7 +92,7 @@ def make_window(
         else:
             label = (labels or {}).get(u.index)
             if label is None:
-                raise MissingFeedbackLabel(u.index)
+                raise MissingThreadLabel(u.index)
         context.append((u, label))
     return Window(
         context=tuple(context),

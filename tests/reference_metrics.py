@@ -11,7 +11,13 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from threadlab.metrics import EmptyCategory, MetricReport, score
+from threadlab.metrics import MetricReport, MetricsError, score
+
+
+class EmptyCategory(MetricsError):
+    def __init__(self, tag: str):
+        super().__init__(f"no gold utterance carries subcategory {tag!r}")
+        self.tag = tag
 
 
 def confusion(gold: Sequence[str], pred: Sequence[str]) -> dict[tuple[str, str], int]:

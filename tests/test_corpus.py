@@ -7,17 +7,12 @@ from hypothesis import given, strategies as st
 from threadlab.corpus import (
     DEFAULT_BACKCHANNEL_LEXICON,
     NEW_THREAD,
-    BadThreadSyntax,
     CodeSet,
-    DuplicateIndex,
-    ForwardLink,
     GoldAnnotations,
     LineRef,
     MalformedRecord,
-    NonMonotonicTimestamp,
     ThreadLabel,
     Transcript,
-    UnknownCode,
     Utterance,
     corpus_stats,
     format_timestamp,
@@ -164,8 +159,9 @@ def test_parse_transcript_duplicate_index():
             {"index": 1, "timestamp": "00:00:02", "speaker": "B", "text": "two"},
         ]
     )
-    with pytest.raises(DuplicateIndex):
+    with pytest.raises(MalformedRecord) as exc:
         parse_transcript(src)
+    assert (exc.value.line_no, exc.value.reason) == (2, "duplicate index 1")
 
 
 def test_parse_transcript_nonmonotonic_timestamp():
@@ -175,9 +171,9 @@ def test_parse_transcript_nonmonotonic_timestamp():
             {"index": 2, "timestamp": "00:00:01", "speaker": "B", "text": "two"},
         ]
     )
-    with pytest.raises(NonMonotonicTimestamp) as exc:
+    with pytest.raises(MalformedRecord) as exc:
         parse_transcript(src)
-    assert exc.value.index == 2
+    assert (exc.value.line_no, exc.value.reason) == (2, "timestamp decreases")
 
 
 def test_a_record_fault_raises_before_an_earlier_decreasing_timestamp():
@@ -312,14 +308,18 @@ def test_readme_data_format_records_parse():
     assert g.subcat == {5: "CI"}
 
 
-@pytest.mark.parametrize("raw, bad", [("[A, Z]", "Z"), ("A", "A"), ("[A,, B]", "A,, B")])
-def test_a_bad_code_set_raises_on_every_load(raw, bad):
+@pytest.mark.parametrize("raw, reason", [
+    ("[A, Z]", "codes outside A-E: ['Z']"),
+    ("A", "code set must be bracketed, got 'A'"),
+    ("[A,, B]", "empty code in '[A,, B]'"),
+], ids=["letter-outside-A-E", "unbracketed", "empty-code"])
+def test_a_bad_code_set_raises_on_every_load(raw, reason):
     src = _mk_jsonl([{"index": 1, "respond_line": "-", "abcde": "[A, C]"},
                      {"index": 2, "respond_line": "-", "abcde": raw}])
     for _ in range(3):
-        with pytest.raises(UnknownCode) as exc:
+        with pytest.raises(MalformedRecord) as exc:
             parse_gold(src)
-        assert (exc.value.index, exc.value.code) == (2, bad)
+        assert (exc.value.line_no, exc.value.reason) == (2, f"abcde {raw!r}: {reason}")
 
 
 @pytest.mark.parametrize("key, value, expected", [
@@ -345,15 +345,51 @@ def test_a_null_or_blank_gold_code_set_or_subcategory_is_none():
 
 
 def test_parse_gold_errors():
-    with pytest.raises(BadThreadSyntax):
-        parse_gold('{"index": 2, "respond_line": "x"}')
-    with pytest.raises(ForwardLink):
-        parse_gold('{"index": 2, "respond_line": "5"}')
-    with pytest.raises(UnknownCode) as exc:
-        parse_gold('{"index": 1, "respond_line": "-", "abcde": "[A, Z]"}')
-    assert exc.value.code == "Z"
-    with pytest.raises(MalformedRecord):
-        parse_gold('{"index": 1, "respond_line": "-", "subcat": "XY"}')
+    for src, reason in [
+        ('{"index": 2, "respond_line": "x"}', "respond_line 'x' is not a thread label"),
+        ('{"index": 2, "respond_line": "5"}', "respond_line '5' links forward"),
+        ('{"index": 1, "respond_line": "-", "abcde": "[A, Z]"}',
+         "abcde '[A, Z]': codes outside A-E: ['Z']"),
+        ('{"index": 1, "respond_line": "-", "subcat": "XY"}', "unknown subcategory 'XY'"),
+    ]:
+        with pytest.raises(MalformedRecord) as exc:
+            parse_gold(src)
+        assert (exc.value.line_no, exc.value.reason) == (1, reason)
+
+
+_NOT_A_LABEL_STRING = 'expected a thread label string such as "-", "24" or "(24, -)"'
+
+
+@pytest.mark.parametrize("parse, fault, reason", [
+    (parse_transcript, {"index": 1}, "duplicate index 1"),
+    (parse_transcript, {"timestamp": "00:00:01"}, "timestamp decreases"),
+    (parse_gold, {"index": 1}, "duplicate index 1"),
+    (parse_gold, {"respond_line": "x"}, "respond_line 'x' is not a thread label"),
+    (parse_gold, {"respond_line": "(-, -)"}, "respond_line '(-, -)' is not a thread label"),
+    (parse_gold, {"respond_line": -1}, "respond_line '-1' is not a thread label"),
+    (parse_gold, {"respond_line": True}, f"respond_line is True, {_NOT_A_LABEL_STRING}"),
+    (parse_gold, {"respond_line": None}, f"respond_line is None, {_NOT_A_LABEL_STRING}"),
+    (parse_gold, {"respond_line": 1.0}, f"respond_line is 1.0, {_NOT_A_LABEL_STRING}"),
+    (parse_gold, {"respond_line": ["1"]}, f"respond_line is ['1'], {_NOT_A_LABEL_STRING}"),
+    (parse_gold, {"respond_line": {"line": 1}},
+     f"respond_line is {{'line': 1}}, {_NOT_A_LABEL_STRING}"),
+    (parse_gold, {"respond_line": "9"}, "respond_line '9' links forward"),
+    (parse_gold, {"respond_line": 2}, "respond_line '2' links forward"),
+    (parse_gold, {"respond_line": "(1, 3)"}, "respond_line '(1, 3)' links forward"),
+    (parse_gold, {"abcde": "[A, Z]"}, "abcde '[A, Z]': codes outside A-E: ['Z']"),
+])
+def test_a_record_fault_is_malformed_on_its_file_line(parse, fault, reason):
+    # The blank line puts the faulty record on file line 3, at utterance position 2.
+    good = {"index": 1, "timestamp": "00:00:05", "speaker": "A", "text": "one", "respond_line": "-"}
+    bad = {**good, "index": 2, "timestamp": "00:00:06", "text": "two", **fault}
+    with pytest.raises(MalformedRecord) as exc:
+        parse(json.dumps(good) + "\n\n" + json.dumps(bad) + "\n")
+    assert (exc.value.line_no, exc.value.reason) == (3, reason)
+
+
+def test_an_integer_respond_line_reads_as_its_text():
+    g = parse_gold(_mk_jsonl([{"index": 1, "respond_line": "-"}, {"index": 2, "respond_line": 1}]))
+    assert g.thread[2] == ThreadLabel.link(1)
 
 
 # --- validation ------------------------------------------------------------

@@ -8,7 +8,6 @@ from threadlab.metrics import (
     ABSENT,
     PARSE_ERROR_LABEL,
     PRESENT,
-    EmptyCategory,
     EmptyInput,
     LengthMismatch,
     MetricReport,
@@ -21,7 +20,7 @@ from threadlab.metrics import (
 )
 
 from reference_metrics import (
-    ref_accuracy, ref_kappa, ref_macro_f1, ref_subcategory_slice, rescan_macro_f1
+    EmptyCategory, ref_accuracy, ref_kappa, ref_macro_f1, ref_subcategory_slice, rescan_macro_f1
 )
 
 

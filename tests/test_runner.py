@@ -33,7 +33,7 @@ from threadlab.llm import (
     complete,
     prompt_digest,
 )
-from threadlab.metrics import PARSE_ERROR_LABEL, EmptyCategory, aggregate
+from threadlab.metrics import PARSE_ERROR_LABEL, aggregate
 from threadlab.prompts import (
     render_abcde, render_baseline, render_thread_all_at_once, render_thread_window
 )
@@ -53,7 +53,7 @@ from threadlab.runner import (
 from threadlab.schema import as_fields
 from threadlab.windowing import WindowConfig, make_window
 
-from reference_metrics import ref_subcategory_slice
+from reference_metrics import EmptyCategory, ref_subcategory_slice
 
 MODEL = ModelConfig(model_id="test-model")
 

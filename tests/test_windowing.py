@@ -3,7 +3,7 @@ from hypothesis import given, settings, strategies as st
 
 from threadlab.corpus import ThreadLabel, Transcript, Utterance
 from threadlab.windowing import (
-    MissingFeedbackLabel,
+    MissingThreadLabel,
     Window,
     WindowConfig,
     make_window,
@@ -47,7 +47,7 @@ def test_make_window_start_of_transcript():
 
 def test_make_window_missing_feedback_label():
     t = _transcript(5)
-    with pytest.raises(MissingFeedbackLabel) as exc:
+    with pytest.raises(MissingThreadLabel) as exc:
         make_window(t, 3, WindowConfig(n=10), {1: ThreadLabel.new_thread()})
     assert exc.value.index == 2
 
