@@ -19,13 +19,14 @@ import weakref
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring
 from pathlib import Path
-from typing import Mapping, Protocol, TextIO
-
-import requests
+from typing import TYPE_CHECKING, Mapping, Protocol, TextIO
 
 from .corpus import GoldAnnotations
 from .prompts import TRANSCRIPT_START, RenderedPrompt
 from .schema import as_fields, build_typed, objects, read
+
+if TYPE_CHECKING:
+    import requests
 
 DEFAULT_TEMPERATURE = 0.0
 
@@ -223,7 +224,8 @@ class CompletionCache:
         end = data.rfind(b"\n") + 1
         if end < len(data):
             self._truncate_to = end
-        for line_no, d in objects(data[:end]):
+            data = data[:end]
+        for line_no, d in objects(data):
             rec = build_typed(CompletionRecord, line_no, d)
             self._records[rec.prompt_hash] = rec
 
@@ -364,7 +366,8 @@ class HttpProvider:
     Retries 429 and 5xx responses (and connection errors) with exponential
     backoff plus jitter; auth failures and context overflows surface
     immediately. The caller's concurrency is the only limit on requests in
-    flight.
+    flight. ``requests`` is imported by the constructor, so a process that
+    builds no HttpProvider never loads the HTTP stack.
     """
 
     name = "http"
@@ -374,8 +377,11 @@ class HttpProvider:
         retry: RetryPolicy = RetryPolicy(),
         session: requests.Session | None = None,
     ):
+        import requests
+
         self._retry = retry
         self._session = session or requests.Session()
+        self._connection_error = requests.RequestException
         self._rng = random.Random()
 
     def _headers(self, model: ModelConfig) -> dict[str, str]:
@@ -411,7 +417,7 @@ class HttpProvider:
                 resp = self._session.post(
                     model.endpoint, headers=headers, json=body, timeout=_TIMEOUT_S
                 )
-            except requests.RequestException:
+            except self._connection_error:
                 last_throttle = False
                 continue
             latency_ms = int((time.perf_counter() - started) * 1000)

@@ -177,7 +177,8 @@ class RunLog:
         summary = as_fields(self)
         del summary["run_id"], summary["spec"], summary["records"]
         lines.append(json.dumps({"kind": "summary", **summary}))
-        return "\n".join(lines) + "\n"
+        lines.append("")  # the closing newline, without copying the joined text again
+        return "\n".join(lines)
 
     @classmethod
     def from_jsonl(cls, text: str | bytes) -> "RunLog":

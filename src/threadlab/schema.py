@@ -12,6 +12,7 @@ import json
 import types
 from dataclasses import fields
 from functools import cache
+from itertools import product
 from json.scanner import make_scanner
 from pathlib import Path
 from typing import Callable, Iterator, Mapping, TypeVar, Union, get_args, get_origin, get_type_hints
@@ -99,16 +100,12 @@ def objects(source: str | bytes) -> Iterator[tuple[int, dict]]:
 def build_typed(cls: type[T], line_no: int, d: Mapping) -> T:
     """``cls(**d)``, the record on line ``line_no``; a missing or unknown key, or a
     value whose JSON type is not its field's, raises."""
+    if tuple(d) == _names(cls) and tuple(map(type, d.values())) in _type_rows(cls):
+        # The keys are the fields in order, as every writer leaves them, and each
+        # value's type is one of its field's: build positionally. Any fault takes
+        # the route below, for its message.
+        return cls(*d.values())
     types = _types(cls)
-    if tuple(d) == _names(cls):
-        # The keys are the fields in order, as every writer leaves them: check
-        # the values in one pass and build positionally. Any fault takes the
-        # route below, for its message.
-        for value, allowed in zip(d.values(), types.values()):
-            if type(value) not in allowed:
-                break
-        else:
-            return cls(*d.values())
     try:
         record = cls(**d)
     except TypeError as exc:  # "... got an unexpected keyword argument 'x'", or "missing ..."
@@ -149,6 +146,12 @@ def _types(cls: type) -> dict[str, tuple[type, ...]]:
             )
         out[name] = members
     return out
+
+
+@cache
+def _type_rows(cls: type) -> frozenset[tuple[type, ...]]:
+    """Every tuple of value types, in field order, that build_typed accepts for ``cls``."""
+    return frozenset(product(*_types(cls).values()))
 
 
 def as_fields(record) -> dict:

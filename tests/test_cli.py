@@ -582,3 +582,42 @@ def test_module_entry_point_runs():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "ws01: clean"
+
+
+# Steps that build no HttpProvider, each followed by a check that the HTTP
+# stack is still unloaded; run in a fresh interpreter, as this one has loaded it.
+_NO_HTTP_STACK = """
+import contextlib, io, re, sys
+
+def check(step):
+    loaded = [m for m in ("requests", "urllib3", "charset_normalizer", "idna") if m in sys.modules]
+    if loaded:
+        sys.exit(f"{step} loaded {loaded}")
+
+import threadlab
+check("import threadlab")
+from threadlab.cli import main
+out = sys.argv[1]
+
+def run(*argv):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        if main(list(argv)) != 0:
+            sys.exit(f"{argv[0]} failed")
+    check(argv[0])
+    return buf.getvalue()
+
+run("validate", "--transcript", "ws01")
+printed = run("thread", "--provider", "oracle", "--model", "m", "--window", "10",
+              "--transcripts", "ws01", "--out", out)
+run_id = re.search(r"run ([0-9a-f]{16}):", printed).group(1)
+run("eval", "--run", run_id, "--out", out)
+run("report", "--runs", run_id, "--out", out)
+"""
+
+
+def test_runs_without_an_http_provider_never_load_the_http_stack(tmp_path):
+    proc = subprocess.run(
+        [sys.executable, "-c", _NO_HTTP_STACK, str(tmp_path)], capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr

@@ -3,6 +3,7 @@ import json
 import math
 import random
 import re
+import socket
 import sys
 import threading
 from contextlib import contextmanager
@@ -10,6 +11,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from json.encoder import encode_basestring
 
 import pytest
+import requests
 from hypothesis import example, given, strategies as st
 
 from threadlab import llm
@@ -200,6 +202,68 @@ def test_non_json_body_is_transport_error():
     provider = HttpProvider(retry=FAST_RETRY, session=FakeSession())
     with pytest.raises(TransportError, match="non-JSON"):
         provider.send(_prompt(), _model("http://127.0.0.1:9/v1/chat/completions"), "h")
+
+
+def test_http_provider_without_a_session_opens_a_requests_session():
+    assert isinstance(HttpProvider()._session, requests.Session)
+
+
+def test_a_refused_connection_is_retried_then_a_transport_error():
+    with socket.socket() as s:  # a port that was just free: nothing listens on it
+        s.bind(("127.0.0.1", 0))
+        port = s.getsockname()[1]
+    posts = []
+
+    class CountingSession(requests.Session):
+        def post(self, url, **kwargs):
+            posts.append(url)
+            return super().post(url, **kwargs)
+
+    provider = HttpProvider(retry=FAST_RETRY, session=CountingSession())
+    with pytest.raises(TransportError, match=f"gave up after {FAST_RETRY.max_attempts} attempts"):
+        provider.send(_prompt(), _model(f"http://127.0.0.1:{port}/v1/chat/completions"), "h")
+    assert len(posts) == FAST_RETRY.max_attempts
+
+
+class _Reply:
+    def __init__(self, status_code, payload):
+        self.status_code = status_code
+        self.text = json.dumps(payload)
+        self._payload = payload
+
+    def json(self):
+        return self._payload
+
+
+class _ScriptedSession:
+    """Each post takes the next step: a reply to return or an exception to raise."""
+
+    def __init__(self, *steps):
+        self.steps = list(steps)
+        self.posts = 0
+
+    def post(self, url, **kwargs):
+        step = self.steps[min(self.posts, len(self.steps) - 1)]
+        self.posts += 1
+        if isinstance(step, Exception):
+            raise step
+        return step
+
+
+def test_a_connection_error_is_retried_and_the_next_reply_returned():
+    session = _ScriptedSession(requests.ConnectionError("reset"), _Reply(200, OK_PAYLOAD))
+    provider = HttpProvider(retry=FAST_RETRY, session=session)
+    result = provider.send(_prompt(), _model("http://127.0.0.1:9/v1/chat/completions"), "h")
+    assert session.posts == 2
+    assert result.response_text == "3 Ana [respond line = 1]"
+
+
+def test_a_connection_error_after_throttling_gives_up_as_transport_error():
+    session = _ScriptedSession(_Reply(429, {}), requests.ConnectionError("reset"))
+    provider = HttpProvider(retry=FAST_RETRY, session=session)
+    with pytest.raises(TransportError):
+        provider.send(_prompt(), _model("http://127.0.0.1:9/v1/chat/completions"), "h")
+    assert session.posts == FAST_RETRY.max_attempts
 
 
 # --- caching ---------------------------------------------------------------

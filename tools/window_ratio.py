@@ -3,7 +3,7 @@
 
 Writes one synthetic 2,000-utterance transcript (``perfbench/synth.py``,
 seed 7) to a temporary directory, then runs four conditions against the
-oracle provider in one process, round-robin, 7 times each after one untimed
+oracle provider in one process, round-robin, 21 times each after one untimed
 warm-up round:
 
 - threading: windows (n=10, self-feedback) and all at once;
@@ -38,7 +38,7 @@ from threadlab.windowing import WindowConfig  # noqa: E402
 
 SEED = 7
 LENGTH = 2000
-ROUNDS = 7
+ROUNDS = 21
 MODEL = ModelConfig(model_id="ratio-model")
 CONDITIONS = {
     ("threading", "window"): dict(task="threading", window=WindowConfig(n=10)),
