@@ -1,10 +1,10 @@
 """Time/cost versus agreement reporting across runs.
 
 Turns finished runs into a comparison table with a human-annotator reference
-row, written as CSV, plus a two-panel scatter (hours vs kappa, dollars vs
-kappa) as standalone SVG. The SVG is assembled by hand: two <g> panels with
-one <circle> per condition, which keeps the artifact greppable in tests and
-free of plotting dependencies.
+row, written as CSV, plus a two-panel scatter (provider hours vs kappa,
+dollars vs kappa) as standalone SVG. The SVG is assembled by hand: two <g>
+panels with one <circle> per condition, which keeps the artifact greppable in
+tests and free of plotting dependencies.
 """
 
 from __future__ import annotations
@@ -53,7 +53,9 @@ CSV_COLUMNS = tuple(f.name for f in fields(TradeoffRow))
 def _model_row(condition: str, log: RunLog, result: EvalResult,
                pricing: PricingTable | None) -> TradeoffRow:
     n = len(log.spec.transcripts)
-    hours = log.wall_time_ms / 3_600_000
+    # Provider time: each call's latency once, as all the records of an all-at-once
+    # call log it; cached and replayed records keep their original call's latency.
+    hours = sum({r.prompt_hash: r.latency_ms for r in log.records}.values()) / 3_600_000
     cost = log.cost_usd
     if cost is None and pricing is not None:
         try:
@@ -186,7 +188,7 @@ def write_svg(rows: Sequence[TradeoffRow], path: str | Path) -> None:
     ]
     lines += _panel(
         "time_vs_kappa", "annotation time vs agreement", rows,
-        lambda r: r.time_hours_total, "hours (total)", 0,
+        lambda r: r.time_hours_total, "provider time, hours (serial sum of call latencies)", 0,
     )
     lines += _panel(
         "cost_vs_kappa", "annotation cost vs agreement", rows,

@@ -39,7 +39,7 @@ from .llm import (
     prompt_digest,  # noqa: F401  (perfbench/spans.py patches runner.prompt_digest)
 )
 from .metrics import PARSE_ERROR_LABEL
-from .schema import FileError, MalformedRecord, as_fields, build_typed, from_fields, objects, read
+from .schema import FileError, MalformedRecord, as_fields, build_typed, objects, read, typed
 # make_window stays importable from here: perfbench/spans.py patches runner.make_window.
 from .windowing import WindowConfig, context_slice, make_window  # noqa: F401
 
@@ -112,33 +112,17 @@ class ExperimentSpec:
                 raise ValueError(f"{self.template_override} requires strategy {wanted}")
             if self.thread_source != THREAD_SOURCE_NONE:
                 raise ValueError("baseline templates take no thread labels")
-        if not isinstance(self.template_dir, (str, type(None))):
-            raise ValueError(f"template_dir must be a path string, got {self.template_dir!r}")
 
     @classmethod
     def from_dict(cls, d: Mapping) -> "ExperimentSpec":
-        """A spec from its JSON form, as in a run log's meta line or a ``--config`` file.
-
-        Numbers are coerced to their field types, so ``"temperature": 0`` gives
-        the same run id as ``0.0``. A key that names no field raises ValueError.
-        """
-        m, w = d["model"], d.get("window")
-        return from_fields(cls, {
-            **_coerced(d, shots=int),
-            "model": from_fields(ModelConfig, _coerced(
-                m, temperature=float, max_output_tokens=int, fixed_temperature=bool)),
-            "window": from_fields(WindowConfig, _coerced(w, n=int)) if w else None,
-            "shot_ids": tuple(d.get("shot_ids") or ()),
-        })
+        """A spec from its JSON form, as in a run log's meta line or a ``--config`` file,
+        read by :func:`schema.typed`: ``"temperature": 0`` gives the same run id as ``0.0``."""
+        return typed(cls, d)
 
     @property
     def run_id(self) -> str:
         payload = json.dumps(self, default=as_fields, sort_keys=True, ensure_ascii=False)
         return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
-
-
-def _coerced(d: Mapping, **types: Callable) -> dict:
-    return {**d, **{k: t(d[k]) for k, t in types.items() if k in d}}
 
 
 @dataclass(frozen=True)
@@ -189,18 +173,19 @@ class RunLog:
                 records.append(build_typed(UtteranceRecord, line_no, d))
             else:
                 lines[kind] = line_no, d
-        if "meta" not in lines:
-            raise FileError("run log has no meta line")
-        (line_no, meta), (end, summary) = lines["meta"], lines.get("summary", (0, {}))
+        for kind in ("meta", "summary"):
+            if kind not in lines:
+                raise FileError(f"run log has no {kind} line")
+        (line_no, meta), (end, summary) = lines["meta"], lines["summary"]
         # a missing, unknown or misshapen key is a fault on the meta line, then the summary's
         try:
-            spec = ExperimentSpec.from_dict(meta.pop("spec"))
-            run_id = meta.pop("run_id")
+            spec = typed(ExperimentSpec, meta.pop("spec"), "spec")
+            run_id = typed(str, meta.pop("run_id"), "run_id")
             if meta:
                 raise ValueError(f"unknown key {min(meta)!r}")
             line_no = end
-            return from_fields(cls, summary, run_id=run_id, spec=spec, records=records)
-        except (KeyError, TypeError, ValueError) as exc:
+            return typed(cls, summary, run_id=run_id, spec=spec, records=records)
+        except (KeyError, ValueError) as exc:
             reason = f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
             raise MalformedRecord(line_no, reason) from None
 
@@ -593,7 +578,8 @@ class EvalResult:
     per_conversation: Mapping[str, metrics.MetricReport]
     aggregate: metrics.AggregateReport
     code_letter: str | None = None
-    slices: Mapping[str, object] | None = None  # tag -> AggregateReport or error marker
+    # tag -> its report, or {"error": "EmptyCategory"}
+    slices: Mapping[str, metrics.AggregateReport | Mapping[str, str]] | None = None
 
     def as_dict(self) -> dict:
         """The report's fields, without ``code_letter`` and ``slices`` when they are None.
@@ -604,31 +590,8 @@ class EvalResult:
 
     @classmethod
     def from_dict(cls, d: Mapping) -> "EvalResult":
-        """The report of :meth:`as_dict`; a missing or misshapen key raises ValueError."""
-        def aggregate(a: Mapping) -> metrics.AggregateReport:
-            return metrics.AggregateReport(**{
-                k: from_fields(metrics.MetricSummary, v) if isinstance(v, Mapping) else v
-                for k, v in a.items()
-            })
-
-        if not isinstance(d, Mapping):
-            raise ValueError("eval report is not a JSON object")
-        try:
-            slices = d.get("slices")
-            return from_fields(cls, {
-                **d,
-                "per_conversation": {
-                    tid: metrics.MetricReport(**rep) for tid, rep in d["per_conversation"].items()
-                },
-                "aggregate": aggregate(d["aggregate"]),
-                "slices": None if slices is None else {
-                    tag: val if "error" in val else aggregate(val) for tag, val in slices.items()
-                },
-            })
-        except KeyError as exc:
-            raise ValueError(f"missing key {exc}") from None
-        except (AttributeError, TypeError) as exc:
-            raise ValueError(f"misshapen eval report: {exc}") from None
+        """The report of :meth:`as_dict`, read by :func:`schema.typed`."""
+        return typed(cls, d)
 
     def to_json(self) -> str:
         return json.dumps(self.as_dict(), default=as_fields, sort_keys=True, indent=2) + "\n"

@@ -1,21 +1,23 @@
 """The JSON form of threadlab's records, and the one reader of every file threadlab reads.
 
 Run logs, completion caches and eval reports write each record as its fields,
-by name and in declaration order, and read it back by the same names, so the
-field list is the one place the on-disk format is declared. A fault in any
-file read is a FileError whose message starts with the path and the line.
+by name and in declaration order, and one reader, ``typed``, reads every one
+back by the same fields, so the field list is the one place the on-disk format
+is declared, for reading as well as writing. A fault in any file read is a
+FileError whose message starts with the path and the line.
 """
 
 from __future__ import annotations
 
 import json
 import types
-from dataclasses import fields
+from collections.abc import Callable, Iterator, Mapping
+from dataclasses import MISSING, fields, is_dataclass
 from functools import cache
 from itertools import product
 from json.scanner import make_scanner
 from pathlib import Path
-from typing import Callable, Iterator, Mapping, TypeVar, Union, get_args, get_origin, get_type_hints
+from typing import TypeVar, Union, get_args, get_origin, get_type_hints
 
 T = TypeVar("T")
 
@@ -97,24 +99,83 @@ def objects(source: str | bytes) -> Iterator[tuple[int, dict]]:
         yield line_no, rec
 
 
+def typed(hint, value, path: str = "", /, **given):
+    """``value``, as json.loads returns it, read as ``hint``.
+
+    A dataclass reads from an object of its fields (bar ``given``, passed as
+    they are), ``tuple[X, ...]`` from a list, ``Mapping[str, X]`` from an
+    object, a union as its first member that fits (else with its first
+    member's fault), and a scalar as itself. The one conversion: a float field
+    takes an int and an int field an integral float, so neither ``1`` nor
+    ``"false"`` is a bool. Any other value raises ValueError naming its dotted
+    ``path``: ``missing key 'x'``, ``unknown key 'x'`` or
+    ``x.y is 'false', expected bool``.
+    """
+    if type(value) not in _reads(hint)[0] or (hint is int and value % 1):  # 1.5 for an int
+        raise ValueError(f"{path or 'value'} is {value!r}, expected {_reads(hint)[1]}")
+    origin, args = get_origin(hint), get_args(hint)
+    if origin in _UNIONS:
+        errors = []
+        for member in args:
+            try:
+                return typed(member, value, path)
+            except ValueError as exc:
+                errors.append(exc)
+        raise errors[0]
+    if is_dataclass(hint):
+        hints = get_type_hints(hint)
+        unknown = next((k for k in value if k not in _names(hint) or k in given), None)
+        if unknown is not None:
+            raise ValueError(f"unknown key {_at(path, unknown)!r}")
+        missing = next((f.name for f in fields(hint) if f.name not in value and f.name not in given
+                        and f.default is MISSING and f.default_factory is MISSING), None)
+        if missing is not None:
+            raise ValueError(f"missing key {_at(path, missing)!r}")
+        return hint(**{k: typed(hints[k], v, _at(path, k)) for k, v in value.items()}, **given)
+    if origin is tuple:
+        return tuple(typed(args[0], v, f"{path}[{i}]") for i, v in enumerate(value))
+    if origin is Mapping:
+        return {k: typed(args[1], v, _at(path, k)) for k, v in value.items()}
+    return value if type(value) is hint else hint(value)  # float(1) or int(2.0)
+
+
+def _at(path: str, key: str) -> str:
+    return f"{path}.{key}" if path else key
+
+
+_UNIONS = (Union, types.UnionType)
+# The types a JSON scalar reads back as, and their names in a message.
+_SCALARS = {str: "str", int: "int", float: "float", bool: "bool", type(None): "None"}
+
+
+@cache
+def _reads(hint) -> tuple[tuple[type, ...], str]:
+    """The types of the JSON values ``hint`` reads from, and its name in a message."""
+    origin, args = get_origin(hint), get_args(hint)
+    if origin in _UNIONS:
+        members = [_reads(m) for m in args]
+        return sum((t for t, _ in members), ()), " or ".join(name for _, name in members)
+    if is_dataclass(hint) or origin is Mapping:
+        return (dict,), "object"
+    if origin is tuple and args[1:] == (...,):
+        return (list,), "list"
+    if hint in _SCALARS:
+        return (int, float) if hint in (int, float) else (hint,), _SCALARS[hint]
+    raise TypeError(f"no JSON reading of {hint}")
+
+
 def build_typed(cls: type[T], line_no: int, d: Mapping) -> T:
-    """``cls(**d)``, the record on line ``line_no``; a missing or unknown key, or a
-    value whose JSON type is not its field's, raises."""
+    """:func:`typed` of ``cls`` from ``d``, the record on line ``line_no``; its
+    ValueError is raised as MalformedRecord."""
     if tuple(d) == _names(cls) and tuple(map(type, d.values())) in _type_rows(cls):
         # The keys are the fields in order, as every writer leaves them, and each
-        # value's type is one of its field's: build positionally. Any fault takes
-        # the route below, for its message.
+        # value's type is one of its field's: build positionally. Any other line
+        # takes the reader, for its conversions and its message.
         return cls(*d.values())
-    types = _types(cls)
     try:
-        record = cls(**d)
-    except TypeError as exc:  # "... got an unexpected keyword argument 'x'", or "missing ..."
+        return typed(cls, d)
+    except ValueError as exc:
         raise MalformedRecord(line_no, str(exc)) from None
-    for name, value in d.items():
-        if type(value) not in types[name]:
-            expected = " or ".join(t.__name__ for t in types[name])
-            raise MalformedRecord(line_no, f"{name} is {value!r}, expected {expected}")
-    return record
 
 
 @cache
@@ -122,36 +183,15 @@ def _names(cls: type) -> tuple[str, ...]:
     return tuple(f.name for f in fields(cls))
 
 
-# The types a JSON scalar reads back as; build_typed checks only fields of these.
-_SCALARS = (str, int, float, bool, type(None))
-
-
-@cache
-def _types(cls: type) -> dict[str, tuple[type, ...]]:
-    """Each field's types, in field order: its annotation, or the members of a
-    union such as ``str | None``.
-
-    Any other annotation, a list or tuple among them, raises TypeError: a JSON
-    array needs more than a type check, so such a field must fail loudly here
-    rather than reject every record that holds it.
-    """
-    out = {}
-    hints = get_type_hints(cls)
-    for name in _names(cls):
-        t = hints[name]
-        members = get_args(t) if get_origin(t) in (Union, types.UnionType) else (t,)
-        if not all(m in _SCALARS for m in members):
-            raise TypeError(
-                f"build_typed checks only JSON scalar fields, not {cls.__name__}.{name}: {t}"
-            )
-        out[name] = members
-    return out
-
-
 @cache
 def _type_rows(cls: type) -> frozenset[tuple[type, ...]]:
-    """Every tuple of value types, in field order, that build_typed accepts for ``cls``."""
-    return frozenset(product(*_types(cls).values()))
+    """Every tuple of value types, in field order, that typed reads as they are:
+    a field's scalar types, or none for a field that is not a scalar."""
+    def exact(hint) -> tuple[type, ...]:
+        members = get_args(hint) if get_origin(hint) in _UNIONS else (hint,)
+        return members if all(m in _SCALARS for m in members) else ()
+    hints = get_type_hints(cls)
+    return frozenset(product(*(exact(hints[name]) for name in _names(cls))))
 
 
 def as_fields(record) -> dict:
@@ -161,15 +201,3 @@ def as_fields(record) -> dict:
     ``json.dumps(..., default=as_fields)`` to encode nested records by the same rule.
     """
     return {name: getattr(record, name) for name in _names(type(record))}
-
-
-def from_fields(cls: type[T], d: Mapping, **given) -> T:
-    """``cls(**d, **given)`` with the JSON lists in ``d`` turned back into tuples.
-
-    A key of ``d`` that names no field of ``cls`` raises ValueError, so a typo
-    is not silently dropped; ``given`` is passed on unchanged.
-    """
-    unknown = d.keys() - set(_names(cls))
-    if unknown:
-        raise ValueError(f"unknown {cls.__name__} keys: {', '.join(sorted(unknown))}")
-    return cls(**{k: tuple(v) if isinstance(v, list) else v for k, v in d.items()}, **given)

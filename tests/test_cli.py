@@ -226,7 +226,17 @@ INPUT_FAULTS = {
     ),
     "spec template_dir not a path": (
         '{"spec": {"template_dir": 5}}', ["--config", "{tmp}/config.json"],
-        "bad experiment spec: template_dir must be a path string, got 5",
+        "bad experiment spec: template_dir is 5, expected str or None",
+    ),
+    "spec bool field a string": (
+        '{"spec": {"model": {"model_id": "m", "fixed_temperature": "false"}}}',
+        ["--config", "{tmp}/config.json"],
+        "bad experiment spec: model.fixed_temperature is 'false', expected bool",
+    ),
+    "spec transcripts a string": (
+        # an empty --transcripts leaves the config's list in force
+        '{"spec": {"transcripts": "ws01"}}', ["--config", "{tmp}/config.json", "--transcripts", ""],
+        "bad experiment spec: transcripts is 'ws01', expected list",
     ),
     "missing template directory": (
         '{"template_dir": "{tmp}/nope"}', ["--config", "{tmp}/config.json"],
@@ -316,7 +326,7 @@ RUN_FILE_FAULTS = {
         "runs/{run}/log.jsonl",
         lambda data: data.replace(b'"record", ', b'"record", "bogus": 1, ', 1),
         "eval --run {run} --out {tmp}",
-        "line 2: UtteranceRecord.__init__() got an unexpected keyword argument 'bogus'",
+        "line 2: unknown key 'bogus'",
     ),
     "log cut mid-line, eval": (
         "runs/{run}/log.jsonl", lambda data: data[:200], "eval --run {run} --out {tmp}",
@@ -350,7 +360,13 @@ RUN_FILE_FAULTS = {
     ),
     "eval.json of the wrong shape": (
         "runs/{run}/eval.json", lambda data: b"{}", "report --runs {run} --out {tmp}",
-        "missing key 'per_conversation'",
+        "missing key 'run_id'",
+    ),
+    "eval.json value of the wrong type": (
+        "runs/{run}/eval.json",
+        lambda data: re.sub(rb'("kappa": \{\s*"mean": )[^,]*', rb'\1"x"', data, count=1),
+        "report --runs {run} --out {tmp}",
+        "aggregate.kappa.mean is 'x', expected float",
     ),
     "cache value of the wrong type": (
         "c.jsonl", _line_2(_cache_record(input_tokens="12")),
@@ -371,6 +387,23 @@ RUN_FILE_FAULTS = {
         "runs/{run}/log.jsonl", lambda data: data.replace(b'"index": 1,', b'"index": "x",', 1),
         "eval --run {run} --out {tmp}",
         "line 2: index is 'x', expected int",
+    ),
+    "log summary value of the wrong type": (
+        "runs/{run}/log.jsonl",
+        lambda data: re.sub(rb'"wall_time_ms": \d+', b'"wall_time_ms": "x"', data),
+        "report --runs {run} --out {tmp}",
+        "line 34: wall_time_ms is 'x', expected int",
+    ),
+    "log spec value of the wrong type": (
+        "runs/{run}/log.jsonl",
+        lambda data: data.replace(b'"transcripts": ["ws01", "cs01"]', b'"transcripts": "ws01"', 1),
+        "eval --run {run} --out {tmp}",
+        "line 1: spec.transcripts is 'ws01', expected list",
+    ),
+    "log without its summary line": (
+        "runs/{run}/log.jsonl", lambda data: data[:data.rindex(b"\n", 0, -1) + 1],
+        "report --runs {run} --out {tmp}",
+        "run log has no summary line",
     ),
 }
 

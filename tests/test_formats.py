@@ -121,10 +121,10 @@ class _Listed:
     parts: tuple[str, ...]
 
 
-def test_build_typed_refuses_a_field_it_cannot_check():
-    # A tuple field read as its members' union would reject every JSON list.
-    with pytest.raises(TypeError, match="_Listed.parts"):
-        build_typed(_Listed, 1, {"name": None, "parts": ["a"]})
+def test_build_typed_reads_a_tuple_field_from_a_list():
+    assert build_typed(_Listed, 1, {"name": None, "parts": ["a", "b"]}) == _Listed(None, ("a", "b"))
+    with pytest.raises(MalformedRecord, match=r"^line 1: parts\[1\] is 1, expected str$"):
+        build_typed(_Listed, 1, {"name": None, "parts": ["a", 1]})
 
 
 def test_cache_line_keys_keep_their_order(tmp_path):
@@ -156,7 +156,7 @@ def test_cache_line_with_an_unknown_key_raises(tmp_path):
     path = tmp_path / "cache.jsonl"
     path.write_text(_cache_line(note="x"))
     with pytest.raises(MalformedRecord,
-                       match=rf"^{re.escape(str(path))}: line 1: .*unexpected .*'note'$"):
+                       match=rf"^{re.escape(str(path))}: line 1: unknown key 'note'$"):
         CompletionCache(path)
 
 
@@ -169,6 +169,13 @@ def test_cache_line_value_of_the_wrong_type_raises(tmp_path, key, value):
     with pytest.raises(MalformedRecord, match=rf"^{re.escape(str(path))}: line 2: "
                                               rf"{key} is {re.escape(repr(value))}, expected "):
         CompletionCache(path)
+
+
+def test_cache_line_integral_float_reads_as_an_int(tmp_path):
+    path = tmp_path / "cache.jsonl"
+    path.write_text(_cache_line(latency_ms=2.0))
+    latency = CompletionCache(path).get("h1").latency_ms
+    assert latency == 2 and type(latency) is int
 
 
 def _per_line_loads(text):
@@ -234,4 +241,19 @@ def test_spec_from_dict_coerces_numbers():
 )
 def test_spec_from_dict_rejects_unknown_keys(changes, typo):
     with pytest.raises(ValueError, match=typo):
+        ExperimentSpec.from_dict(_spec_json(**changes))
+
+
+@pytest.mark.parametrize("changes, message", [
+    (dict(model={"fixed_temperature": "false"}),
+     "model.fixed_temperature is 'false', expected bool"),
+    (dict(model={"fixed_temperature": 1}), "model.fixed_temperature is 1, expected bool"),
+    (dict(model={"temperature": True}), "model.temperature is True, expected float"),
+    (dict(transcripts="ws01"), "transcripts is 'ws01', expected list"),
+    (dict(shot_ids=["a", 1]), "shot_ids[1] is 1, expected str"),
+    (dict(window={"n": 10.5}), "window.n is 10.5, expected int"),
+    (dict(template_override=5), "template_override is 5, expected str or None"),
+])
+def test_spec_from_dict_names_a_value_of_the_wrong_type(changes, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         ExperimentSpec.from_dict(_spec_json(**changes))

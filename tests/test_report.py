@@ -1,9 +1,10 @@
 import csv
+from dataclasses import replace
 from xml.dom import minidom
 
 import pytest
 
-from threadlab.llm import ModelConfig, OracleProvider, PricingTable
+from threadlab.llm import CompletionCache, ModelConfig, OracleProvider, PricingTable
 from threadlab.report import (
     CSV_COLUMNS,
     HUMAN_CONDITION,
@@ -53,8 +54,33 @@ def test_model_row_uses_logged_cost(two_runs):
     _, log, _ = two_runs[0]
     row = tradeoff_rows(two_runs)[0]
     assert row.cost_usd_total == pytest.approx(log.cost_usd)
-    assert row.time_hours_total == pytest.approx(log.wall_time_ms / 3_600_000)
+    assert row.time_hours_total == 0.0  # provider time, and the oracle answers at once
     assert row.cost_usd_per_transcript == pytest.approx(row.cost_usd_total / 3)
+
+
+class _SlowOracle:
+    """The oracle, taking 40 ms a call."""
+
+    name = "slow"
+
+    def __init__(self, oracle):
+        self.oracle = oracle
+
+    def send(self, prompt, model, prompt_hash):
+        return replace(self.oracle.send(prompt, model, prompt_hash), latency_ms=40)
+
+
+def test_model_row_time_is_provider_time_once_per_call(bundled, tmp_path):
+    oracle = OracleProvider({tid: g for tid, (_, g) in bundled.items()})
+    spec = ExperimentSpec(task="threading", strategy="all_at_once",
+                          model=ModelConfig(model_id="test-model"), transcripts=("ws01", "cs01"))
+    live = run_threading(spec, bundled, _SlowOracle(oracle),
+                         cache=CompletionCache(tmp_path / "c.jsonl"))
+    cached = run_threading(spec, bundled, oracle, cache=CompletionCache(tmp_path / "c.jsonl"))
+    result = evaluate_run(live, bundled)
+    rows = tradeoff_rows([("live", live, result), ("cached", cached, result)])
+    # one all-at-once call per transcript, its latency on each of its records
+    assert rows[0].time_hours_total == rows[1].time_hours_total == 2 * 40 / 3_600_000
 
 
 def test_pricing_fallback_when_cost_missing(two_runs):
