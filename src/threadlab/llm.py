@@ -23,7 +23,7 @@ from typing import TYPE_CHECKING, Mapping, Protocol, TextIO
 
 from .corpus import GoldAnnotations
 from .prompts import TRANSCRIPT_START, RenderedPrompt
-from .schema import as_fields, build_typed, objects, read
+from .schema import as_fields, build_typed, objects, read, typed
 
 if TYPE_CHECKING:
     import requests
@@ -83,28 +83,28 @@ class ModelConfig:
 
 
 @dataclass(frozen=True)
-class PricingTable:
-    """USD per million input/output tokens, by model id."""
+class ModelRate:
+    """USD per million input and output tokens."""
 
-    rates: Mapping[str, tuple[float, float]]
+    input_per_1m: float
+    output_per_1m: float
+
+
+@dataclass(frozen=True)
+class PricingTable:
+    """Token rates by model id."""
+
+    rates: Mapping[str, ModelRate]
 
     @classmethod
     def from_dict(cls, raw: Mapping[str, Mapping[str, float]]) -> "PricingTable":
-        """Rates from ``{model: {"input_per_1m": x, "output_per_1m": y}}``; any
-        other shape raises ValueError naming the bad entry."""
+        """Rates from ``{model: {"input_per_1m": x, "output_per_1m": y}}``, read by
+        :func:`schema.typed`: any other shape raises ValueError naming the bad entry."""
         if not isinstance(raw, Mapping):
             raise ValueError("not a JSON object")
-        rates = {}
-        for model, entry in raw.items():
-            try:
-                rates[model] = (float(entry["input_per_1m"]), float(entry["output_per_1m"]))
-            except (KeyError, TypeError, ValueError):
-                raise ValueError(
-                    f"pricing entry {model!r} needs numbers input_per_1m and output_per_1m"
-                ) from None
-        return cls(rates=rates)
+        return cls(rates=typed(Mapping[str, ModelRate], raw))
 
-    def rate(self, model_id: str) -> tuple[float, float]:
+    def rate(self, model_id: str) -> ModelRate:
         try:
             return self.rates[model_id]
         except KeyError:
@@ -112,8 +112,8 @@ class PricingTable:
 
     def cost(self, model_id: str, input_tokens: int, output_tokens: int) -> float:
         """Dollar cost of a token count at the model's per-million rates."""
-        rate_in, rate_out = self.rate(model_id)
-        return input_tokens * rate_in / 1e6 + output_tokens * rate_out / 1e6
+        rate = self.rate(model_id)
+        return input_tokens * rate.input_per_1m / 1e6 + output_tokens * rate.output_per_1m / 1e6
 
 
 @dataclass(slots=True)
@@ -303,17 +303,11 @@ class OracleProvider:
                 f"oracle has no gold for transcript {prompt.transcript_id!r}"
             ) from None
         thread = prompt.expected_output.kind.startswith("thread")
-
-        def line(i: int, spk: str) -> str:
-            if thread:
-                return f"{i} {spk} [respond line = {g.thread[i].surface()}]"
-            return f"{i} {spk} {g.codes_at(i).to_string()}"
-
-        if prompt.target_index is not None:  # a window prompt: its one line
-            text = line(prompt.target_index, prompt.target_speaker)
-        else:
-            text = "\n".join([line(i, spk) for i, spk in prompt.expected_entries])
-        return ProviderResult(text, None, None, 0)
+        lines = []  # one per expected entry: a window's target, or a block's every utterance
+        for i, spk in prompt.expected_entries:
+            lines.append(f"{i} {spk} [respond line = {g.thread[i].surface()}]" if thread
+                         else f"{i} {spk} {g.codes_at(i).to_string()}")
+        return ProviderResult("\n".join(lines), None, None, 0)
 
 
 class ReplayProvider:

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 from typing import Sequence
 
@@ -32,17 +33,17 @@ FORWARD_LINK = "ForwardLink"
 UNKNOWN_CODE = "UnknownCode"
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class ParsedThreadLine:
     label: ThreadLabel
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class ParsedCodeLine:
     codes: CodeSet
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class ParseOutcome:
     """Ok(value) or Failed(reason)."""
 
@@ -96,15 +97,21 @@ _CODE_SETS = {
 }
 
 
+@lru_cache(maxsize=1 << 12)
+def _plain(speaker: str) -> bool:
+    """True when the speaker is printable, not empty, and holds no bracket and
+    no edge space; checked once per speaker, as a transcript repeats its few."""
+    return (bool(speaker) and speaker == speaker.strip() and "[" not in speaker
+            and "]" not in speaker and speaker.isprintable())
+
+
 def _head(index: int, speaker: str, kind: str) -> str | None:
     """The instructed line for (index, speaker) up to its payload, or None.
 
     None unless every line regex reads that line as exactly this index and
-    speaker: the index is not negative, and the speaker is printable, not
-    empty, and holds no bracket and no edge space.
+    speaker: the index is not negative and the speaker is :func:`_plain`.
     """
-    if (index < 0 or not speaker or speaker != speaker.strip() or "[" in speaker
-            or "]" in speaker or not speaker.isprintable()):
+    if index < 0 or not _plain(speaker):
         return None
     return f"{index} {speaker} {_OPENERS[kind]}"
 
@@ -236,7 +243,7 @@ def parse_code_response(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class BlockParse:
     """One outcome per expected entry."""
 

@@ -14,8 +14,9 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import attrgetter
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from .corpus import GoldAnnotations, ThreadLabel, Transcript, Utterance, format_timestamp
 from .schema import FileError, decoded, read
@@ -172,38 +173,59 @@ _THREAD_BLOCK = OutputContract("thread_block")
 _CODE_BLOCK = OutputContract("code_block")
 
 
-def render_window(
-    template_id: str,
-    lines: Sequence[str | None],
-    target: Utterance,
-    n: int,
-    transcript_id: str = "",
-    template_dir: str | Path | None = None,
-) -> RenderedPrompt:
-    """A single-line prompt from its window's transcript lines, the target's last.
+# The target utterance's fields that window templates show, by placeholder name.
+_TARGET_FIELDS: dict[str, Callable[[Utterance], str]] = {
+    "target_speaker": attrgetter("speaker"),
+    "target_text": attrgetter("text"),
+    "target_timestamp": lambda u: format_timestamp(u.timestamp_ms),
+}
+
+WindowRenderer = Callable[[Sequence[str | None], Utterance, str], RenderedPrompt]
+
+
+@lru_cache(maxsize=None)
+def window_renderer(
+    template_id: str, n: int, template_dir: str | Path | None = None
+) -> WindowRenderer:
+    """The single-line prompt function of a window template, for windows of size ``n``.
 
     Every window template renders here: ``thread_window``, the two
-    ``abcde_window`` variants, ``baseline_lee`` and ``baseline_qamar``.
-    ``lines`` come from :func:`utterance_line`; a None line stands for a
-    thread label that is missing and raises MissingThreadLabel. ``n`` is the
-    configured window size, which ``thread_window`` states.
+    ``abcde_window`` variants, ``baseline_lee`` and ``baseline_qamar``. The
+    template's parts are cut once, with ``window_n`` (the configured window
+    size, which ``thread_window`` states) filled in and neighbouring literals
+    joined, so ``thread_window`` is a prefix, the transcript block and a
+    suffix. The function takes the window's transcript lines, the target's
+    last, from :func:`utterance_line` (a None line stands for a thread label
+    that is missing and raises MissingThreadLabel), the target utterance and
+    the transcript id.
     """
-    values: dict[str, object] = {
-        "transcript_block": _block(lines, target.index - len(lines) + 1)
-    }
-    if template_id == "thread_window":
-        values["window_n"] = n
-    elif template_id != "baseline_qamar":
-        values["target_speaker"] = target.speaker
-        values["target_text"] = target.text
-        if template_id != "baseline_lee":
-            values["target_timestamp"] = format_timestamp(target.timestamp_ms)
-    text = _fill(template_id, template_dir, values)
+    parts = [""]
+    for k, part in enumerate(_compile(template_id, template_dir)):
+        if k % 2 and part != "window_n":
+            parts += part, ""
+        else:
+            parts[-1] += str(n) if k % 2 else part
+    parts = tuple(parts)
     contract = _THREAD_LINE if template_id == "thread_window" else _CODE_LINE
-    return RenderedPrompt(
-        text, contract, target.index, target.speaker, transcript_id,
-        ((target.index, target.speaker),),
-    )
+
+    def render(
+        lines: Sequence[str | None], target: Utterance, transcript_id: str = ""
+    ) -> RenderedPrompt:
+        block = _block(lines, target.index - len(lines) + 1)
+        if len(parts) == 3:  # prefix, the transcript block, suffix
+            text = parts[0] + block + parts[2]
+        else:  # the target's fields too, or the block more than once
+            text = parts[0]
+            for k in range(1, len(parts), 2):
+                name = parts[k]
+                value = block if name == "transcript_block" else _TARGET_FIELDS[name](target)
+                text += value + parts[k + 1]
+        return RenderedPrompt(
+            text, contract, target.index, target.speaker, transcript_id,
+            ((target.index, target.speaker),),
+        )
+
+    return render
 
 
 def render_full(
@@ -244,7 +266,7 @@ def render_thread_window(w: Window, template_dir: str | Path | None = None) -> R
     """Sliding-window threading prompt: labeled context, unlabeled target line."""
     lines = [utterance_line(u, label) for u, label in w.context]
     lines.append(utterance_line(w.target))
-    return render_window("thread_window", lines, w.target, w.n, w.transcript_id, template_dir)
+    return window_renderer("thread_window", w.n, template_dir)(lines, w.target, w.transcript_id)
 
 
 def _shots_block(shots: Sequence[tuple[Transcript, GoldAnnotations]]) -> str:
@@ -342,6 +364,6 @@ def _render_code(
     if full:
         return render_full(variant, payload, labels, template_dir=template_dir)
     lines = transcript_lines([u for u, _ in payload.context] + [payload.target], labels)
-    return render_window(
-        variant, lines, payload.target, payload.n, payload.transcript_id, template_dir
+    return window_renderer(variant, payload.n, template_dir)(
+        lines, payload.target, payload.transcript_id
     )

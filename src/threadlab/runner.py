@@ -125,7 +125,7 @@ class ExperimentSpec:
         return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class UtteranceRecord:
     transcript_id: str
     index: int
@@ -171,6 +171,12 @@ class RunLog:
             kind = d.pop("kind", None)
             if kind == "record":
                 records.append(build_typed(UtteranceRecord, line_no, d))
+            elif kind not in ("meta", "summary"):
+                raise MalformedRecord(
+                    line_no, "missing key 'kind'" if kind is None else f"unknown kind {kind!r}"
+                )
+            elif kind in lines:
+                raise MalformedRecord(line_no, f"repeated {kind} line")
             else:
                 lines[kind] = line_no, d
         for kind in ("meta", "summary"):
@@ -367,24 +373,25 @@ def _renderer(
         template_id = override or f"abcde_window_{'threaded' if threaded else 'plain'}"
         own_target = True
 
+    render_window = prompts.window_renderer(template_id, n, tdir)
+
     def render(t: Transcript, i: int, lines: list[str | None]) -> prompts.RenderedPrompt:
         target = t.utterances[i - 1]
         last = lines[i - 1] if own_target else prompts.utterance_line(target)
-        return prompts.render_window(
-            template_id, [*context_slice(lines, i, n), last], target, n, t.id, tdir
-        )
+        return render_window([*context_slice(lines, i, n), last], target, t.id)
 
     return render
 
 
-def _chains(spec: ExperimentSpec, corpus: Corpus, self_feedback: bool) -> list[Chain]:
-    """Self-feedback windows chain through their transcript; every other job stands alone."""
+def _chains(spec: ExperimentSpec, corpus: Corpus, chained: bool) -> list[Chain]:
+    """A transcript's windows as one chain when ``chained``, else one chain each;
+    a whole-transcript prompt is its own chain."""
     chains: list[Chain] = []
     for tid in spec.transcripts:
         indices = range(1, len(corpus[tid][0]) + 1)
         if spec.strategy == "all_at_once":
             chains.append((tid, (None,)))
-        elif self_feedback:
+        elif chained:
             chains.append((tid, indices))
         else:
             chains.extend((tid, (i,)) for i in indices)
@@ -453,16 +460,15 @@ def _run(
                     ).outcomes
                 else:
                     outcomes = (parse_line(rec.response_text, target, p.target_speaker, mode),)
-                # Positional arguments: this builds one record per utterance.
-                records.extend(
-                    UtteranceRecord(
+                # Positional arguments and no generator: this builds one record
+                # per utterance, and a window prompt has one.
+                for (i, _), o in zip(p.expected_entries, outcomes):
+                    records.append(UtteranceRecord(
                         tid, i, rec.prompt_hash,
                         parsed_label(o.value).canonical() if o.ok else PARSE_ERROR_LABEL,
                         gold_of(g, i), o.ok, o.reason,
                         rec.input_tokens, rec.output_tokens, rec.latency_ms,
-                    )
-                    for (i, _), o in zip(p.expected_entries, outcomes)
-                )
+                    ))
             if feedback == "self":
                 # Fed from the logged prediction, so the prompt stream is a
                 # pure function of the log; the target's line is rendered
@@ -472,7 +478,9 @@ def _run(
                 ))
         return records, input_tokens, output_tokens
 
-    chains = _chains(spec, corpus, feedback == "self")
+    # Self-feedback windows must run in order. Other windows are independent:
+    # the pool takes them one by one, and the serial path one transcript at a time.
+    chains = _chains(spec, corpus, feedback == "self" or concurrency <= 1)
     started = time.perf_counter()
     if concurrency > 1 and len(chains) > 1:
         # Longest chain first (LPT list scheduling): a self-feedback chain's

@@ -198,11 +198,11 @@ INPUT_FAULTS = {
     ),
     "pricing rate not a number": (
         '{"pricing": "{tmp}/pricing.json"}', ["--config", "{tmp}/config.json"],
-        "{tmp}/pricing.json: pricing entry 'm' needs numbers input_per_1m and output_per_1m",
+        "{tmp}/pricing.json: m.input_per_1m is 'x', expected float",
     ),
     "pricing rate missing": (
         '{"pricing": "{tmp}/pricing.json"}', ["--config", "{tmp}/config.json"],
-        "{tmp}/pricing.json: pricing entry 'm' needs numbers input_per_1m and output_per_1m",
+        "{tmp}/pricing.json: missing key 'm.output_per_1m'",
     ),
     "unknown config key": (
         '{"pricng": "{tmp}/pricing.json"}', ["--config", "{tmp}/config.json"],
@@ -404,6 +404,17 @@ RUN_FILE_FAULTS = {
         "runs/{run}/log.jsonl", lambda data: data[:data.rindex(b"\n", 0, -1) + 1],
         "report --runs {run} --out {tmp}",
         "run log has no summary line",
+    ),
+    "log line of an unknown kind": (
+        "runs/{run}/log.jsonl",
+        lambda data: data.replace(b'"kind": "record"', b'"kind": "recrod"', 1),
+        "eval --run {run} --out {tmp}",
+        "line 2: unknown kind 'recrod'",
+    ),
+    "log with its meta line repeated": (
+        "runs/{run}/log.jsonl", lambda data: data[:data.index(b"\n") + 1] + data,
+        "eval --run {run} --out {tmp}",
+        "line 2: repeated meta line",
     ),
 }
 

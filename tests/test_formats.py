@@ -19,7 +19,7 @@ from threadlab.llm import (
     ProviderResult,
     TransportError,
 )
-from threadlab.runner import ExperimentSpec, RunLog, run_threading
+from threadlab.runner import ExperimentSpec, RunLog, UtteranceRecord, run_threading
 from threadlab.schema import MalformedRecord, build_typed, objects
 from threadlab.windowing import WindowConfig
 
@@ -113,6 +113,57 @@ def test_run_log_record_value_of_the_wrong_type_raises(bundled, key, value):
     lines[1][key] = value
     with pytest.raises(MalformedRecord, match=rf"^line 2: {key} is {value!r}, expected "):
         _from_lines(lines)
+
+
+@pytest.mark.parametrize("fail_reason", [None, "TransportError"])
+def test_an_utterance_record_with_every_field_set_round_trips(fail_reason):
+    rec = UtteranceRecord("ws01", 7, "f" * 64, "(3, -)", "4", fail_reason is None, fail_reason,
+                          input_tokens=812, output_tokens=9, latency_ms=41)
+    again = RunLog.from_jsonl(RunLog(SPEC.run_id, SPEC, [rec]).to_jsonl())
+    assert again.records == [rec]
+    assert [type(v) for v in dataclasses.astuple(again.records[0])] == [
+        type(v) for v in dataclasses.astuple(rec)]
+    moved = dataclasses.replace(rec, index=8, predicted="-")
+    assert (moved.index, moved.predicted, moved.gold) == (8, "-", "4") and rec.index == 7
+
+
+KIND_FAULTS = {
+    "unknown kind": (lambda lines: lines[1].update(kind="recrod"),
+                     "line 2: unknown kind 'recrod'"),
+    "no kind": (lambda lines: lines[1].pop("kind"), "line 2: missing key 'kind'"),
+    "kind a list": (lambda lines: lines[1].update(kind=["record"]),
+                    "line 2: unknown kind ['record']"),
+    "meta repeated": (lambda lines: lines.insert(1, dict(lines[0])),
+                      "line 2: repeated meta line"),
+    "summary repeated": (lambda lines: lines.append(dict(lines[-1])),
+                         "line {n}: repeated summary line"),
+}
+
+
+@pytest.mark.parametrize("fault", list(KIND_FAULTS))
+def test_run_log_line_of_an_unknown_or_repeated_kind_raises(bundled, fault):
+    edit, message = KIND_FAULTS[fault]
+    lines = _log_lines(bundled)
+    edit(lines)
+    with pytest.raises(MalformedRecord, match=f"^{re.escape(message.format(n=len(lines)))}$"):
+        _from_lines(lines)
+
+
+@pytest.mark.parametrize("entry, message", [
+    ({"input_per_1m": True, "output_per_1m": 2.5}, "m.input_per_1m is True, expected float"),
+    ({"input_per_1m": 1, "output_per_1m": "2.5"}, "m.output_per_1m is '2.5', expected float"),
+    ({"input_per_1m": 1}, "missing key 'm.output_per_1m'"),
+    ({"input_per_1m": 1, "output_per_1m": 2, "cached_per_1m": 0}, "unknown key 'm.cached_per_1m'"),
+])
+def test_pricing_entry_is_read_by_its_fields(entry, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        PricingTable.from_dict({"m": entry})
+
+
+def test_pricing_rate_reads_an_int_as_a_float():
+    rate = PricingTable.from_dict({"m": {"input_per_1m": 2, "output_per_1m": 0.5}}).rate("m")
+    assert (rate.input_per_1m, rate.output_per_1m) == (2.0, 0.5)
+    assert type(rate.input_per_1m) is float
 
 
 @dataclasses.dataclass
