@@ -182,13 +182,21 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
+def _evaluate(runs_dir: Path, run_id: str, log, corpus, *args) -> runner_mod.EvalResult:
+    """Score a saved run; a record of a transcript its spec does not list names the log."""
+    try:
+        return runner_mod.evaluate_run(log, corpus, *args)
+    except runner_mod.StrayRecord as exc:
+        raise SystemExit(f"{runs_dir / run_id / 'log.jsonl'}: {exc}")
+
+
 def _cmd_eval(args: argparse.Namespace) -> int:
     _, corpus = _load_inputs(args)
     runs_dir = Path(args.out) / "runs"
     log = runner_mod.RunLog.load(runs_dir, args.run)
     subcats = args.subcats.split(",") if args.subcats else None
     try:
-        result = runner_mod.evaluate_run(log, corpus, args.code_letter, subcats)
+        result = _evaluate(runs_dir, args.run, log, corpus, args.code_letter, subcats)
     except ValueError as exc:
         raise SystemExit(str(exc))
     path = runs_dir / log.run_id / "eval.json"
@@ -216,7 +224,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
         if eval_path.exists():
             result = read(eval_path, lambda data: runner_mod.EvalResult.from_dict(json_value(data)))
         else:
-            result = runner_mod.evaluate_run(log, corpus)
+            result = _evaluate(runs_dir, run_id, log, corpus)
         entries.append((label, log, result))
     reports_dir = out / "reports"
     reports_dir.mkdir(parents=True, exist_ok=True)

@@ -5,12 +5,20 @@ Labels are plain strings: canonical thread labels (``"24"``, ``"-"``,
 parse-failure marker. Scores are computed per conversation and then averaged;
 :func:`aggregate` reports mean and sample standard deviation across
 conversations.
+
+Macro-F1 sums per-class F1 in sorted class order, but only over the classes
+that gold and prediction agree on at least once. Every other class has F1
+exactly 0.0, and adding 0.0 to a non-negative sum leaves it unchanged, so the
+result is the same float as a sum over the whole class space; the mean still
+divides by the whole class space.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from itertools import compress, repeat
+from operator import eq, itemgetter, mul
 from typing import Iterable, Mapping, Sequence
 
 from .corpus import CodeSet
@@ -44,86 +52,6 @@ def _check_lengths(gold: Sequence[str], pred: Sequence[str]) -> None:
 
 
 @dataclass(frozen=True)
-class _Counts:
-    """Label counts of one gold/prediction pair, from which every metric is derived."""
-
-    n: int
-    gold: Counter
-    pred: Counter
-    agree: Counter  # class -> positions where gold and prediction both carry it
-
-
-def _count(gold: Sequence[str], pred: Sequence[str]) -> _Counts:
-    _check_lengths(gold, pred)
-    return _Counts(
-        n=len(gold),
-        gold=Counter(gold),
-        pred=Counter(pred),
-        agree=Counter(g for g, p in zip(gold, pred) if g == p),
-    )
-
-
-def _accuracy(c: _Counts) -> float:
-    return sum(c.agree.values()) / c.n
-
-
-def _macro_f1(c: _Counts, classes: Sequence[str]) -> float:
-    # Summed in sorted class order so the float result does not depend on
-    # the order labels first occur in.
-    total = 0.0
-    for k in classes:
-        tp = c.agree[k]
-        n_pred = c.pred[k]
-        n_gold = c.gold[k]
-        precision = tp / n_pred if n_pred else 0.0
-        recall = tp / n_gold if n_gold else 0.0
-        total += 2 * precision * recall / (precision + recall) if precision + recall else 0.0
-    return total / len(classes)
-
-
-def _kappa(c: _Counts) -> float:
-    n = c.n
-    matches = sum(c.agree.values())
-    # Integer arithmetic for the chance term keeps the degenerate test exact.
-    expected_num = sum(m * c.pred[k] for k, m in c.gold.items())
-    if expected_num == n * n:
-        return 1.0 if matches == n else 0.0
-    p_o = matches / n
-    p_e = expected_num / (n * n)
-    return (p_o - p_e) / (1.0 - p_e)
-
-
-def _classes(c: _Counts) -> list[str]:
-    return sorted(c.gold.keys() | c.pred.keys())
-
-
-def accuracy(gold: Sequence[str], pred: Sequence[str]) -> float:
-    """Fraction of positions where the labels match exactly."""
-    return _accuracy(_count(gold, pred))
-
-
-def macro_f1(gold: Sequence[str], pred: Sequence[str]) -> float:
-    """Unweighted mean of per-class F1.
-
-    The class space is the union of labels observed in either sequence.
-    Precision and recall with empty denominators are taken as 0, and a class
-    with precision + recall = 0 contributes F1 = 0.
-    """
-    c = _count(gold, pred)
-    return _macro_f1(c, _classes(c))
-
-
-def cohens_kappa(gold: Sequence[str], pred: Sequence[str]) -> float:
-    """Cohen's kappa with chance agreement from the two marginal distributions.
-
-    Degenerate case: when expected agreement is exactly 1 (both raters stuck
-    on one identical class), kappa is 1 if observed agreement is perfect and 0
-    otherwise.
-    """
-    return _kappa(_count(gold, pred))
-
-
-@dataclass(frozen=True)
 class MetricReport:
     """Scores for one conversation."""
 
@@ -136,15 +64,56 @@ class MetricReport:
 
 def score(gold: Sequence[str], pred: Sequence[str]) -> MetricReport:
     """All three metrics for one gold/prediction pair, from one counting pass."""
-    c = _count(gold, pred)
-    classes = _classes(c)
+    _check_lengths(gold, pred)
+    n = len(gold)
+    gold_n, pred_n = Counter(gold), Counter(pred)
+    # class -> number of positions where gold and prediction both carry it
+    agree = Counter(compress(gold, map(eq, gold, pred)))
+    n_classes = len(gold_n.keys() | pred_n.keys())
+    # Summed in sorted class order so the float result does not depend on the
+    # order labels first occur in; see the module docstring for the classes skipped.
+    f1_sum = 0.0
+    for k in sorted(agree):
+        tp = agree[k]
+        precision = tp / pred_n[k]
+        recall = tp / gold_n[k]
+        f1_sum += 2 * precision * recall / (precision + recall)
+    matches = sum(agree.values())
+    # Integer arithmetic for the chance term keeps the degenerate test exact.
+    expected_num = sum(map(mul, gold_n.values(), map(pred_n.get, gold_n, repeat(0))))
+    if expected_num == n * n:
+        kappa = 1.0 if matches == n else 0.0
+    else:
+        p_o, p_e = matches / n, expected_num / (n * n)
+        kappa = (p_o - p_e) / (1.0 - p_e)
     return MetricReport(
-        accuracy=_accuracy(c),
-        macro_f1=_macro_f1(c, classes),
-        kappa=_kappa(c),
-        n=c.n,
-        n_classes=len(classes),
+        accuracy=matches / n, macro_f1=f1_sum / n_classes, kappa=kappa, n=n, n_classes=n_classes
     )
+
+
+def accuracy(gold: Sequence[str], pred: Sequence[str]) -> float:
+    """Fraction of positions where the labels match exactly."""
+    return score(gold, pred).accuracy
+
+
+def macro_f1(gold: Sequence[str], pred: Sequence[str]) -> float:
+    """Unweighted mean of per-class F1.
+
+    The class space is the union of labels observed in either sequence.
+    Precision and recall with empty denominators are taken as 0, and a class
+    with precision + recall = 0 contributes F1 = 0.
+    """
+    return score(gold, pred).macro_f1
+
+
+def cohens_kappa(gold: Sequence[str], pred: Sequence[str]) -> float:
+    """Cohen's kappa with chance agreement from the two marginal distributions.
+
+    Degenerate case: when expected agreement is exactly 1 (both raters stuck
+    on one identical class), kappa is 1 if observed agreement is perfect and 0
+    otherwise.
+    """
+    return score(gold, pred).kappa
 
 
 @dataclass(frozen=True)
@@ -196,24 +165,40 @@ def subcategory_slices(
     """Score, for each of ``tags``, only the positions whose gold subcategory is that tag.
 
     Position p (0-based) corresponds to utterance index p + 1 in the subcat
-    map. Positions are grouped in one pass; tags that never occur are left out
-    of the result.
+    map; indices outside 1..len(gold) are ignored. Positions are grouped in one
+    pass over the map; tags that never occur are left out of the result.
     """
     _check_lengths(gold, pred)
+    n = len(gold)
     keep: dict[str, list[int]] = {tag: [] for tag in tags}
-    for i in range(len(gold)):
-        positions = keep.get(subcat.get(i + 1))
-        if positions is not None:
-            positions.append(i)
-    return {
-        tag: score([gold[i] for i in positions], [pred[i] for i in positions])
-        for tag, positions in keep.items()
-        if positions
-    }
+    for index, tag in subcat.items():
+        positions = keep.get(tag)
+        if positions is not None and 0 < index <= n:
+            positions.append(index - 1)
+    slices = {}
+    for tag, positions in keep.items():
+        if positions:
+            take = itemgetter(*positions)
+            g, p = take(gold), take(pred)
+            # itemgetter of one position returns the item, not a 1-tuple
+            slices[tag] = score(g, p) if len(positions) > 1 else score((g,), (p,))
+    return slices
 
 
 PRESENT = "present"
 ABSENT = "absent"
+
+
+def presence(code: str, code_sets: Iterable["CodeSet | None"]) -> list[str]:
+    """Each code set reduced to whether it holds the letter ``code``.
+
+    A None code set stands for a failed parse and keeps its own class, so it
+    disagrees with any gold value.
+    """
+    return [
+        PARSE_ERROR_LABEL if cs is None else PRESENT if code in cs.letters else ABSENT
+        for cs in code_sets
+    ]
 
 
 def binary_code_metrics(
@@ -221,14 +206,5 @@ def binary_code_metrics(
     pred_codes: Sequence["CodeSet | None"],
     code: str,
 ) -> MetricReport:
-    """Reduce code sets to present/absent for one letter and score that.
-
-    A None prediction stands for a failed parse and keeps its own class, so it
-    disagrees with any gold value.
-    """
-    gold = [PRESENT if code in cs else ABSENT for cs in gold_codes]
-    pred = [
-        PARSE_ERROR_LABEL if cs is None else (PRESENT if code in cs else ABSENT)
-        for cs in pred_codes
-    ]
-    return score(gold, pred)
+    """Reduce code sets to present/absent for one letter (see :func:`presence`) and score that."""
+    return score(presence(code, gold_codes), presence(code, pred_codes))

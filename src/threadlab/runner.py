@@ -17,7 +17,7 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor, as_completed
 from dataclasses import dataclass
-from itertools import filterfalse
+from itertools import filterfalse, groupby, repeat
 from operator import attrgetter
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
@@ -58,6 +58,10 @@ class RunnerError(Exception):
 
 class GoldMismatch(RunnerError):
     pass
+
+
+class StrayRecord(GoldMismatch):
+    """A logged record of a transcript that the run's spec does not list."""
 
 
 class MissingThreadSource(RunnerError):
@@ -605,19 +609,32 @@ class EvalResult:
         return json.dumps(self.as_dict(), default=as_fields, sort_keys=True, indent=2) + "\n"
 
 
+_index, _predicted = attrgetter("index"), attrgetter("predicted")
+
+
 def _records_by_transcript(log: RunLog) -> dict[str, list[UtteranceRecord]]:
-    grouped: dict[str, list[UtteranceRecord]] = {}
-    for rec in log.records:
-        grouped.setdefault(rec.transcript_id, []).append(rec)
+    """The log's records per spec transcript, in index order; a record of any
+    other transcript raises StrayRecord."""
+    grouped: dict[str, list[UtteranceRecord]] = {tid: [] for tid in log.spec.transcripts}
+    # a run logs each transcript's records in one or a few stretches
+    for tid, stretch in groupby(log.records, attrgetter("transcript_id")):
+        if tid not in grouped:
+            raise StrayRecord(f"record for transcript {tid!r}, which the run's spec does not list")
+        grouped[tid].extend(stretch)
     for recs in grouped.values():
-        recs.sort(key=lambda r: r.index)
+        recs.sort(key=_index)
     return grouped
 
 
 def _check_coverage(tid: str, recs: list[UtteranceRecord], t: Transcript) -> None:
-    got = [r.index for r in recs]
+    got = list(map(_index, recs))
     if got != list(range(1, len(t) + 1)):
         raise GoldMismatch(f"{tid}: records cover {got[:5]}..., expected 1..{len(t)}")
+
+
+def _code_set(predicted: str) -> CodeSet | None:
+    """A code record's prediction as a code set; None for a failed parse."""
+    return None if predicted == PARSE_ERROR_LABEL else CodeSet(frozenset(predicted))
 
 
 def evaluate_run(
@@ -633,7 +650,8 @@ def evaluate_run(
     Conversations missing a requested subcategory are skipped for that slice,
     and a tag absent from every conversation is reported as empty rather than
     raising. A repeated tag is sliced once; a tag outside SUBCATEGORY_TAGS
-    raises ValueError.
+    raises ValueError. A record of a transcript the spec does not list raises
+    StrayRecord, a GoldMismatch.
     """
     unknown = set(subcats or ()) - SUBCATEGORY_TAGS
     if unknown:
@@ -650,21 +668,26 @@ def evaluate_run(
     )
     for tid in log.spec.transcripts:
         t, g = _gold_pair(corpus, tid)
-        recs = grouped.get(tid, [])
+        recs = grouped[tid]
         _check_coverage(tid, recs, t)
+        # records now hold indices 1..n in order, so position p is index p + 1
+        indices = range(1, len(recs) + 1)
+        pred = list(map(_predicted, recs))
         if threading_run:
-            gold = [g.thread[r.index].canonical() for r in recs]
-            pred = [r.predicted for r in recs]
+            gold = list(map(ThreadLabel.canonical, map(g.thread.__getitem__, indices)))
             per_conv[tid] = metrics.score(gold, pred)
             if sliced:
                 for tag, rep in metrics.subcategory_slices(gold, pred, g.subcat, sliced).items():
                     sliced[tag].append(rep)
         else:
-            per_conv[tid] = metrics.binary_code_metrics(
-                [g.codes_at(r.index) for r in recs],
-                [None if r.predicted == PARSE_ERROR_LABEL else CodeSet(frozenset(r.predicted))
-                 for r in recs],
-                code_letter,
+            # each distinct string is read once, in record order, so the first
+            # bad one raises CodeSet's ValueError
+            distinct = list(dict.fromkeys(pred))
+            pred_of = dict(zip(distinct, metrics.presence(code_letter, map(_code_set, distinct))))
+            gold_of = dict(zip(g.abcde, metrics.presence(code_letter, g.abcde.values())))
+            per_conv[tid] = metrics.score(
+                list(map(gold_of.get, indices, repeat(metrics.ABSENT))),
+                list(map(pred_of.__getitem__, pred)),
             )
     return EvalResult(
         run_id=log.run_id,

@@ -306,6 +306,22 @@ def test_eval_of_a_log_that_misses_a_gold_line_is_a_one_line_error(capsys, tmp_p
     assert exc.value.code == "ws01: records cover [1, 3, 4, 5, 6]..., expected 1..21"
 
 
+@pytest.mark.parametrize("command", ["eval --run {run}", "report --runs {run}"])
+def test_a_log_record_of_a_transcript_outside_the_spec_is_a_one_line_error(
+    capsys, tmp_path, command
+):
+    run_id = _thread_run(capsys, tmp_path)
+    log = tmp_path / "runs" / run_id / "log.jsonl"
+    lines = log.read_text(encoding="utf-8").splitlines()
+    stray = lines[1].replace('"transcript_id": "ws01"', '"transcript_id": "ws02"')
+    assert stray != lines[1]
+    log.write_text("\n".join([*lines[:-1], stray, lines[-1]]) + "\n", encoding="utf-8")
+    with pytest.raises(SystemExit) as exc:
+        main([*command.format(run=run_id).split(), "--out", str(tmp_path)])
+    assert exc.value.code == (
+        f"{log}: record for transcript 'ws02', which the run's spec does not list"
+    )
+
 def _line_2(new):
     return lambda data: b"\n".join([data.split(b"\n")[0], new, *data.split(b"\n")[2:]])
 

@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from threadlab.corpus import CodeSet
+from threadlab.corpus import SUBCATEGORY_TAGS, CodeSet
 from threadlab.metrics import (
     ABSENT,
     PARSE_ERROR_LABEL,
@@ -17,6 +17,7 @@ from threadlab.metrics import (
     cohens_kappa,
     macro_f1,
     score,
+    subcategory_slices,
 )
 
 from reference_metrics import (
@@ -188,6 +189,28 @@ def test_many_thread_label_classes_against_reference(n):
     assert rep.macro_f1 == rescan_macro_f1(gold, pred)
     assert rep.accuracy == pytest.approx(ref_accuracy(gold, pred), abs=1e-12)
     assert rep.kappa == pytest.approx(ref_kappa(gold, pred), abs=1e-12)
+
+
+@pytest.mark.parametrize("n", [150, 400, 700])
+def test_subcategory_slices_against_one_tag_at_a_time(n):
+    rng = random.Random(n)
+    gold, pred = _thread_like_instance(rng, n)
+    tags = sorted(SUBCATEGORY_TAGS)
+    # "I" is left out of the map, so its slice is empty; indices outside 1..n are ignored
+    subcat = {i: rng.choice(tags[1:]) for i in range(1, n + 1) if rng.random() < 0.4}
+    subcat.update({0: "AP", -2: "TT", n + 1: "BC", n + 7: "I"})
+    expected = {}
+    for tag in tags:
+        try:
+            expected[tag] = ref_subcategory_slice(gold, pred, subcat, tag)
+        except EmptyCategory:
+            pass
+    assert sorted(expected) == tags[1:]
+    assert subcategory_slices(gold, pred, subcat, tags) == expected
+    # a tag that occurs once gives a one-label slice
+    assert subcategory_slices(gold, pred, {3: "I"}, tags) == {
+        "I": ref_subcategory_slice(gold, pred, {3: "I"}, "I")
+    }
 
 
 def test_score_equals_the_three_public_metrics():

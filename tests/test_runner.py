@@ -1,5 +1,7 @@
 import dataclasses
+import itertools
 import json
+import random
 import threading
 import time
 
@@ -10,6 +12,7 @@ from threadlab import prompts
 from threadlab.corpus import (
     NEW_THREAD,
     SUBCATEGORY_TAGS,
+    VALID_CODES,
     CodeSet,
     GoldAnnotations,
     LineRef,
@@ -33,7 +36,7 @@ from threadlab.llm import (
     complete,
     prompt_digest,
 )
-from threadlab.metrics import PARSE_ERROR_LABEL, aggregate
+from threadlab.metrics import PARSE_ERROR_LABEL, aggregate, binary_code_metrics
 from threadlab.prompts import (
     render_abcde, render_baseline, render_thread_all_at_once, render_thread_window
 )
@@ -873,3 +876,80 @@ def test_run_log_bytes_do_not_depend_on_concurrency(bundled, kw):
                   concurrency=concurrency)
         texts.add(dataclasses.replace(log, wall_time_ms=0).to_jsonl())
     assert len(texts) == 1
+
+
+def test_evaluate_rejects_records_of_a_transcript_outside_the_spec(bundled):
+    log = run_threading(_spec(transcripts=("ws01",)), bundled, _oracle(bundled))
+    other = run_threading(_spec(transcripts=("ws02",)), bundled, _oracle(bundled))
+    log.records.append(other.records[0])
+    with pytest.raises(GoldMismatch, match="'ws02'"):
+        evaluate_run(log, bundled)
+
+
+# Every code set's canonical string, a non-canonical spelling and the parse-failure marker.
+_CODE_STRINGS = [
+    "".join(letters) for k in range(6) for letters in itertools.combinations("ABCDE", k)
+] + ["CA", PARSE_ERROR_LABEL]
+
+
+def _per_record_code_eval(log, corpus, letter):
+    """Code-run scores from one CodeSet per record, as evaluation once built them."""
+    per_conv = {}
+    for tid in log.spec.transcripts:
+        _, g = corpus[tid]
+        recs = sorted((r for r in log.records if r.transcript_id == tid), key=lambda r: r.index)
+        per_conv[tid] = binary_code_metrics(
+            [g.codes_at(r.index) for r in recs],
+            [None if r.predicted == PARSE_ERROR_LABEL else CodeSet(frozenset(r.predicted))
+             for r in recs],
+            letter,
+        )
+    return per_conv
+
+
+def _code_log(corpus, strings):
+    spec = _spec(task="abcde", transcripts=tuple(corpus),
+                 window=WindowConfig(n=10, feedback="none"))
+    log = run_abcde(spec, corpus, _oracle(corpus))
+    cycle = itertools.cycle(strings)
+    return dataclasses.replace(
+        log, records=[dataclasses.replace(r, predicted=next(cycle)) for r in log.records]
+    )
+
+
+@pytest.mark.parametrize("letter", sorted(VALID_CODES))
+def test_evaluate_code_run_equals_per_record_code_sets(bundled, letter):
+    assert len(_CODE_STRINGS) == 34
+    # gold with some code records dropped, so an unlabeled index counts as no codes
+    corpus = {
+        tid: (t, dataclasses.replace(g, abcde={i: cs for i, cs in g.abcde.items() if i % 5}))
+        for tid, (t, g) in bundled.items()
+    }
+    log = _code_log(corpus, _CODE_STRINGS)
+    assert {r.predicted for r in log.records} == set(_CODE_STRINGS)
+    result = evaluate_run(log, corpus, code_letter=letter)
+    expected = _per_record_code_eval(log, corpus, letter)
+    assert result.per_conversation == expected
+    assert result.aggregate == aggregate(list(expected.values()))
+
+
+def test_evaluate_code_run_raises_on_the_first_bad_prediction(bundled):
+    log = _code_log(bundled, ["A", "AQ", "", "Z", "BZ"])
+    with pytest.raises(ValueError) as old:
+        _per_record_code_eval(log, bundled, "E")
+    with pytest.raises(ValueError) as new:
+        evaluate_run(log, bundled, code_letter="E")
+    assert str(new.value) == str(old.value) == "codes outside A-E: ['Q']"
+
+
+@pytest.mark.parametrize("task", ["threading", "abcde"])
+def test_evaluate_does_not_depend_on_record_order(bundled, task):
+    spec = _spec(task=task, transcripts=tuple(bundled),
+                 window=WindowConfig(n=10, feedback="none" if task == "abcde" else "self"))
+    run = run_threading if task == "threading" else run_abcde
+    log = run(spec, bundled, FlakyThreadProvider(bundled, bad_indices={2, 5, 8}))
+    shuffled = list(log.records)
+    random.Random(3).shuffle(shuffled)
+    shuffled_log = dataclasses.replace(log, records=shuffled)
+    kw = {"subcats": sorted(SUBCATEGORY_TAGS)} if task == "threading" else {"code_letter": "B"}
+    assert evaluate_run(shuffled_log, bundled, **kw) == evaluate_run(log, bundled, **kw)
