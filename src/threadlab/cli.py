@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import dataclass
 from pathlib import Path
 
 from . import corpus as corpus_mod
@@ -26,7 +27,7 @@ from .llm import (
     Provider,
     ReplayProvider,
 )
-from .schema import FileError, json_value, read
+from .schema import FileError, json_value, read, typed
 
 PROVIDERS = ("http", "replay", "oracle")
 
@@ -36,49 +37,46 @@ def _load_corpus(corpus_dir: str | None):
     return corpus_mod.load_corpus(root)
 
 
-# The keys a ``--config`` file may set; all but provider and spec name a file
-# or directory.
-_CONFIG_PATHS = ("cache", "corpus_dir", "fixtures", "pricing", "template_dir")
-_CONFIG_KEYS = frozenset(("provider", "spec", *_CONFIG_PATHS))
+@dataclass(frozen=True)
+class RunConfig:
+    """A ``--config`` file: the provider, the spec the flags complete, and the
+    files and directories the run reads or writes."""
+
+    provider: str = "oracle"
+    spec: dict | None = None
+    cache: str | None = None
+    corpus_dir: str | None = None
+    fixtures: str | None = None
+    pricing: str | None = None
+    template_dir: str | None = None
 
 
-def _load_inputs(args: argparse.Namespace) -> tuple[dict, dict]:
-    """The ``--config`` file's settings ({} without one) and the corpus they or
-    ``--corpus`` name."""
-    config = {} if args.config is None else read(args.config, _parse_config)
-    return config, _load_corpus(args.corpus or config.get("corpus_dir"))
+def _load_inputs(args: argparse.Namespace) -> tuple[RunConfig, dict]:
+    """The ``--config`` file's settings (the defaults without one) and the corpus
+    they or ``--corpus`` name."""
+    config = (RunConfig() if args.config is None
+              else read(args.config, lambda data: typed(RunConfig, json_value(data))))
+    return config, _load_corpus(args.corpus or config.corpus_dir)
 
 
-def _parse_config(source: bytes) -> dict:
-    config = json_value(source)
-    if not isinstance(config, dict):
-        raise ValueError("not a JSON object")
-    unknown = sorted(set(config) - _CONFIG_KEYS)
-    if unknown:
-        raise ValueError(f"unknown key {unknown[0]!r}")
-    for key in _CONFIG_PATHS:
-        if not isinstance(config.get(key), (str, type(None))):
-            raise ValueError(f"{key!r} is not a path string")
-    return config
-
-
-def _build_spec(task: str, config: dict, args: argparse.Namespace) -> runner_mod.ExperimentSpec:
+def _build_spec(
+    task: str, config: RunConfig, args: argparse.Namespace
+) -> runner_mod.ExperimentSpec:
     try:
-        spec_dict = dict(config.get("spec") or {})
+        spec_dict = dict(config.spec or {})
         spec_dict.setdefault("task", task)
         if spec_dict["task"] != task:
             raise SystemExit(f"config spec task {spec_dict['task']!r} does not match subcommand")
         if args.model:
-            spec_dict.setdefault("model", {})
-            spec_dict["model"] = {**spec_dict["model"], "model_id": args.model}
+            model = typed(dict, spec_dict.get("model", {}), "model")
+            spec_dict["model"] = {**model, "model_id": args.model}
         if "model" not in spec_dict:
             raise SystemExit("no model configured; pass --model or set spec.model in the config")
         if args.window is not None:
-            w = dict(spec_dict.get("window")
+            w = dict(typed(dict | None, spec_dict.get("window"), "window")
                      or {"feedback": "self" if task == "threading" else "none"})
             w["n"] = args.window
             spec_dict["window"] = w
-            spec_dict.setdefault("strategy", "window")
         if getattr(args, "shots", None) is not None:
             spec_dict["shots"] = args.shots
         if getattr(args, "thread_source", None):
@@ -86,36 +84,28 @@ def _build_spec(task: str, config: dict, args: argparse.Namespace) -> runner_mod
         if args.transcripts:
             spec_dict["transcripts"] = args.transcripts.split(",")
         spec_dict.setdefault("strategy", "window" if spec_dict.get("window") else "all_at_once")
-        if config.get("template_dir"):
-            spec_dict.setdefault("template_dir", config["template_dir"])
+        if config.template_dir:
+            spec_dict.setdefault("template_dir", config.template_dir)
         return runner_mod.ExperimentSpec.from_dict(spec_dict)
-    except (KeyError, TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise SystemExit(f"bad experiment spec: {exc}")
 
 
-def _build_provider(name: str, config: dict, corpus) -> Provider:
+def _build_provider(name: str, config: RunConfig, corpus) -> Provider:
     if name == "oracle":
         return OracleProvider({tid: g for tid, (_, g) in corpus.items()})
     if name == "replay":
-        fixtures = config.get("fixtures")
-        if not fixtures:
+        if not config.fixtures:
             raise SystemExit("replay provider needs a 'fixtures' path in the config")
-        return ReplayProvider.from_path(fixtures)
+        return ReplayProvider.from_path(config.fixtures)
     if name == "http":
         return HttpProvider()
     raise SystemExit(f"unknown provider {name!r}")
 
 
-def _pricing(config: dict) -> PricingTable | None:
-    path = config.get("pricing")
+def _pricing(config: RunConfig) -> PricingTable | None:
+    path = config.pricing
     return read(path, lambda data: PricingTable.from_dict(json_value(data))) if path else None
-
-
-def _cache(config: dict) -> CompletionCache | None:
-    path = config.get("cache")
-    if not path:
-        return None
-    return CompletionCache(path)
 
 
 def _cmd_ingest(args: argparse.Namespace) -> int:
@@ -154,9 +144,8 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 def _cmd_run(args: argparse.Namespace) -> int:
     config, corpus = _load_inputs(args)
     spec = _build_spec(args.task, config, args)
-    provider = _build_provider(args.provider or config.get("provider", "oracle"),
-                               config, corpus)
-    cache = _cache(config)
+    provider = _build_provider(args.provider or config.provider, config, corpus)
+    cache = CompletionCache(config.cache) if config.cache else None
     pricing = _pricing(config)
     out = Path(args.out)
     runs_dir = out / "runs"
@@ -170,7 +159,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         else:
             log = runner_mod.run_abcde(spec, runs_dir=runs_dir, **kwargs)
     except LlmError as exc:  # outside the fault policy: the run stops with no log
-        kept = (f"its finished calls are kept in {config['cache']}" if cache is not None
+        kept = (f"its finished calls are kept in {config.cache}" if cache is not None
                 else "no cache keeps its finished calls")
         raise SystemExit(f"run {spec.run_id} stopped by {type(exc).__name__}: {exc}; {kept}")
     path = log.save(runs_dir)
@@ -183,7 +172,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _evaluate(runs_dir: Path, run_id: str, log, corpus, *args) -> runner_mod.EvalResult:
-    """Score a saved run; a record of a transcript its spec does not list names the log."""
+    """Score a saved run; a log whose records do not match its spec is a fault naming the log."""
     try:
         return runner_mod.evaluate_run(log, corpus, *args)
     except runner_mod.StrayRecord as exc:

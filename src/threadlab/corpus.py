@@ -17,7 +17,7 @@ from functools import cached_property, lru_cache
 from pathlib import Path
 from typing import Container, Iterable, Mapping, Sequence
 
-from .schema import MalformedRecord, json_value, objects, read
+from .schema import MalformedRecord, json_value, objects, read, typed
 
 VALID_CODES = frozenset("ABCDE")
 
@@ -294,6 +294,8 @@ class Transcript:
     scenario: str = ""
 
     def __post_init__(self):
+        """Indices run 1..n, as ``__getitem__`` looks up by position: a check for
+        transcripts built in memory, as ``parse_transcript`` renumbers 1..n."""
         for pos, u in enumerate(self.utterances, start=1):
             if u.index != pos:
                 raise ValueError(
@@ -730,38 +732,41 @@ def corpus_stats(pairs: Sequence[tuple[Transcript, GoldAnnotations]]) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def load_corpus(corpus_dir: str | Path) -> dict[str, tuple[Transcript, GoldAnnotations]]:
-    """Load a corpus directory driven by its ``manifest.json``.
+@dataclass(frozen=True)
+class ManifestEntry:
+    """One transcript of a corpus directory; file names are relative to it."""
 
-    The manifest lists transcripts as objects with ``id``, ``scenario``,
-    ``transcript`` and ``gold`` file names (relative to the directory).
-    Returns transcripts keyed by id, in manifest order.
-    """
+    id: str
+    transcript: str
+    gold: str
+    scenario: str = ""
+
+
+@dataclass(frozen=True)
+class Manifest:
+    transcripts: tuple[ManifestEntry, ...]
+
+
+def load_corpus(corpus_dir: str | Path) -> dict[str, tuple[Transcript, GoldAnnotations]]:
+    """The transcripts a directory's ``manifest.json`` lists, keyed by id in its order."""
     corpus_dir = Path(corpus_dir)
     pairs: dict[str, tuple[Transcript, GoldAnnotations]] = {}
     for entry in read(corpus_dir / "manifest.json", _parse_manifest):
-        t = read(corpus_dir / entry["transcript"], parse_transcript,
-                 transcript_id=entry["id"], scenario=entry.get("scenario", ""))
-        g = read(corpus_dir / entry["gold"], parse_gold, transcript_id=entry["id"])
-        pairs[entry["id"]] = (t, g)
+        t = read(corpus_dir / entry.transcript, parse_transcript,
+                 transcript_id=entry.id, scenario=entry.scenario)
+        g = read(corpus_dir / entry.gold, parse_gold, transcript_id=entry.id)
+        pairs[entry.id] = (t, g)
     return pairs
 
 
-def _parse_manifest(source: bytes) -> list[dict]:
-    """The manifest's transcript entries, each checked for its id and file names."""
-    manifest = json_value(source)
-    entries = manifest.get("transcripts") if isinstance(manifest, dict) else None
-    if not isinstance(entries, list):
-        raise ValueError('not an object with a "transcripts" list')
+def _parse_manifest(source: bytes) -> tuple[ManifestEntry, ...]:
+    """The manifest's entries, read by their fields; a repeated id raises ValueError."""
+    entries = typed(Manifest, json_value(source)).transcripts
     seen: set[str] = set()
-    for k, entry in enumerate(entries, start=1):
-        fields = entry if isinstance(entry, dict) else {}
-        for key in ("id", "transcript", "gold"):
-            if not isinstance(fields.get(key), str):
-                raise ValueError(f'transcripts entry {k} has no "{key}" string')
-        if entry["id"] in seen:
-            raise ValueError(f"duplicate transcript id {entry['id']!r}")
-        seen.add(entry["id"])
+    for entry in entries:
+        if entry.id in seen:
+            raise ValueError(f"duplicate transcript id {entry.id!r}")
+        seen.add(entry.id)
     return entries
 
 

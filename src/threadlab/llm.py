@@ -100,8 +100,6 @@ class PricingTable:
     def from_dict(cls, raw: Mapping[str, Mapping[str, float]]) -> "PricingTable":
         """Rates from ``{model: {"input_per_1m": x, "output_per_1m": y}}``, read by
         :func:`schema.typed`: any other shape raises ValueError naming the bad entry."""
-        if not isinstance(raw, Mapping):
-            raise ValueError("not a JSON object")
         return cls(rates=typed(Mapping[str, ModelRate], raw))
 
     def rate(self, model_id: str) -> ModelRate:

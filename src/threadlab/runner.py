@@ -61,7 +61,8 @@ class GoldMismatch(RunnerError):
 
 
 class StrayRecord(GoldMismatch):
-    """A logged record of a transcript that the run's spec does not list."""
+    """A run log whose records do not match its spec: a record of a transcript
+    the spec does not list, or a listed transcript's records that do not cover it."""
 
 
 class MissingThreadSource(RunnerError):
@@ -629,7 +630,7 @@ def _records_by_transcript(log: RunLog) -> dict[str, list[UtteranceRecord]]:
 def _check_coverage(tid: str, recs: list[UtteranceRecord], t: Transcript) -> None:
     got = list(map(_index, recs))
     if got != list(range(1, len(t) + 1)):
-        raise GoldMismatch(f"{tid}: records cover {got[:5]}..., expected 1..{len(t)}")
+        raise StrayRecord(f"{tid}: records cover {got[:5]}..., expected 1..{len(t)}")
 
 
 def _code_set(predicted: str) -> CodeSet | None:
@@ -650,7 +651,8 @@ def evaluate_run(
     Conversations missing a requested subcategory are skipped for that slice,
     and a tag absent from every conversation is reported as empty rather than
     raising. A repeated tag is sliced once; a tag outside SUBCATEGORY_TAGS
-    raises ValueError. A record of a transcript the spec does not list raises
+    raises ValueError. A record of a transcript the spec does not list, or a
+    listed transcript whose records do not cover its utterances, raises
     StrayRecord, a GoldMismatch.
     """
     unknown = set(subcats or ()) - SUBCATEGORY_TAGS

@@ -105,14 +105,16 @@ def typed(hint, value, path: str = "", /, **given):
     A dataclass reads from an object of its fields (bar ``given``, passed as
     they are), ``tuple[X, ...]`` from a list, ``Mapping[str, X]`` from an
     object, a union as its first member that fits (else with its first
-    member's fault), and a scalar as itself. The one conversion: a float field
-    takes an int and an int field an integral float, so neither ``1`` nor
-    ``"false"`` is a bool. Any other value raises ValueError naming its dotted
-    ``path``: ``missing key 'x'``, ``unknown key 'x'`` or
-    ``x.y is 'false', expected bool``.
+    member's fault), and a scalar, or ``dict`` from any object, as itself. The
+    one conversion: a float field takes an int and an int field an integral
+    float, so neither ``1`` nor ``"false"`` is a bool. Any other value raises
+    ValueError naming its dotted ``path``: ``missing key 'x'``,
+    ``unknown key 'x'`` or ``x.y is 'false', expected bool``.
     """
     if type(value) not in _reads(hint)[0] or (hint is int and value % 1):  # 1.5 for an int
         raise ValueError(f"{path or 'value'} is {value!r}, expected {_reads(hint)[1]}")
+    if type(value) is hint:
+        return value
     origin, args = get_origin(hint), get_args(hint)
     if origin in _UNIONS:
         errors = []
@@ -123,7 +125,7 @@ def typed(hint, value, path: str = "", /, **given):
                 errors.append(exc)
         raise errors[0]
     if is_dataclass(hint):
-        hints = get_type_hints(hint)
+        hints = _hints(hint)
         unknown = next((k for k in value if k not in _names(hint) or k in given), None)
         if unknown is not None:
             raise ValueError(f"unknown key {_at(path, unknown)!r}")
@@ -136,7 +138,7 @@ def typed(hint, value, path: str = "", /, **given):
         return tuple(typed(args[0], v, f"{path}[{i}]") for i, v in enumerate(value))
     if origin is Mapping:
         return {k: typed(args[1], v, _at(path, k)) for k, v in value.items()}
-    return value if type(value) is hint else hint(value)  # float(1) or int(2.0)
+    return hint(value)  # float(1) or int(2.0)
 
 
 def _at(path: str, key: str) -> str:
@@ -144,8 +146,10 @@ def _at(path: str, key: str) -> str:
 
 
 _UNIONS = (Union, types.UnionType)
-# The types a JSON scalar reads back as, and their names in a message.
-_SCALARS = {str: "str", int: "int", float: "float", bool: "bool", type(None): "None"}
+# The types a JSON value reads back as itself, and their names in a message.
+_SCALARS = {str: "str", int: "int", float: "float", bool: "bool", type(None): "None",
+            dict: "object"}
+_hints = cache(get_type_hints)  # get_type_hints compiles each annotation on every call
 
 
 @cache
@@ -190,7 +194,7 @@ def _type_rows(cls: type) -> frozenset[tuple[type, ...]]:
     def exact(hint) -> tuple[type, ...]:
         members = get_args(hint) if get_origin(hint) in _UNIONS else (hint,)
         return members if all(m in _SCALARS for m in members) else ()
-    hints = get_type_hints(cls)
+    hints = _hints(cls)
     return frozenset(product(*(exact(hints[name]) for name in _names(cls))))
 
 

@@ -106,13 +106,27 @@ def test_a_corpus_error_exits_1_with_one_stderr_line(tmp_path):
     (a_list / "manifest.json").write_text("[1]")
     no_manifest = _one_transcript_corpus(tmp_path / "no_manifest")
     (no_manifest / "manifest.json").unlink()
+    entry = {"id": "ws01", "transcript": "ws01.jsonl", "gold": "ws01.gold.jsonl"}
+    int_scenario = _one_transcript_corpus(tmp_path / "int_scenario")
+    (int_scenario / "manifest.json").write_text(json.dumps({"transcripts": [
+        {**entry, "scenario": 5}]}))
+    unknown_key = _one_transcript_corpus(tmp_path / "unknown_key")
+    (unknown_key / "manifest.json").write_text(json.dumps({"transcripts": [
+        {**entry, "speakers": 3}]}))
+    repeated = _one_transcript_corpus(tmp_path / "repeated")
+    (repeated / "manifest.json").write_text(json.dumps({"transcripts": [entry, entry]}))
     for corpus, stderr in (
         (surrogate, f"{surrogate / 'ws01.jsonl'}: line 3: text is not valid Unicode text\n"),
         (not_utf8, f"{transcript}: line 1: not UTF-8 text\n"),
         (truncated, f"{manifest}: line 1: invalid JSON: Unterminated string starting at\n"),
-        (no_gold, f'{no_gold / "manifest.json"}: transcripts entry 1 has no "gold" string\n'),
-        (a_list, f'{a_list / "manifest.json"}: not an object with a "transcripts" list\n'),
+        (no_gold, f"{no_gold / 'manifest.json'}: missing key 'transcripts[0].gold'\n"),
+        (a_list, f"{a_list / 'manifest.json'}: value is [1], expected object\n"),
         (no_manifest, f"{no_manifest / 'manifest.json'}: No such file or directory\n"),
+        (int_scenario,
+         f"{int_scenario / 'manifest.json'}: transcripts[0].scenario is 5, expected str\n"),
+        (unknown_key,
+         f"{unknown_key / 'manifest.json'}: unknown key 'transcripts[0].speakers'\n"),
+        (repeated, f"{repeated / 'manifest.json'}: duplicate transcript id 'ws01'\n"),
     ):
         proc = subprocess.run(
             [sys.executable, "-m", "threadlab.cli", "validate", "--corpus", str(corpus)],
@@ -174,7 +188,12 @@ INPUT_FAULTS = {
         "{tmp}/config.json: line 1: invalid JSON: Expecting value",
     ),
     "config not an object": (
-        "[1]", ["--config", "{tmp}/config.json"], "{tmp}/config.json: not a JSON object",
+        "[1]", ["--config", "{tmp}/config.json"],
+        "{tmp}/config.json: value is [1], expected object",
+    ),
+    "provider not a string": (
+        '{"provider": 5}', ["--config", "{tmp}/config.json"],
+        "{tmp}/config.json: provider is 5, expected str",
     ),
     "missing pricing file": (
         '{"pricing": "{tmp}/none.json"}', ["--config", "{tmp}/config.json"],
@@ -182,19 +201,19 @@ INPUT_FAULTS = {
     ),
     "spec not an object": (
         '{"spec": [1]}', ["--config", "{tmp}/config.json"],
-        "bad experiment spec: cannot convert dictionary update sequence element #0 to a sequence",
+        "{tmp}/config.json: spec is [1], expected object or None",
     ),
     "model not an object": (
         '{"spec": {"model": [1]}}', ["--config", "{tmp}/config.json"],
-        "bad experiment spec: 'list' object is not a mapping",
+        "bad experiment spec: model is [1], expected object",
     ),
     "window not an object": (
         '{"spec": {"window": 5}}', ["--config", "{tmp}/config.json"],
-        "bad experiment spec: 'int' object is not iterable",
+        "bad experiment spec: window is 5, expected object or None",
     ),
     "pricing not an object": (
         '{"pricing": "{tmp}/pricing.json"}', ["--config", "{tmp}/config.json"],
-        "{tmp}/pricing.json: not a JSON object",
+        "{tmp}/pricing.json: value is [1], expected object",
     ),
     "pricing rate not a number": (
         '{"pricing": "{tmp}/pricing.json"}', ["--config", "{tmp}/config.json"],
@@ -210,19 +229,19 @@ INPUT_FAULTS = {
     ),
     "cache not a path": (
         '{"cache": 5}', ["--config", "{tmp}/config.json"],
-        "{tmp}/config.json: 'cache' is not a path string",
+        "{tmp}/config.json: cache is 5, expected str or None",
     ),
     "corpus_dir not a path": (
         '{"corpus_dir": [1]}', ["--config", "{tmp}/config.json"],
-        "{tmp}/config.json: 'corpus_dir' is not a path string",
+        "{tmp}/config.json: corpus_dir is [1], expected str or None",
     ),
     "pricing not a path": (
         '{"pricing": 5}', ["--config", "{tmp}/config.json"],
-        "{tmp}/config.json: 'pricing' is not a path string",
+        "{tmp}/config.json: pricing is 5, expected str or None",
     ),
     "fixtures not a path": (
         '{"fixtures": 5}', ["--config", "{tmp}/config.json", "--provider", "replay"],
-        "{tmp}/config.json: 'fixtures' is not a path string",
+        "{tmp}/config.json: fixtures is 5, expected str or None",
     ),
     "spec template_dir not a path": (
         '{"spec": {"template_dir": 5}}', ["--config", "{tmp}/config.json"],
@@ -303,7 +322,7 @@ def test_eval_of_a_log_that_misses_a_gold_line_is_a_one_line_error(capsys, tmp_p
     log.write_text("\n".join(lines) + "\n", encoding="utf-8")
     with pytest.raises(SystemExit) as exc:
         main(["eval", "--run", run_id, "--out", str(tmp_path)])
-    assert exc.value.code == "ws01: records cover [1, 3, 4, 5, 6]..., expected 1..21"
+    assert exc.value.code == f"{log}: ws01: records cover [1, 3, 4, 5, 6]..., expected 1..21"
 
 
 @pytest.mark.parametrize("command", ["eval --run {run}", "report --runs {run}"])

@@ -293,6 +293,14 @@ def test_transcript_round_trip_jsonl(bundled):
         assert again == t
 
 
+@pytest.mark.parametrize("indices, position, index", [((2,), 1, 2), ((1, 3), 2, 3), ((2, 1), 1, 2)])
+def test_a_transcript_built_in_memory_needs_indices_1_to_n(indices, position, index):
+    utts = tuple(Utterance(i, 0, "Ana", "hi") for i in indices)
+    with pytest.raises(ValueError) as exc:
+        Transcript("mem", utts)
+    assert str(exc.value) == f"transcript mem: utterance at position {position} has index {index}"
+
+
 def test_gold_round_trip_jsonl(bundled):
     _, g = bundled["ws02"]
     assert parse_gold(serialize_gold(g), g.transcript_id) == g
