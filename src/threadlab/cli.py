@@ -103,9 +103,14 @@ def _build_provider(name: str, config: RunConfig, corpus) -> Provider:
     raise SystemExit(f"unknown provider {name!r}")
 
 
-def _pricing(config: RunConfig) -> PricingTable | None:
-    path = config.pricing
-    return read(path, lambda data: PricingTable.from_dict(json_value(data))) if path else None
+def _pricing(config: RunConfig, model_ids: list[str]) -> PricingTable | None:
+    """The config's pricing file, which must price each of ``model_ids``."""
+    def parse(data):
+        table = PricingTable.from_dict(json_value(data))
+        for model_id in model_ids:
+            table.rate(model_id)
+        return table
+    return read(config.pricing, parse) if config.pricing else None
 
 
 def _cmd_ingest(args: argparse.Namespace) -> int:
@@ -146,7 +151,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     spec = _build_spec(args.task, config, args)
     provider = _build_provider(args.provider or config.provider, config, corpus)
     cache = CompletionCache(config.cache) if config.cache else None
-    pricing = _pricing(config)
+    pricing = _pricing(config, [spec.model.model_id])
     out = Path(args.out)
     runs_dir = out / "runs"
     kwargs = dict(
@@ -176,7 +181,7 @@ def _evaluate(runs_dir: Path, run_id: str, log, corpus, *args) -> runner_mod.Eva
     try:
         return runner_mod.evaluate_run(log, corpus, *args)
     except runner_mod.StrayRecord as exc:
-        raise SystemExit(f"{runs_dir / run_id / 'log.jsonl'}: {exc}")
+        raise SystemExit(f"{runner_mod.log_path(runs_dir, run_id)}: {exc}")
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
@@ -215,11 +220,13 @@ def _cmd_report(args: argparse.Namespace) -> int:
         else:
             result = _evaluate(runs_dir, run_id, log, corpus)
         entries.append((label, log, result))
+    # only a log without a cost of its own is priced
+    pricing = _pricing(config, [log.spec.model.model_id for _, log, _ in entries
+                                if log.cost_usd is None])
     reports_dir = out / "reports"
     reports_dir.mkdir(parents=True, exist_ok=True)
     rows = report_mod.tradeoff_report(
-        entries, reports_dir / "tradeoff.csv", reports_dir / "tradeoff.svg",
-        pricing=_pricing(config),
+        entries, reports_dir / "tradeoff.csv", reports_dir / "tradeoff.svg", pricing=pricing,
     )
     for row in rows:
         print(

@@ -10,6 +10,7 @@ the resulting thread graph, and descriptive statistics.
 
 from __future__ import annotations
 
+import enum
 import json
 import re
 from dataclasses import dataclass, field
@@ -71,27 +72,13 @@ class Utterance:
             raise ValueError("speaker must be non-empty")
 
 
-class NewThread:
+class NewThread(enum.Enum):
     """Marker target: the contribution starts a new thread instead of linking back."""
 
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "NewThread()"
-
-    def __eq__(self, other):
-        return isinstance(other, NewThread)
-
-    def __hash__(self):
-        return hash("NewThread")
+    NEW_THREAD = "-"
 
 
-NEW_THREAD = NewThread()
+NEW_THREAD = NewThread.NEW_THREAD
 
 
 @dataclass(frozen=True)
@@ -125,7 +112,7 @@ class ThreadLabel:
             return  # a single target is always valid
         if not 1 <= len(self.targets) <= 2:
             raise ValueError(f"thread label needs 1 or 2 targets, got {len(self.targets)}")
-        n_new = sum(1 for t in self.targets if isinstance(t, NewThread))
+        n_new = sum(1 for t in self.targets if t is NEW_THREAD)
         if n_new > 1:
             raise ValueError("at most one new-thread target allowed")
         if len(self.targets) == 2 and self.targets[0] == self.targets[1]:
@@ -145,7 +132,7 @@ class ThreadLabel:
 
     @property
     def is_new_thread_only(self) -> bool:
-        return all(isinstance(t, NewThread) for t in self.targets)
+        return all(t is NEW_THREAD for t in self.targets)
 
     @property
     def is_split(self) -> bool:
@@ -679,7 +666,7 @@ def _label_stats(labels: Iterable[tuple[int, ThreadLabel]]) -> dict:
             n_no_thread += 1
         for ref in label.line_refs:
             gaps.append(idx - ref.line)
-        if label.line_refs and any(isinstance(tg, NewThread) for tg in label.targets):
+        if label.line_refs and any(tg is NEW_THREAD for tg in label.targets):
             any_split_with_new = True
     return {
         "n_no_thread": n_no_thread,

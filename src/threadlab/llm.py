@@ -58,7 +58,10 @@ class FixtureMiss(LlmError):
         self.prompt_hash = prompt_hash
 
 
-class UnknownModelPricing(LlmError):
+class UnknownModelPricing(ValueError):
+    """A model the pricing table has no rates for: a fault of the pricing file,
+    found before any call, so not an LlmError."""
+
     def __init__(self, model_id: str):
         super().__init__(f"no pricing entry for model {model_id!r}")
         self.model_id = model_id

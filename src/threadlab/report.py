@@ -15,7 +15,7 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Sequence
 
-from .llm import PricingTable, UnknownModelPricing
+from .llm import PricingTable
 from .runner import EvalResult, RunLog
 
 HUMAN_CONDITION = "human"
@@ -57,13 +57,9 @@ def _model_row(condition: str, log: RunLog, result: EvalResult,
     # call log it; cached and replayed records keep their original call's latency.
     hours = sum({r.prompt_hash: r.latency_ms for r in log.records}.values()) / 3_600_000
     cost = log.cost_usd
-    if cost is None and pricing is not None:
-        try:
-            cost = pricing.cost(log.spec.model.model_id, log.input_tokens, log.output_tokens)
-        except UnknownModelPricing:
-            cost = None
     if cost is None:
-        cost = 0.0
+        cost = (0.0 if pricing is None
+                else pricing.cost(log.spec.model.model_id, log.input_tokens, log.output_tokens))
     return TradeoffRow(
         condition=condition,
         n_transcripts=n,
@@ -98,7 +94,8 @@ def tradeoff_rows(
     """One row per run, in input order, then the human reference row.
 
     The human row is scaled to the largest transcript count among the runs so
-    its totals compare like for like.
+    its totals compare like for like. A log without a cost of its own is priced
+    from ``pricing``, where an unpriced model raises UnknownModelPricing, or at 0.
     """
     if not entries:
         raise ValueError("need at least one (condition, log, eval) entry")

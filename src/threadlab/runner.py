@@ -201,18 +201,19 @@ class RunLog:
             raise MalformedRecord(line_no, reason) from None
 
     def save(self, runs_dir: str | Path) -> Path:
-        run_dir = Path(runs_dir) / self.run_id
-        run_dir.mkdir(parents=True, exist_ok=True)
-        path = run_dir / "log.jsonl"
+        path = log_path(runs_dir, self.run_id)
+        path.parent.mkdir(parents=True, exist_ok=True)
         write_atomic(path, self.to_jsonl())
         return path
 
     @classmethod
     def load(cls, runs_dir: str | Path, run_id: str) -> "RunLog":
-        path = Path(runs_dir) / run_id / "log.jsonl"
-        if not path.exists():
-            raise MissingThreadSource(f"no run log at {path}")
-        return read(path, cls.from_jsonl)
+        return read(log_path(runs_dir, run_id), cls.from_jsonl)
+
+
+def log_path(runs_dir: str | Path, run_id: str) -> Path:
+    """Where a run's log lives: ``<runs_dir>/<run_id>/log.jsonl``."""
+    return Path(runs_dir) / run_id / "log.jsonl"
 
 
 def write_atomic(path: Path, text: str) -> None:
@@ -234,13 +235,6 @@ def write_atomic(path: Path, text: str) -> None:
 
 
 Corpus = Mapping[str, tuple[Transcript, GoldAnnotations]]
-
-
-def _strictness_for(provider: Provider, override: str | None) -> str:
-    if override:
-        return override
-    # Curated sources are held to the instructed format; live output gets mined.
-    return "strict" if provider.name in ("oracle", "replay") else "lenient"
 
 
 def _gold_pair(corpus: Corpus, tid: str) -> tuple[Transcript, GoldAnnotations]:
@@ -290,8 +284,8 @@ def resolve_thread_labels(
     """Thread-label maps for an abcde run, per its thread_source.
 
     Returns ({transcript_id: {index: label}}, fallback_count). For an llm run
-    reference, unparseable or missing predictions fall back to the new-thread
-    marker and are counted rather than fatal.
+    reference, unparseable predictions fall back to the new-thread marker and
+    are counted; the source log's records are checked as for evaluate_run.
     """
     if spec.thread_source == THREAD_SOURCE_NONE:
         return {}, 0
@@ -301,24 +295,22 @@ def resolve_thread_labels(
     ref = spec.thread_source[len(LLM_SOURCE_PREFIX):]
     if runs_dir is None:
         raise MissingThreadSource("llm thread_source needs a runs directory")
-    source_log = RunLog.load(runs_dir, ref)
+    path = log_path(runs_dir, ref)
+    source_log = read(path, RunLog.from_jsonl)
     if source_log.spec.task != "threading":
         raise MissingThreadSource(f"run {ref} is not a threading run")
-    predicted: dict[str, dict[int, ThreadLabel]] = {}
-    fallbacks = 0
-    by_tid: dict[str, dict[int, str]] = {}
-    for rec in source_log.records:
-        by_tid.setdefault(rec.transcript_id, {})[rec.index] = rec.predicted
-    for tid in spec.transcripts:
-        labels: dict[int, ThreadLabel] = {}
-        source = by_tid.get(tid)
-        if source is None:
-            raise MissingThreadSource(f"run {ref} has no predictions for transcript {tid!r}")
-        for i in range(1, len(corpus[tid][0]) + 1):
-            raw = source.get(i, PARSE_ERROR_LABEL)
-            fallbacks += raw == PARSE_ERROR_LABEL
-            labels[i] = _fed_label(raw)
-        predicted[tid] = labels
+    predicted, fallbacks = {}, 0
+    try:
+        grouped = _records_by_transcript(source_log)
+        for tid in spec.transcripts:
+            if tid not in grouped:
+                raise MissingThreadSource(f"run {ref} does not list transcript {tid!r}")
+            _check_coverage(tid, grouped[tid], corpus[tid][0])
+            raw = list(map(_predicted, grouped[tid]))
+            fallbacks += raw.count(PARSE_ERROR_LABEL)
+            predicted[tid] = dict(enumerate(map(_fed_label, raw), start=1))
+    except StrayRecord as exc:
+        raise StrayRecord(f"{path}: {exc}") from None
     return predicted, fallbacks
 
 
@@ -417,7 +409,9 @@ def _run(
         _gold_pair(corpus, tid)
     if pricing is not None:
         pricing.rate(spec.model.model_id)  # an unpriced model fails before any call
-    mode = _strictness_for(provider, strictness)
+    # Curated sources are held to the instructed format; live output gets mined.
+    mode = strictness or ("strict" if provider.name in ("oracle", "replay") else "lenient")
+    outparse._check_strictness(mode)  # a bad level fails before any call
     thread_labels, source_fallbacks = resolve_thread_labels(spec, corpus, runs_dir)
     render = _renderer(spec, corpus, thread_labels)
     thread_task = spec.task == "threading"

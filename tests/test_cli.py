@@ -223,6 +223,10 @@ INPUT_FAULTS = {
         '{"pricing": "{tmp}/pricing.json"}', ["--config", "{tmp}/config.json"],
         "{tmp}/pricing.json: missing key 'm.output_per_1m'",
     ),
+    "model not priced": (
+        '{"pricing": "{tmp}/pricing.json"}', ["--config", "{tmp}/config.json"],
+        "{tmp}/pricing.json: no pricing entry for model 'm'",
+    ),
     "unknown config key": (
         '{"pricng": "{tmp}/pricing.json"}', ["--config", "{tmp}/config.json"],
         "{tmp}/config.json: unknown key 'pricng'",
@@ -276,6 +280,7 @@ FAULT_FILES = {
     "pricing rate not a number": (
         "pricing.json", '{"m": {"input_per_1m": "x", "output_per_1m": 1}}'),
     "pricing rate missing": ("pricing.json", '{"m": {"input_per_1m": 1}}'),
+    "model not priced": ("pricing.json", '{"n": {"input_per_1m": 1, "output_per_1m": 1}}'),
     "template without delimiters": (
         "templates/thread_window.txt", "{window_n}\n{transcript_block}\n<<<TRANSCRIPT_END>>>\n"),
     "template not UTF-8": ("templates/thread_window.txt", "\xff{window_n}"),
@@ -340,6 +345,12 @@ def test_a_log_record_of_a_transcript_outside_the_spec_is_a_one_line_error(
     assert exc.value.code == (
         f"{log}: record for transcript 'ws02', which the run's spec does not list"
     )
+
+def _with_stray_record(data):
+    """The log with a ws02 copy of its first record after it."""
+    lines = data.split(b"\n")
+    return b"\n".join([*lines[:2], lines[1].replace(b'"ws01"', b'"ws02"', 1), *lines[2:]])
+
 
 def _line_2(new):
     return lambda data: b"\n".join([data.split(b"\n")[0], new, *data.split(b"\n")[2:]])
@@ -446,6 +457,16 @@ RUN_FILE_FAULTS = {
         "eval --run {run} --out {tmp}",
         "line 2: unknown kind 'recrod'",
     ),
+    "log without ws01's record 7, code": (
+        "runs/{run}/log.jsonl",
+        lambda data: data.replace(data.split(b"\n")[7] + b"\n", b"", 1),
+        f"code {RUN} --thread-source llm:{{run}}",
+        "ws01: records cover [1, 2, 3, 4, 5]..., expected 1..21",
+    ),
+    "log with a stray record, code": (
+        "runs/{run}/log.jsonl", _with_stray_record, f"code {RUN} --thread-source llm:{{run}}",
+        "record for transcript 'ws02', which the run's spec does not list",
+    ),
     "log with its meta line repeated": (
         "runs/{run}/log.jsonl", lambda data: data[:data.index(b"\n") + 1] + data,
         "eval --run {run} --out {tmp}",
@@ -474,6 +495,21 @@ def test_validate_bundled_corpus_clean(capsys):
     lines = out.strip().splitlines()
     assert len(lines) == 12
     assert all(line.endswith(": clean") for line in lines)
+
+
+def test_validate_prints_errors_and_lints_and_exits_1(capsys, tmp_path):
+    corpus = _one_transcript_corpus(tmp_path)
+    gold = corpus / "ws01.gold.jsonl"
+    lines = gold.read_text(encoding="utf-8").splitlines()
+    lines[19] = lines[19].replace('"(7, 16)"', '"1"')  # utterance 20 links 19 lines back
+    assert '"respond_line": "1"' in lines[19]
+    gold.write_text("\n".join(lines[:-1]) + "\n", encoding="utf-8")  # 21 has no label
+    code, out, _ = _run(capsys, "validate", "--corpus", str(corpus))
+    assert code == 1
+    assert out == (
+        "ws01: ERROR MissingLabel at 21: utterance has no thread label\n"
+        "ws01: LINT LongGap at 20: gap 19 to line 1 exceeds 13\n"
+    )
 
 
 def test_validate_unknown_transcript(capsys):
@@ -541,7 +577,7 @@ def test_unknown_run_id_is_a_one_line_error(tmp_path, command):
     )
     assert proc.returncode != 0
     path = tmp_path / "runs" / "0123456789abcdef" / "log.jsonl"
-    assert proc.stderr == f"no run log at {path}\n"
+    assert proc.stderr == f"{path}: No such file or directory\n"
 
 
 def test_report_writes_csv_and_svg(capsys, tmp_path):
@@ -561,6 +597,24 @@ def test_report_writes_csv_and_svg(capsys, tmp_path):
     assert lines[-1].startswith("human,")
     assert svg_path.read_text(encoding="utf-8").count("<circle") == 6
     assert "human: kappa 1.0000" in out
+
+
+def test_report_labels_must_match_runs_one_for_one(tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        main(["report", "--runs", "a,b", "--labels", "x", "--out", str(tmp_path)])
+    assert exc.value.code == "--labels must match --runs one for one"
+
+
+def test_report_refuses_a_pricing_file_that_lacks_a_run_model(capsys, tmp_path):
+    run_id = _thread_run(capsys, tmp_path)  # no pricing, so the log has no cost
+    pricing = tmp_path / "pricing.json"
+    pricing.write_text('{"m": {"input_per_1m": 1, "output_per_1m": 1}}', encoding="utf-8")
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"pricing": str(pricing)}), encoding="utf-8")
+    with pytest.raises(SystemExit) as exc:
+        main(["report", "--runs", run_id, "--config", str(config), "--out", str(tmp_path)])
+    assert exc.value.code == f"{pricing}: no pricing entry for model 'test-model'"
+    assert not (tmp_path / "reports").exists()
 
 
 def test_report_prefers_saved_eval(capsys, tmp_path):

@@ -258,6 +258,15 @@ def test_a_connection_error_is_retried_and_the_next_reply_returned():
     assert result.response_text == "3 Ana [respond line = 1]"
 
 
+def test_an_unexpected_status_is_a_transport_error_without_a_retry():
+    session = _ScriptedSession(_Reply(404, {"error": "no such route"}), _Reply(200, OK_PAYLOAD))
+    provider = HttpProvider(retry=FAST_RETRY, session=session)
+    with pytest.raises(TransportError) as exc:
+        provider.send(_prompt(), _model("http://127.0.0.1:9/v1/chat/completions"), "h")
+    assert str(exc.value) == 'unexpected status 404: {"error": "no such route"}'
+    assert session.posts == 1
+
+
 def test_a_connection_error_after_throttling_gives_up_as_transport_error():
     session = _ScriptedSession(_Reply(429, {}), requests.ConnectionError("reset"))
     provider = HttpProvider(retry=FAST_RETRY, session=session)

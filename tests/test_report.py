@@ -4,7 +4,9 @@ from xml.dom import minidom
 
 import pytest
 
-from threadlab.llm import CompletionCache, ModelConfig, OracleProvider, PricingTable
+from threadlab.llm import (
+    CompletionCache, ModelConfig, OracleProvider, PricingTable, UnknownModelPricing
+)
 from threadlab.report import (
     CSV_COLUMNS,
     HUMAN_CONDITION,
@@ -95,6 +97,15 @@ def test_pricing_fallback_when_cost_missing(two_runs):
     # no pricing at all degrades to zero rather than crashing
     row = tradeoff_rows([(name, bare, result)])[0]
     assert row.cost_usd_total == 0.0
+
+
+def test_a_log_to_price_with_an_unpriced_model_is_refused(two_runs):
+    name, log, result = two_runs[0]
+    pricing = PricingTable.from_dict({"other-model": {"input_per_1m": 1.0, "output_per_1m": 1.0}})
+    with pytest.raises(UnknownModelPricing, match="^no pricing entry for model 'test-model'$"):
+        tradeoff_rows([(name, replace(log, cost_usd=None), result)], pricing=pricing)
+    # a log that carries its own cost is not priced again
+    assert tradeoff_rows([(name, log, result)], pricing=pricing)[0].cost_usd_total == log.cost_usd
 
 
 def test_empty_entries_rejected():

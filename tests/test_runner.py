@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import json
 import random
+import re
 import threading
 import time
 
@@ -47,13 +48,14 @@ from threadlab.runner import (
     MissingThreadSource,
     RunLog,
     RunnerError,
+    StrayRecord,
     evaluate_run,
     resolve_thread_labels,
     run_abcde,
     run_threading,
     write_atomic,
 )
-from threadlab.schema import as_fields
+from threadlab.schema import FileError, as_fields
 from threadlab.windowing import WindowConfig, make_window
 
 from reference_metrics import EmptyCategory, ref_subcategory_slice
@@ -109,6 +111,11 @@ def test_spec_round_trip_and_run_id():
         dict(task="threading", template_override="baseline_lee"),
         dict(transcripts=()),
         dict(transcripts=("ws01", "cs01", "ws01")),
+        dict(strategy="sideways"),
+        dict(strategy="all_at_once", shots=prompts.MAX_SHOTS + 1),
+        dict(task="abcde", thread_source="gold"),
+        dict(task="abcde", template_override="baseline_nobody"),
+        dict(task="abcde", template_override="baseline_lee", thread_source="human"),
     ],
 )
 def test_spec_rejects_bad_combinations(kw):
@@ -523,6 +530,29 @@ def test_shots_are_resolved_before_the_first_call(bundled):
     assert provider.calls == 0
 
 
+@pytest.mark.parametrize("kw, corpus_ids, message", [
+    (dict(shots=2, shot_ids=("ws02",)), None, "spec names 1 shot ids but shots=2"),
+    (dict(shots=2), ("ws01", "ws02"), "not enough transcripts to fill the requested shots"),
+    (dict(shots=1, shot_ids=("zz",)), None, "shot transcript 'zz' not in corpus"),
+])
+def test_bad_shots_fail_before_the_first_call(bundled, kw, corpus_ids, message):
+    corpus = bundled if corpus_ids is None else {tid: bundled[tid] for tid in corpus_ids}
+    provider = CountingOracle(corpus)
+    spec = _spec(strategy="all_at_once", window=None, **kw)
+    with pytest.raises(RunnerError, match=f"^{re.escape(message)}$"):
+        run_threading(spec, corpus, provider)
+    assert provider.calls == 0
+
+
+def test_a_bad_strictness_fails_before_the_first_call(bundled):
+    provider = CountingOracle(bundled)
+    with pytest.raises(ValueError, match=re.escape(
+        "strictness must be one of ('strict', 'lenient'), got 'bogus'"
+    )):
+        run_threading(_spec(), bundled, provider, strictness="bogus")
+    assert provider.calls == 0
+
+
 def test_shots_excluded_from_target(bundled):
     spec = _spec(strategy="all_at_once", window=None, shots=2, transcripts=("ws01",))
     log = run_threading(spec, bundled, _oracle(bundled))
@@ -674,10 +704,52 @@ def test_self_feedback_and_an_llm_thread_source_feed_the_same_labels(bundled, tm
 def test_abcde_llm_thread_source_missing(bundled, tmp_path):
     spec = _spec(task="abcde", transcripts=("ws01",),
                  window=WindowConfig(n=10, feedback="none"), thread_source="llm:deadbeef")
-    with pytest.raises(MissingThreadSource):
+    with pytest.raises(FileError):
         run_abcde(spec, bundled, _oracle(bundled), runs_dir=tmp_path)
     with pytest.raises(MissingThreadSource):
         run_abcde(spec, bundled, _oracle(bundled))  # no runs_dir at all
+
+
+def _gap(log):
+    log.records = [r for r in log.records if (r.transcript_id, r.index) != ("ws01", 7)]
+
+
+def _stray(log):
+    log.records.append(dataclasses.replace(log.records[0], transcript_id="ws02"))
+
+
+# fault: (the source run's task, its transcripts, its records' edit, the error, its message);
+# {path} stands for the source log and {run} for its run id
+THREAD_SOURCE_FAULTS = {
+    "gap": ("threading", ("ws01",), _gap, StrayRecord,
+            "{path}: ws01: records cover [1, 2, 3, 4, 5]..., expected 1..21"),
+    "stray record": ("threading", ("ws01",), _stray, StrayRecord,
+                     "{path}: record for transcript 'ws02', which the run's spec does not list"),
+    "not threading": ("abcde", ("ws01",), None, MissingThreadSource,
+                      "run {run} is not a threading run"),
+    "transcript not listed": ("threading", ("cs01",), None, MissingThreadSource,
+                              "run {run} does not list transcript 'ws01'"),
+}
+
+
+@pytest.mark.parametrize("fault", list(THREAD_SOURCE_FAULTS))
+def test_a_refused_thread_source_log_stops_the_run_before_the_first_call(
+    bundled, tmp_path, fault
+):
+    task, transcripts, edit, error, message = THREAD_SOURCE_FAULTS[fault]
+    window = WindowConfig(n=10, feedback="none" if task == "abcde" else "self")
+    source = _spec(task=task, transcripts=transcripts, window=window)
+    log = (run_threading if task == "threading" else run_abcde)(source, bundled, _oracle(bundled))
+    if edit is not None:
+        edit(log)
+    path = log.save(tmp_path)
+    spec = _spec(task="abcde", transcripts=("ws01",),
+                 window=WindowConfig(n=10, feedback="none"), thread_source=f"llm:{log.run_id}")
+    provider = CountingOracle(bundled)
+    with pytest.raises(error) as exc:
+        run_abcde(spec, bundled, provider, runs_dir=tmp_path)
+    assert str(exc.value) == message.format(path=path, run=log.run_id)
+    assert provider.calls == 0
 
 
 def test_abcde_baseline_templates_run(bundled):
