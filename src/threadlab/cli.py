@@ -131,10 +131,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     ids = [args.transcript] if args.transcript else list(corpus)
     worst = 0
     for tid in ids:
-        if tid not in corpus:
-            print(f"no transcript {tid!r} in corpus", file=sys.stderr)
-            return 2
-        t, g = corpus[tid]
+        t, g = runner_mod.corpus_pair(corpus, tid)
         rep = corpus_mod.validate_thread_graph(t, g)
         for issue in rep.errors:
             print(f"{tid}: ERROR {issue.kind} at {issue.index}: {issue.detail}")
@@ -193,7 +190,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
         result = _evaluate(runs_dir, args.run, log, corpus, args.code_letter, subcats)
     except ValueError as exc:
         raise SystemExit(str(exc))
-    path = runs_dir / log.run_id / "eval.json"
+    path = runner_mod.eval_path(runs_dir, log.run_id)
     runner_mod.write_atomic(path, result.to_json())
     agg = result.aggregate
     print(
@@ -214,7 +211,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
     entries = []
     for label, run_id in zip(labels, run_ids):
         log = runner_mod.RunLog.load(runs_dir, run_id)
-        eval_path = runs_dir / run_id / "eval.json"
+        eval_path = runner_mod.eval_path(runs_dir, run_id)
         if eval_path.exists():
             result = read(eval_path, lambda data: runner_mod.EvalResult.from_dict(json_value(data)))
         else:

@@ -124,7 +124,7 @@ class CompletionRecord:
     input_tokens: int
     output_tokens: int
     latency_ms: int
-    provider: str  # http | replay | oracle
+    provider: str  # the writer of the reply: http, oracle, or a scripted provider's name
     tokens_estimated: bool = False
 
 
@@ -279,7 +279,7 @@ class Provider(Protocol):
 
     def send(
         self, prompt: RenderedPrompt, model: ModelConfig, prompt_hash: str
-    ) -> ProviderResult: ...
+    ) -> ProviderResult | CompletionRecord: ...
 
 
 class OracleProvider:
@@ -312,7 +312,7 @@ class OracleProvider:
 
 
 class ReplayProvider:
-    """Serves responses from a frozen fixture file; never touches the network."""
+    """Serves the completions of a frozen fixture file as they were recorded."""
 
     name = "replay"
 
@@ -325,11 +325,11 @@ class ReplayProvider:
 
     def send(
         self, prompt: RenderedPrompt, model: ModelConfig, prompt_hash: str
-    ) -> ProviderResult:
+    ) -> CompletionRecord:
         rec = self._fixtures.get(prompt_hash)
         if rec is None:
             raise FixtureMiss(prompt_hash)
-        return ProviderResult(rec.response_text, rec.input_tokens, rec.output_tokens, rec.latency_ms)
+        return rec
 
 
 @dataclass(frozen=True)
@@ -443,17 +443,16 @@ class HttpProvider:
 
     @staticmethod
     def _parse_response(payload: Mapping, latency_ms: int) -> ProviderResult:
+        """The reply of a 200 body: text content, and ``usage`` absent, null or
+        an object whose token counts are ints, absent or null."""
         try:
-            text = payload["choices"][0]["message"]["content"]
-        except (KeyError, IndexError, TypeError):
+            text = typed(str, payload["choices"][0]["message"]["content"], "content")
+            usage = typed(dict | None, payload.get("usage"), "usage") or {}
+            counts = [typed(int | None, usage.get(key), f"usage.{key}")
+                      for key in ("prompt_tokens", "completion_tokens")]
+        except (KeyError, IndexError, TypeError, ValueError):
             raise TransportError(f"malformed completion payload: {str(payload)[:300]}") from None
-        usage = payload.get("usage") or {}
-        return ProviderResult(
-            response_text=text,
-            input_tokens=usage.get("prompt_tokens"),
-            output_tokens=usage.get("completion_tokens"),
-            latency_ms=latency_ms,
-        )
+        return ProviderResult(text, *counts, latency_ms)
 
 
 # ---------------------------------------------------------------------------
@@ -469,9 +468,10 @@ def complete(
 ) -> CompletionRecord:
     """Run one completion through the cache, then the provider.
 
-    A cache hit never reaches the provider. Missing token usage is estimated
-    from character counts and flagged as such on the record. An LlmError from
-    the provider carries the prompt's digest as ``prompt_hash``.
+    A cache hit never reaches the provider, and a recorded completion a replay
+    serves is kept as it is, writer included. A reply is recorded as its
+    provider's, missing token usage estimated from character counts and flagged
+    as such. An LlmError from the provider carries the prompt's digest as ``prompt_hash``.
     """
     h = prompt_digest(model, prompt.text)
     if cache is not None:
@@ -483,18 +483,20 @@ def complete(
     except LlmError as exc:
         exc.prompt_hash = h
         raise
-    estimated = result.input_tokens is None or result.output_tokens is None
-    # Positional arguments: a window run builds one record per utterance.
-    record = CompletionRecord(
-        h,
-        result.response_text,
-        estimate_tokens(prompt.text) if result.input_tokens is None else result.input_tokens,
-        estimate_tokens(result.response_text) if result.output_tokens is None
-        else result.output_tokens,
-        result.latency_ms,
-        provider.name,
-        estimated,
-    )
+    if type(result) is CompletionRecord:
+        record = result
+    else:
+        # Positional arguments: a window run builds one record per utterance.
+        record = CompletionRecord(
+            h,
+            result.response_text,
+            estimate_tokens(prompt.text) if result.input_tokens is None else result.input_tokens,
+            estimate_tokens(result.response_text) if result.output_tokens is None
+            else result.output_tokens,
+            result.latency_ms,
+            provider.name,
+            result.input_tokens is None or result.output_tokens is None,
+        )
     if cache is not None:
         cache.put(record)
     return record

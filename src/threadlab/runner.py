@@ -30,6 +30,7 @@ from .corpus import (
 from .llm import (
     CompletionCache,
     ContextOverflow,
+    HttpProvider,
     ModelConfig,
     PricingTable,
     Provider,
@@ -203,6 +204,7 @@ class RunLog:
     def save(self, runs_dir: str | Path) -> Path:
         path = log_path(runs_dir, self.run_id)
         path.parent.mkdir(parents=True, exist_ok=True)
+        eval_path(runs_dir, self.run_id).unlink(missing_ok=True)  # it scored the old log
         write_atomic(path, self.to_jsonl())
         return path
 
@@ -214,6 +216,11 @@ class RunLog:
 def log_path(runs_dir: str | Path, run_id: str) -> Path:
     """Where a run's log lives: ``<runs_dir>/<run_id>/log.jsonl``."""
     return Path(runs_dir) / run_id / "log.jsonl"
+
+
+def eval_path(runs_dir: str | Path, run_id: str) -> Path:
+    """Where a run's eval report lives: ``<runs_dir>/<run_id>/eval.json``."""
+    return Path(runs_dir) / run_id / "eval.json"
 
 
 def write_atomic(path: Path, text: str) -> None:
@@ -237,11 +244,16 @@ def write_atomic(path: Path, text: str) -> None:
 Corpus = Mapping[str, tuple[Transcript, GoldAnnotations]]
 
 
-def _gold_pair(corpus: Corpus, tid: str) -> tuple[Transcript, GoldAnnotations]:
-    """A spec transcript and its gold, which must label every utterance's thread."""
+def corpus_pair(corpus: Corpus, tid: str) -> tuple[Transcript, GoldAnnotations]:
+    """A transcript and its gold by id; an id the corpus lacks raises GoldMismatch."""
     if tid not in corpus:
         raise GoldMismatch(f"transcript {tid!r} not in corpus")
-    t, g = corpus[tid]
+    return corpus[tid]
+
+
+def _gold_pair(corpus: Corpus, tid: str) -> tuple[Transcript, GoldAnnotations]:
+    """A spec transcript and its gold, which must label every utterance's thread."""
+    t, g = corpus_pair(corpus, tid)
     unlabeled = next(filterfalse(g.thread.__contains__, range(1, len(t) + 1)), None)
     if unlabeled is not None:
         raise GoldMismatch(f"{tid}: no gold thread label for utterance {unlabeled}")
@@ -320,10 +332,6 @@ def _fed_label(predicted: str) -> ThreadLabel:
     return parse_respond_line("-" if predicted == PARSE_ERROR_LABEL else predicted)
 
 
-def _gold_codes_canonical(g: GoldAnnotations, index: int) -> str:
-    return g.codes_at(index).canonical()
-
-
 # ---------------------------------------------------------------------------
 # Run executor
 # ---------------------------------------------------------------------------
@@ -344,8 +352,7 @@ def _renderer(
     spec: ExperimentSpec, corpus: Corpus, thread_labels: Mapping[str, Mapping[int, ThreadLabel]]
 ) -> Renderer:
     """The run's one prompt function of (transcript, target, window lines)."""
-    tdir = spec.template_dir
-    override = spec.template_override
+    tdir, override = spec.template_dir, spec.template_override
     threaded = spec.thread_source != THREAD_SOURCE_NONE
     if spec.strategy == "all_at_once":
         if spec.task == "threading":
@@ -401,7 +408,6 @@ def _run(
     provider: Provider,
     cache: CompletionCache | None,
     concurrency: int,
-    strictness: str | None,
     pricing: PricingTable | None,
     runs_dir: str | Path | None,
 ) -> RunLog:
@@ -409,14 +415,11 @@ def _run(
         _gold_pair(corpus, tid)
     if pricing is not None:
         pricing.rate(spec.model.model_id)  # an unpriced model fails before any call
-    # Curated sources are held to the instructed format; live output gets mined.
-    mode = strictness or ("strict" if provider.name in ("oracle", "replay") else "lenient")
-    outparse._check_strictness(mode)  # a bad level fails before any call
     thread_labels, source_fallbacks = resolve_thread_labels(spec, corpus, runs_dir)
     render = _renderer(spec, corpus, thread_labels)
     thread_task = spec.task == "threading"
     feedback = spec.window.feedback if thread_task and spec.strategy == "window" else "none"
-    gold_of = (lambda g, i: g.thread[i].canonical()) if thread_task else _gold_codes_canonical
+    gold_of = lambda g, i: (g.thread[i] if thread_task else g.codes_at(i)).canonical()
     parse_line = outparse.parse_thread_response if thread_task else outparse.parse_code_response
     block_kind = "thread" if thread_task else "code"
     parsed_label = attrgetter("label" if thread_task else "codes")
@@ -453,6 +456,8 @@ def _run(
             else:
                 input_tokens += rec.input_tokens
                 output_tokens += rec.output_tokens
+                # Mine a live model's reply; hold other writers' to the format, however served.
+                mode = "lenient" if rec.provider == HttpProvider.name else "strict"
                 if target is None:
                     outcomes = outparse.parse_block_response(
                         rec.response_text, p.expected_entries, block_kind, mode
@@ -533,7 +538,6 @@ def run_threading(
     provider: Provider,
     cache: CompletionCache | None = None,
     concurrency: int = DEFAULT_CONCURRENCY,
-    strictness: str | None = None,
     pricing: PricingTable | None = None,
 ) -> RunLog:
     """Thread every transcript in the spec and log one record per utterance.
@@ -548,7 +552,7 @@ def run_threading(
     """
     if spec.task != "threading":
         raise ValueError(f"spec task is {spec.task!r}, expected 'threading'")
-    return _run(spec, corpus, provider, cache, concurrency, strictness, pricing, None)
+    return _run(spec, corpus, provider, cache, concurrency, pricing, None)
 
 
 def run_abcde(
@@ -557,7 +561,6 @@ def run_abcde(
     provider: Provider,
     cache: CompletionCache | None = None,
     concurrency: int = DEFAULT_CONCURRENCY,
-    strictness: str | None = None,
     pricing: PricingTable | None = None,
     runs_dir: str | Path | None = None,
 ) -> RunLog:
@@ -570,7 +573,7 @@ def run_abcde(
     """
     if spec.task != "abcde":
         raise ValueError(f"spec task is {spec.task!r}, expected 'abcde'")
-    return _run(spec, corpus, provider, cache, concurrency, strictness, pricing, runs_dir)
+    return _run(spec, corpus, provider, cache, concurrency, pricing, runs_dir)
 
 
 # ---------------------------------------------------------------------------
@@ -627,11 +630,6 @@ def _check_coverage(tid: str, recs: list[UtteranceRecord], t: Transcript) -> Non
         raise StrayRecord(f"{tid}: records cover {got[:5]}..., expected 1..{len(t)}")
 
 
-def _code_set(predicted: str) -> CodeSet | None:
-    """A code record's prediction as a code set; None for a failed parse."""
-    return None if predicted == PARSE_ERROR_LABEL else CodeSet(frozenset(predicted))
-
-
 def evaluate_run(
     log: RunLog,
     corpus: Corpus,
@@ -677,9 +675,10 @@ def evaluate_run(
                     sliced[tag].append(rep)
         else:
             # each distinct string is read once, in record order, so the first
-            # bad one raises CodeSet's ValueError
+            # bad one raises CodeSet's ValueError; a failed parse has no code set
             distinct = list(dict.fromkeys(pred))
-            pred_of = dict(zip(distinct, metrics.presence(code_letter, map(_code_set, distinct))))
+            sets = (None if p == PARSE_ERROR_LABEL else CodeSet(frozenset(p)) for p in distinct)
+            pred_of = dict(zip(distinct, metrics.presence(code_letter, sets)))
             gold_of = dict(zip(g.abcde, metrics.presence(code_letter, g.abcde.values())))
             per_conv[tid] = metrics.score(
                 list(map(gold_of.get, indices, repeat(metrics.ABSENT))),

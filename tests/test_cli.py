@@ -3,6 +3,7 @@ import re
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -10,6 +11,7 @@ from threadlab.cli import main
 from threadlab.corpus import bundled_corpus_dir
 
 TRANSCRIPTS = "ws01,cs01"
+REPLAY_FIXTURES = Path(__file__).parent / "fixtures" / "replay" / "responses.jsonl"
 
 
 def _run(capsys, *argv):
@@ -512,10 +514,12 @@ def test_validate_prints_errors_and_lints_and_exits_1(capsys, tmp_path):
     )
 
 
-def test_validate_unknown_transcript(capsys):
-    code, out, err = _run(capsys, "validate", "--transcript", "nope")
-    assert code == 2
-    assert "nope" in err
+def test_validate_unknown_transcript():
+    proc = subprocess.run(
+        [sys.executable, "-m", "threadlab.cli", "validate", "--transcript", "nope"],
+        capture_output=True, text=True,
+    )
+    assert (proc.returncode, proc.stderr) == (1, "transcript 'nope' not in corpus\n")
 
 
 def test_thread_writes_run_log(capsys, tmp_path):
@@ -628,6 +632,25 @@ def test_report_prefers_saved_eval(capsys, tmp_path):
     code, out, err = _run(capsys, "report", "--runs", run_id, "--out", str(tmp_path))
     assert code == 0
     assert "kappa 0.5000" in out  # read back, not recomputed
+
+
+def test_report_after_a_rerun_scores_the_new_log(capsys, tmp_path):
+    # the frozen fixture's replies to ws01 are noisy, the oracle's are gold
+    argv = ["thread", "--model", "frozen-test-model", "--window", "10", "--transcripts", "ws01",
+            "--out", str(tmp_path)]
+    code, out, _ = _run(capsys, *argv, "--provider", "oracle")
+    run_id = re.search(r"run ([0-9a-f]{16}):", out)[1]
+    assert "kappa 1.0000" in _run(capsys, "eval", "--run", run_id, "--out", str(tmp_path))[1]
+    config = tmp_path / "replay.json"
+    config.write_text(json.dumps({"fixtures": str(REPLAY_FIXTURES)}))
+    code, out, _ = _run(capsys, *argv, "--provider", "replay", "--config", str(config))
+    assert (code, re.search(r"run ([0-9a-f]{16}):", out)[1]) == (0, run_id)
+    assert not (tmp_path / "runs" / run_id / "eval.json").exists()
+    _, reported, _ = _run(capsys, "report", "--runs", run_id, "--out", str(tmp_path))
+    kappa = re.search(r"kappa (\d\.\d{4}) ", _run(capsys, "eval", "--run", run_id,
+                                                  "--out", str(tmp_path))[1])[1]
+    assert kappa != "1.0000"
+    assert f"{run_id}: kappa {kappa}," in reported
 
 
 def test_code_with_human_threads(capsys, tmp_path):

@@ -37,7 +37,9 @@ from threadlab.llm import (
     prompt_digest,
 )
 from threadlab.prompts import OutputContract, RenderedPrompt
+from threadlab.runner import ExperimentSpec, run_threading
 from threadlab.schema import MalformedRecord, as_fields
+from threadlab.windowing import WindowConfig
 
 OK_PAYLOAD = {
     "choices": [{"message": {"content": "3 Ana [respond line = 1]"}}],
@@ -248,6 +250,47 @@ class _ScriptedSession:
         if isinstance(step, Exception):
             raise step
         return step
+
+
+def _with_usage(usage):
+    return {"choices": [{"message": {"content": "[respond line = -]"}}], "usage": usage}
+
+
+@pytest.mark.parametrize("payload", [
+    {"choices": [{"message": {"content": None}}]},
+    {"choices": [{"message": {"content": ["3 Ana [respond line = 1]"]}}]},
+    _with_usage({"prompt_tokens": "12", "completion_tokens": 5}),
+    _with_usage({"prompt_tokens": 12, "completion_tokens": True}),
+    _with_usage({"prompt_tokens": 12.5, "completion_tokens": 5}),
+    _with_usage([12, 5]),
+])
+def test_a_malformed_reply_fails_only_its_prompt_and_is_not_cached(
+    bundled, tmp_path, monkeypatch, payload
+):
+    monkeypatch.setenv("OPENAI_API_KEY", "test-key")
+    good = _Reply(200, _with_usage({"prompt_tokens": 12, "completion_tokens": 5}))
+    session = _ScriptedSession(good, good, _Reply(200, payload), good)
+    spec = ExperimentSpec(task="threading", strategy="window", model=ModelConfig("test-model"),
+                          transcripts=("ws01",), window=WindowConfig(n=5, feedback="none"))
+    cache_path = tmp_path / "cache.jsonl"
+    log = run_threading(spec, bundled, HttpProvider(retry=FAST_RETRY, session=session),
+                        cache=CompletionCache(cache_path), concurrency=1)
+    assert [(r.index, r.fail_reason) for r in log.records if not r.ok] == [(3, "TransportError")]
+    assert log.failed_transcripts == ("ws01",)
+    assert len(CompletionCache(cache_path)) == len(log.records) - 1
+
+
+@pytest.mark.parametrize("usage", [None, {}, {"prompt_tokens": None, "completion_tokens": 5},
+                                   {"prompt_tokens": 12, "completion_tokens": 5.0}])
+def test_a_reply_without_integer_counts_keeps_what_it_has(usage):
+    payload = _with_usage(usage)
+    provider = HttpProvider(retry=FAST_RETRY, session=_ScriptedSession(_Reply(200, payload)))
+    result = provider.send(_prompt(), _model("http://127.0.0.1:9/v1/chat/completions"), "h")
+    counts = [None if usage is None else usage.get(k) for k in ("prompt_tokens",
+                                                               "completion_tokens")]
+    got = [result.input_tokens, result.output_tokens]
+    assert (result.response_text, got) == ("[respond line = -]", counts)
+    assert {type(n) for n in got} <= {int, type(None)}
 
 
 def test_a_connection_error_is_retried_and_the_next_reply_returned():
@@ -576,6 +619,23 @@ def test_replay_provider_round_trip(tmp_path):
     assert replayed.response_text == recorded.response_text
     with pytest.raises(FixtureMiss):
         complete(_prompt(text="different"), model, replay)
+
+
+@pytest.mark.parametrize("tokens", [(10, 4), (None, None)])
+def test_a_replay_serves_the_recorded_completion_as_it_is(tmp_path, tokens):
+    class Writer:
+        name = "writer"
+
+        def send(self, prompt, model, prompt_hash):
+            return ProviderResult("3 Ana [respond line = 1]", *tokens, 7)
+
+    path, again = tmp_path / "fixture.jsonl", tmp_path / "again.jsonl"
+    model = _model("http://unused")
+    recorded = complete(_prompt(), model, Writer(), CompletionCache(path))
+    replayed = complete(_prompt(), model, ReplayProvider.from_path(path), CompletionCache(again))
+    assert replayed == recorded
+    assert recorded.tokens_estimated == (tokens[0] is None)
+    assert again.read_text(encoding="utf-8") == path.read_text(encoding="utf-8")
 
 
 # --- oracle ----------------------------------------------------------------

@@ -30,6 +30,17 @@ def test_documented_thread_forms():
     assert out.value.label.line_refs == (LineRef(1),)
 
 
+@pytest.mark.parametrize("parse", [
+    lambda level: parse_thread_response("3 Prerna [respond line = 1]", 3, "Prerna", level),
+    lambda level: parse_code_response("3 Prerna [A]", 3, "Prerna", level),
+    lambda level: parse_block_response("3 Prerna [A]", [(3, "Prerna")], "code", level),
+])
+def test_an_unknown_strictness_level_is_refused(parse):
+    with pytest.raises(ValueError) as exc:
+        parse("bogus")
+    assert str(exc.value) == "strictness must be one of ('strict', 'lenient'), got 'bogus'"
+
+
 def test_thread_forward_link_fails_both_modes():
     for mode in ("strict", "lenient"):
         out = parse_thread_response("3 Prerna [respond line = 7]", 3, "Prerna", mode)

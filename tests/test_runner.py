@@ -27,11 +27,13 @@ from threadlab.llm import (
     CompletionCache,
     ContextOverflow,
     FixtureMiss,
+    HttpProvider,
     ModelConfig,
     OracleProvider,
     PricingTable,
     ProviderResult,
     RateLimited,
+    ReplayProvider,
     TransportError,
     UnknownModelPricing,
     complete,
@@ -39,7 +41,8 @@ from threadlab.llm import (
 )
 from threadlab.metrics import PARSE_ERROR_LABEL, aggregate, binary_code_metrics
 from threadlab.prompts import (
-    render_abcde, render_baseline, render_thread_all_at_once, render_thread_window
+    TRANSCRIPT_START, render_abcde, render_baseline, render_thread_all_at_once,
+    render_thread_window,
 )
 from threadlab.runner import (
     EvalResult,
@@ -49,6 +52,7 @@ from threadlab.runner import (
     RunLog,
     RunnerError,
     StrayRecord,
+    eval_path,
     evaluate_run,
     resolve_thread_labels,
     run_abcde,
@@ -544,15 +548,6 @@ def test_bad_shots_fail_before_the_first_call(bundled, kw, corpus_ids, message):
     assert provider.calls == 0
 
 
-def test_a_bad_strictness_fails_before_the_first_call(bundled):
-    provider = CountingOracle(bundled)
-    with pytest.raises(ValueError, match=re.escape(
-        "strictness must be one of ('strict', 'lenient'), got 'bogus'"
-    )):
-        run_threading(_spec(), bundled, provider, strictness="bogus")
-    assert provider.calls == 0
-
-
 def test_shots_excluded_from_target(bundled):
     spec = _spec(strategy="all_at_once", window=None, shots=2, transcripts=("ws01",))
     log = run_threading(spec, bundled, _oracle(bundled))
@@ -590,6 +585,16 @@ def test_save_replaces_log_atomically(bundled, tmp_path):
     assert [p.name for p in path.parent.iterdir()] == ["log.jsonl"]
 
 
+def test_save_removes_the_runs_eval_report(bundled, tmp_path):
+    log = run_threading(_spec(transcripts=("cs01",)), bundled, _oracle(bundled))
+    report = eval_path(tmp_path / "runs", log.run_id)
+    assert report == tmp_path / "runs" / log.run_id / "eval.json"
+    log.save(tmp_path / "runs")
+    write_atomic(report, evaluate_run(log, bundled).to_json())
+    log.save(tmp_path / "runs")  # the report scored the log this save replaces
+    assert [p.name for p in report.parent.iterdir()] == ["log.jsonl"]
+
+
 def test_write_atomic_keeps_old_file_when_write_fails(tmp_path):
     path = tmp_path / "out.json"
     path.write_text("old", encoding="utf-8")
@@ -610,9 +615,101 @@ def test_cached_rerun_reproduces_records(bundled, tmp_path):
         def send(self, prompt, model, prompt_hash):
             raise AssertionError("cache should have answered")
 
-    second = run_threading(spec, bundled, NeverCalled(), cache=CompletionCache(cache_path),
-                           strictness="strict")
+    second = run_threading(spec, bundled, NeverCalled(), cache=CompletionCache(cache_path))
     assert second.records == first.records
+
+
+class _Reply:
+    def __init__(self, payload):
+        self.status_code, self.text, self._payload = 200, json.dumps(payload), payload
+
+    def json(self):
+        return self._payload
+
+
+class LiveSession:
+    """A chat endpoint, as a requests session, whose model answers with the
+    gold thread labels of one transcript in the instructed lines; every 4th
+    window reply is prefixed with prose, and every 4th line of a block reply
+    misspells its speaker. Only lenient parsing reads those."""
+
+    def __init__(self, gold):
+        self.gold = gold
+
+    def post(self, url, json, **kwargs):
+        text = json["messages"][0]["content"]
+        block = text.split(TRANSCRIPT_START)[1].split("<<<TRANSCRIPT_END>>>")[0]
+        entries = [(int(m[1]), m[2]) for m in re.finditer(r"^#(\d+) (.+?): ", block, re.M)]
+        whole = "Label every utterance" in text
+        lines = []
+        for i, speaker in entries if whole else entries[-1:]:
+            drift = i % 4 == 0
+            name = f"{speaker}x" if drift and whole else speaker
+            line = f"{i} {name} [respond line = {self.gold.thread[i].surface()}]"
+            lines.append(f"Sure, here it is:\n{line}" if drift and not whole else line)
+        reply = "\n".join(lines)
+        return _Reply({"choices": [{"message": {"content": reply}}],
+                       "usage": {"prompt_tokens": len(text) // 5, "completion_tokens": 7}})
+
+
+def _live(bundled, monkeypatch):
+    """An http provider over ws01's live session."""
+    monkeypatch.setenv("OPENAI_API_KEY", "test-key")
+    return HttpProvider(session=LiveSession(bundled["ws01"][1]))
+
+
+@pytest.mark.parametrize("strategy, feedback", [
+    ("window", "self"), ("window", "gold"), ("window", "none"), ("all_at_once", None),
+])
+def test_a_live_runs_cache_replays_to_the_same_log(bundled, tmp_path, monkeypatch,
+                                                   strategy, feedback):
+    spec = _spec(strategy=strategy, window=feedback and WindowConfig(n=5, feedback=feedback))
+    cache_path, replay_cache = tmp_path / "live.jsonl", tmp_path / "replayed.jsonl"
+    live = run_threading(spec, bundled, _live(bundled, monkeypatch),
+                         cache=CompletionCache(cache_path))
+    assert all(r.ok and r.predicted == r.gold for r in live.records)
+    replayed = run_threading(spec, bundled, ReplayProvider.from_path(cache_path),
+                             cache=CompletionCache(replay_cache))
+    assert dataclasses.replace(replayed, wall_time_ms=0) == dataclasses.replace(
+        live, wall_time_ms=0)
+    # the replay's cache keeps the writer, so it replays the same way in turn
+    writers = {json.loads(line)["provider"] for line in replay_cache.read_text().splitlines()}
+    assert writers == {"http"}
+
+
+@pytest.mark.parametrize("serve", ["oracle", "replay"])
+def test_a_cache_hit_written_by_http_is_parsed_lenient(bundled, tmp_path, monkeypatch, serve):
+    spec = _spec(window=WindowConfig(n=5, feedback="none"))
+    cache_path = tmp_path / "live.jsonl"
+    live = run_threading(spec, bundled, _live(bundled, monkeypatch),
+                         cache=CompletionCache(cache_path))
+    provider = CountingOracle(bundled) if serve == "oracle" else ReplayProvider(CompletionCache())
+    rerun = run_threading(spec, bundled, provider, cache=CompletionCache(cache_path))
+    assert rerun.records == live.records
+    assert all(r.ok for r in rerun.records)
+    assert getattr(provider, "calls", 0) == 0  # every reply came from the cache
+
+
+@pytest.mark.parametrize("writer", ["scripted", "replay"])
+def test_a_reply_not_written_by_http_is_parsed_strict(bundled, tmp_path, monkeypatch, writer):
+    """Also when a cache serves it to a run on the http provider; "replay" is
+    the writer an older cache line can name."""
+
+    class Wordy:
+        name = writer
+
+        def send(self, prompt, model, prompt_hash):
+            [(i, speaker)] = prompt.expected_entries
+            return ProviderResult(f"Sure, here it is:\n{i} {speaker} [respond line = -]",
+                                  3, 4, 0)
+
+    spec = _spec(window=WindowConfig(n=5, feedback="none"))
+    cache_path = tmp_path / "cache.jsonl"
+    first = run_threading(spec, bundled, Wordy(), cache=CompletionCache(cache_path))
+    assert {r.fail_reason for r in first.records} == {"NoMatch"}
+    rerun = run_threading(spec, bundled, _live(bundled, monkeypatch),
+                          cache=CompletionCache(cache_path))
+    assert rerun.records == first.records
 
 
 # --- abcde runs ------------------------------------------------------------
