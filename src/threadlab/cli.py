@@ -48,7 +48,6 @@ class RunConfig:
     corpus_dir: str | None = None
     fixtures: str | None = None
     pricing: str | None = None
-    template_dir: str | None = None
 
 
 def _load_inputs(args: argparse.Namespace) -> tuple[RunConfig, dict]:
@@ -84,8 +83,6 @@ def _build_spec(
         if args.transcripts:
             spec_dict["transcripts"] = args.transcripts.split(",")
         spec_dict.setdefault("strategy", "window" if spec_dict.get("window") else "all_at_once")
-        if config.template_dir:
-            spec_dict.setdefault("template_dir", config.template_dir)
         return runner_mod.ExperimentSpec.from_dict(spec_dict)
     except ValueError as exc:
         raise SystemExit(f"bad experiment spec: {exc}")
@@ -149,8 +146,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     provider = _build_provider(args.provider or config.provider, config, corpus)
     cache = CompletionCache(config.cache) if config.cache else None
     pricing = _pricing(config, [spec.model.model_id])
-    out = Path(args.out)
-    runs_dir = out / "runs"
+    runs_dir = Path(args.out) / "runs"
     kwargs = dict(
         corpus=corpus, provider=provider, cache=cache,
         concurrency=args.concurrency, pricing=pricing,
@@ -293,6 +289,10 @@ def main(argv: list[str] | None = None) -> int:
     # file that cannot be read or does not parse
     except (runner_mod.RunnerError, FileError) as exc:
         raise SystemExit(str(exc))
+    except OSError as exc:  # a path that cannot be written; a rename names its target second
+        if exc.filename is None:  # no path to name, such as a broken stdout pipe
+            raise
+        raise SystemExit(f"{exc.filename2 or exc.filename}: {exc.strerror}")
 
 
 if __name__ == "__main__":

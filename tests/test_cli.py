@@ -3,6 +3,7 @@ import re
 import shutil
 import subprocess
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
@@ -30,6 +31,23 @@ def _thread_run(capsys, out_dir, extra=()):
     match = re.search(r"run ([0-9a-f]{16}):", out)
     assert match, out
     return match.group(1)
+
+
+def _fails(argv, line):
+    """``threadlab *argv``, run in a process of its own, exits 1 with ``line`` as its one
+    stderr line."""
+    proc = subprocess.run([sys.executable, "-m", "threadlab.cli", *map(str, argv)],
+                          capture_output=True, text=True)
+    assert (proc.returncode, proc.stderr) == (1, line + "\n")
+
+
+@pytest.fixture(scope="module")
+def processes():
+    """Runs the larger fault tables' ``_fails`` calls two at a time. Each fault process
+    spends about 0.2 s starting and importing the package, so such a table sets up
+    all its rows first and then runs their processes in this pool."""
+    with ThreadPoolExecutor(2) as pool:
+        yield pool
 
 
 def test_ingest_emits_stats_json(capsys):
@@ -61,13 +79,19 @@ def _add_lone_surrogate(line):
     return json.dumps(rec)
 
 
-def test_ingest_and_thread_reject_a_lone_surrogate_by_line(capsys, tmp_path):
+def _with(**fields):
+    """An edit of one JSON line that sets ``fields``."""
+    return lambda line: json.dumps({**json.loads(line), **fields})
+
+
+def test_ingest_and_thread_reject_a_lone_surrogate_by_line(tmp_path, processes):
     corpus = _one_transcript_corpus(tmp_path, edit_line=_add_lone_surrogate)
-    for argv in (["ingest"], ["thread", "--provider", "oracle", "--model", "m", "--window", "5",
-                              "--transcripts", "ws01", "--out", str(tmp_path / "out")]):
-        with pytest.raises(SystemExit) as exc:
-            main([*argv, "--corpus", str(corpus)])
-        assert exc.value.code == f"{corpus / 'ws01.jsonl'}: line 3: text is not valid Unicode text"
+    line = f"{corpus / 'ws01.jsonl'}: line 3: text is not valid Unicode text"
+    runs = [processes.submit(_fails, [*argv, "--corpus", corpus], line) for argv in (
+        ["ingest"], ["thread", "--provider", "oracle", "--model", "m", "--window", "5",
+                     "--transcripts", "ws01", "--out", tmp_path / "out"])]
+    for run in runs:
+        run.result()
 
 
 CORPUS_COMMANDS = {
@@ -80,20 +104,34 @@ CORPUS_COMMANDS = {
 }
 
 
+@pytest.fixture(scope="module")
+def corpus_commands(tmp_path_factory, processes):
+    """Each of CORPUS_COMMANDS, running on one corpus whose gold line 3 is cut short."""
+    tmp = tmp_path_factory.mktemp("corpus_commands")
+    corpus = _one_transcript_corpus(tmp, edit_gold_line=lambda line: line[:-1])
+    line = f"{corpus / 'ws01.gold.jsonl'}: line 3: invalid JSON: Expecting ',' delimiter"
+    started = {}
+    for command, flags in CORPUS_COMMANDS.items():
+        argv = [command, *flags, "--corpus", corpus]
+        if command not in ("ingest", "validate"):
+            argv += ["--out", tmp / "out"]
+        started[command] = processes.submit(_fails, argv, line)
+    return started
+
+
 @pytest.mark.parametrize("command", list(CORPUS_COMMANDS))
-def test_a_corpus_error_is_one_line_naming_file_and_line(tmp_path, command):
-    corpus = _one_transcript_corpus(tmp_path, edit_gold_line=lambda line: line[:-1])
-    argv = [command, *CORPUS_COMMANDS[command], "--corpus", str(corpus)]
-    if command not in ("ingest", "validate"):
-        argv += ["--out", str(tmp_path / "out")]
-    with pytest.raises(SystemExit) as exc:
-        main(argv)
-    message = exc.value.code
-    assert isinstance(message, str) and "\n" not in message
-    assert message.startswith(f"{corpus / 'ws01.gold.jsonl'}: line 3: invalid JSON")
+def test_a_corpus_error_is_one_line_naming_file_and_line(corpus_commands, command):
+    corpus_commands[command].result()
 
 
-def test_a_corpus_error_exits_1_with_one_stderr_line(tmp_path):
+def test_a_corpus_error_exits_1_with_one_stderr_line(tmp_path, processes):
+    null_speaker = _one_transcript_corpus(tmp_path / "null_speaker", edit_line=_with(speaker=None))
+    bool_speaker = _one_transcript_corpus(tmp_path / "bool_speaker", edit_line=_with(speaker=True))
+    repeated_index = _one_transcript_corpus(tmp_path / "repeated_index", edit_line=_with(index=2))
+    list_codes = _one_transcript_corpus(tmp_path / "list_codes", edit_gold_line=_with(abcde=["A"]))
+    bool_label = _one_transcript_corpus(tmp_path / "bool_label",
+                                        edit_gold_line=_with(respond_line=True))
+    forward = _one_transcript_corpus(tmp_path / "forward", edit_gold_line=_with(respond_line="9"))
     surrogate = _one_transcript_corpus(tmp_path / "surrogate", edit_line=_add_lone_surrogate)
     not_utf8 = _one_transcript_corpus(tmp_path / "not_utf8")
     transcript = not_utf8 / "ws01.jsonl"
@@ -117,24 +155,30 @@ def test_a_corpus_error_exits_1_with_one_stderr_line(tmp_path):
         {**entry, "speakers": 3}]}))
     repeated = _one_transcript_corpus(tmp_path / "repeated")
     (repeated / "manifest.json").write_text(json.dumps({"transcripts": [entry, entry]}))
-    for corpus, stderr in (
-        (surrogate, f"{surrogate / 'ws01.jsonl'}: line 3: text is not valid Unicode text\n"),
-        (not_utf8, f"{transcript}: line 1: not UTF-8 text\n"),
-        (truncated, f"{manifest}: line 1: invalid JSON: Unterminated string starting at\n"),
-        (no_gold, f"{no_gold / 'manifest.json'}: missing key 'transcripts[0].gold'\n"),
-        (a_list, f"{a_list / 'manifest.json'}: value is [1], expected object\n"),
-        (no_manifest, f"{no_manifest / 'manifest.json'}: No such file or directory\n"),
+    runs = [processes.submit(_fails, ["validate", "--corpus", corpus], line) for corpus, line in (
+        (null_speaker, f"{null_speaker / 'ws01.jsonl'}: line 3: speaker is null"),
+        (bool_speaker,
+         f"{bool_speaker / 'ws01.jsonl'}: line 3: speaker is True, expected a string or number"),
+        (repeated_index, f"{repeated_index / 'ws01.jsonl'}: line 3: duplicate index 2"),
+        (list_codes, f"{list_codes / 'ws01.gold.jsonl'}: line 3: abcde is ['A'], "
+                     'expected a bracketed string such as "[A, C]"'),
+        (bool_label, f"{bool_label / 'ws01.gold.jsonl'}: line 3: respond_line is True, "
+                     'expected a thread label string such as "-", "24" or "(24, -)"'),
+        (forward, f"{forward / 'ws01.gold.jsonl'}: line 3: respond_line '9' links forward"),
+        (surrogate, f"{surrogate / 'ws01.jsonl'}: line 3: text is not valid Unicode text"),
+        (not_utf8, f"{transcript}: line 1: not UTF-8 text"),
+        (truncated, f"{manifest}: line 1: invalid JSON: Unterminated string starting at"),
+        (no_gold, f"{no_gold / 'manifest.json'}: missing key 'transcripts[0].gold'"),
+        (a_list, f"{a_list / 'manifest.json'}: value is [1], expected object"),
+        (no_manifest, f"{no_manifest / 'manifest.json'}: No such file or directory"),
         (int_scenario,
-         f"{int_scenario / 'manifest.json'}: transcripts[0].scenario is 5, expected str\n"),
+         f"{int_scenario / 'manifest.json'}: transcripts[0].scenario is 5, expected str"),
         (unknown_key,
-         f"{unknown_key / 'manifest.json'}: unknown key 'transcripts[0].speakers'\n"),
-        (repeated, f"{repeated / 'manifest.json'}: duplicate transcript id 'ws01'\n"),
-    ):
-        proc = subprocess.run(
-            [sys.executable, "-m", "threadlab.cli", "validate", "--corpus", str(corpus)],
-            capture_output=True, text=True,
-        )
-        assert (proc.returncode, proc.stderr) == (1, stderr)
+         f"{unknown_key / 'manifest.json'}: unknown key 'transcripts[0].speakers'"),
+        (repeated, f"{repeated / 'manifest.json'}: duplicate transcript id 'ws01'"),
+    )]
+    for run in runs:
+        run.result()
 
 
 def test_a_run_stopped_by_a_provider_error_names_its_run_and_cache(capsys, tmp_path):
@@ -165,17 +209,14 @@ def test_an_auth_error_without_a_cache_says_no_cache_keeps_the_calls(
 ):
     monkeypatch.delenv("OPENAI_API_KEY", raising=False)
     run_id = _thread_run(capsys, tmp_path / "ids", extra=("--transcripts", "ws01"))
-    with pytest.raises(SystemExit) as exc:
-        main(["thread", "--provider", "http", "--model", "test-model", "--window", "10",
-              "--transcripts", "ws01", "--out", str(tmp_path)])
-    assert exc.value.code == (
-        f"run {run_id} stopped by AuthError: environment variable OPENAI_API_KEY is not set; "
-        "no cache keeps its finished calls"
-    )
+    _fails(["thread", "--provider", "http", "--model", "test-model", "--window", "10",
+            "--transcripts", "ws01", "--out", tmp_path],
+           f"run {run_id} stopped by AuthError: environment variable OPENAI_API_KEY is not set; "
+           "no cache keeps its finished calls")
 
 
-# fault: (config file text or None, extra argv, the one line it exits with);
-# {tmp} stands for the test's directory
+# fault: (config file text or None, argv after the oracle thread run's flags,
+# the one line it exits with); {tmp} stands for the row's directory
 INPUT_FAULTS = {
     "unknown transcript id": (None, ["--transcripts", "zz"], "transcript 'zz' not in corpus"),
     "repeated transcript id": (
@@ -264,16 +305,34 @@ INPUT_FAULTS = {
         "bad experiment spec: transcripts is 'ws01', expected list",
     ),
     "missing template directory": (
-        '{"template_dir": "{tmp}/nope"}', ["--config", "{tmp}/config.json"],
+        '{"spec": {"template_dir": "{tmp}/nope"}}', ["--config", "{tmp}/config.json"],
         "{tmp}/nope/thread_window.txt: No such file or directory",
     ),
     "template without delimiters": (
-        '{"template_dir": "{tmp}/templates"}', ["--config", "{tmp}/config.json"],
+        '{"spec": {"template_dir": "{tmp}/templates"}}', ["--config", "{tmp}/config.json"],
         "{tmp}/templates/thread_window.txt: template lacks delimiters ['<<<TRANSCRIPT_START>>>']",
     ),
     "template not UTF-8": (
-        '{"template_dir": "{tmp}/templates"}', ["--config", "{tmp}/config.json"],
+        '{"spec": {"template_dir": "{tmp}/templates"}}', ["--config", "{tmp}/config.json"],
         "{tmp}/templates/thread_window.txt: line 1: not UTF-8 text",
+    ),
+    "template_dir outside the spec": (
+        '{"template_dir": "{tmp}/templates"}', ["--config", "{tmp}/config.json"],
+        "{tmp}/config.json: unknown key 'template_dir'",
+    ),
+    # an empty --model leaves the model to the config
+    "no model": (
+        None, ["--model", ""], "no model configured; pass --model or set spec.model in the config",
+    ),
+    "shots with a window": (
+        None, ["--shots", "2"], "bad experiment spec: shots only apply to all-at-once threading",
+    ),
+    "spec key misspelt": (
+        '{"spec": {"stratgy": "all_at_once"}}', ["--config", "{tmp}/config.json"],
+        "bad experiment spec: unknown key 'stratgy'",
+    ),
+    "replay without fixtures": (
+        None, ["--provider", "replay"], "replay provider needs a 'fixtures' path in the config",
     ),
 }
 # the file, beside the config, that each fault's config names
@@ -289,22 +348,32 @@ FAULT_FILES = {
 }
 
 
+@pytest.fixture(scope="module")
+def input_faults(tmp_path_factory, processes):
+    """Each INPUT_FAULTS row's directory and its command, running."""
+    started = {}
+    for fault, (config, extra, line) in INPUT_FAULTS.items():
+        tmp = tmp_path_factory.mktemp("input")
+        if config is not None:
+            (tmp / "config.json").write_text(config.replace("{tmp}", str(tmp)))
+        if fault in FAULT_FILES:
+            name, text = FAULT_FILES[fault]
+            (tmp / name).parent.mkdir(exist_ok=True)
+            # as latin-1, so "\xff" is a byte that is never valid UTF-8
+            (tmp / name).write_bytes(text.encode("latin-1"))
+        argv = ["thread", "--provider", "oracle", "--model", "m", "--window", "5",
+                "--transcripts", "ws01", "--out", "{tmp}/out", *extra]
+        started[fault] = tmp, processes.submit(
+            _fails, [arg.replace("{tmp}", str(tmp)) for arg in argv],
+            line.replace("{tmp}", str(tmp)))
+    return started
+
+
 @pytest.mark.parametrize("fault", list(INPUT_FAULTS))
-def test_a_run_input_fault_is_a_one_line_error(tmp_path, fault):
-    config, extra, line = INPUT_FAULTS[fault]
-    if config is not None:
-        (tmp_path / "config.json").write_text(config.replace("{tmp}", str(tmp_path)))
-    if fault in FAULT_FILES:
-        name, text = FAULT_FILES[fault]
-        (tmp_path / name).parent.mkdir(exist_ok=True)
-        # as latin-1, so "\xff" is a byte that is never valid UTF-8
-        (tmp_path / name).write_bytes(text.encode("latin-1"))
-    with pytest.raises(SystemExit) as exc:
-        main(["thread", "--provider", "oracle", "--model", "m", "--window", "5",
-              "--transcripts", "ws01", "--out", str(tmp_path / "out"),
-              *(arg.replace("{tmp}", str(tmp_path)) for arg in extra)])
-    assert exc.value.code == line.replace("{tmp}", str(tmp_path))
-    assert not (tmp_path / "out").exists()
+def test_a_run_input_fault_is_a_one_line_error(input_faults, fault):
+    tmp, run = input_faults[fault]
+    run.result()
+    assert not (tmp / "out").exists()
 
 
 @pytest.mark.parametrize("argv", [["thread"], ["code", "--thread-source", "human"]])
@@ -314,22 +383,10 @@ def test_a_gold_file_that_leaves_an_utterance_unlabeled_is_a_one_line_error(tmp_
     gold = corpus / "ws01.gold.jsonl"
     gold.write_text("\n".join(gold.read_text(encoding="utf-8").splitlines()[:-1]) + "\n",
                     encoding="utf-8")
-    with pytest.raises(SystemExit) as exc:
-        main([*argv, "--provider", "oracle", "--model", "m", "--window", "5",
-              "--transcripts", "ws01", "--corpus", str(corpus), "--out", str(tmp_path / "out")])
-    assert exc.value.code == "ws01: no gold thread label for utterance 21"
+    _fails([*argv, "--provider", "oracle", "--model", "m", "--window", "5", "--transcripts", "ws01",
+            "--corpus", corpus, "--out", tmp_path / "out"],
+           "ws01: no gold thread label for utterance 21")
     assert not (tmp_path / "out").exists()
-
-
-def test_eval_of_a_log_that_misses_a_gold_line_is_a_one_line_error(capsys, tmp_path):
-    run_id = _thread_run(capsys, tmp_path)
-    log = tmp_path / "runs" / run_id / "log.jsonl"
-    lines = log.read_text(encoding="utf-8").splitlines()
-    del lines[2]  # after the meta line, ws01's record for utterance 2
-    log.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    with pytest.raises(SystemExit) as exc:
-        main(["eval", "--run", run_id, "--out", str(tmp_path)])
-    assert exc.value.code == f"{log}: ws01: records cover [1, 3, 4, 5, 6]..., expected 1..21"
 
 
 @pytest.mark.parametrize("command", ["eval --run {run}", "report --runs {run}"])
@@ -342,11 +399,9 @@ def test_a_log_record_of_a_transcript_outside_the_spec_is_a_one_line_error(
     stray = lines[1].replace('"transcript_id": "ws01"', '"transcript_id": "ws02"')
     assert stray != lines[1]
     log.write_text("\n".join([*lines[:-1], stray, lines[-1]]) + "\n", encoding="utf-8")
-    with pytest.raises(SystemExit) as exc:
-        main([*command.format(run=run_id).split(), "--out", str(tmp_path)])
-    assert exc.value.code == (
-        f"{log}: record for transcript 'ws02', which the run's spec does not list"
-    )
+    _fails([*command.format(run=run_id).split(), "--out", tmp_path],
+           f"{log}: record for transcript 'ws02', which the run's spec does not list")
+
 
 def _with_stray_record(data):
     """The log with a ws02 copy of its first record after it."""
@@ -367,8 +422,9 @@ def _cache_record(**changes):
 
 RUN = "--provider oracle --model test-model --window 10 --transcripts ws01,cs01 --out {tmp}"
 # fault: (the file broken, its bytes from the old ones, the command then run,
-# the line it exits with); {tmp} is the test's directory and {run} the run id,
-# of an oracle threading run with {"cache": "{tmp}/c.jsonl"}, then evaluated
+# the line it exits with after the file's path); {tmp} is the row's directory and
+# {run} the run id, of an oracle threading run with {"cache": "{tmp}/c.jsonl"},
+# then evaluated
 RUN_FILE_FAULTS = {
     "log with an unknown key": (
         "runs/{run}/log.jsonl",
@@ -459,6 +515,12 @@ RUN_FILE_FAULTS = {
         "eval --run {run} --out {tmp}",
         "line 2: unknown kind 'recrod'",
     ),
+    "log without ws01's record 2, eval": (
+        "runs/{run}/log.jsonl",
+        lambda data: data.replace(data.split(b"\n")[2] + b"\n", b"", 1),
+        "eval --run {run} --out {tmp}",
+        "ws01: records cover [1, 3, 4, 5, 6]..., expected 1..21",
+    ),
     "log without ws01's record 7, code": (
         "runs/{run}/log.jsonl",
         lambda data: data.replace(data.split(b"\n")[7] + b"\n", b"", 1),
@@ -477,18 +539,80 @@ RUN_FILE_FAULTS = {
 }
 
 
+@pytest.fixture(scope="module")
+def oracle_run(tmp_path_factory):
+    """The directory and id of an oracle threading run with {"cache": "{tmp}/c.jsonl"},
+    then evaluated. Its files hold no path of their own, so a row runs in a copy."""
+    run = tmp_path_factory.mktemp("run")
+    (run / "cache.json").write_text(json.dumps({"cache": str(run / "c.jsonl")}))
+    assert main(f"thread {RUN} --config {{tmp}}/cache.json".format(tmp=run).split()) == 0
+    (run_id,) = (path.name for path in (run / "runs").iterdir())
+    assert main(["eval", "--run", run_id, "--out", str(run)]) == 0
+    return run, run_id
+
+
+@pytest.fixture(scope="module")
+def run_file_faults(tmp_path_factory, processes, oracle_run):
+    """Each RUN_FILE_FAULTS row's command, running in its copy of the oracle run."""
+    run, run_id = oracle_run
+    started = {}
+    for fault, (name, edit, command, line) in RUN_FILE_FAULTS.items():
+        tmp = tmp_path_factory.mktemp("run_file")
+        shutil.copytree(run, tmp, dirs_exist_ok=True)
+        (tmp / "cache.json").write_text(json.dumps({"cache": str(tmp / "c.jsonl")}))
+        (tmp / "replay.json").write_text(json.dumps({"fixtures": str(tmp / "c.jsonl")}))
+        path = tmp / name.format(run=run_id)
+        path.write_bytes(edit(path.read_bytes()))
+        started[fault] = processes.submit(
+            _fails, command.format(tmp=tmp, run=run_id).split(), f"{path}: {line}")
+    return started
+
+
 @pytest.mark.parametrize("fault", list(RUN_FILE_FAULTS))
-def test_a_broken_run_file_is_a_one_line_error_naming_it(capsys, tmp_path, fault):
-    name, edit, command, line = RUN_FILE_FAULTS[fault]
-    (tmp_path / "cache.json").write_text(json.dumps({"cache": str(tmp_path / "c.jsonl")}))
-    (tmp_path / "replay.json").write_text(json.dumps({"fixtures": str(tmp_path / "c.jsonl")}))
-    run_id = _thread_run(capsys, tmp_path, extra=("--config", str(tmp_path / "cache.json")))
-    assert _run(capsys, "eval", "--run", run_id, "--out", str(tmp_path))[0] == 0
-    path = tmp_path / name.format(run=run_id)
-    path.write_bytes(edit(path.read_bytes()))
-    with pytest.raises(SystemExit) as exc:
-        main(command.format(tmp=tmp_path, run=run_id).split())
-    assert exc.value.code == f"{path}: {line}"
+def test_a_broken_run_file_is_a_one_line_error_naming_it(run_file_faults, fault):
+    run_file_faults[fault].result()
+
+
+# fault: (the output path blocked, how, the command then run, the line it exits
+# with); {tmp} and {run} as for RUN_FILE_FAULTS
+OUTPUT_FAULTS = {
+    "--out a file": (
+        "out", Path.touch, f"thread {RUN}".replace("{tmp}", "{tmp}/out"),
+        "{tmp}/out/runs/{run}: Not a directory",
+    ),
+    "log a directory": (
+        "runs/{run}/log.jsonl", Path.mkdir, f"thread {RUN}",
+        "{tmp}/runs/{run}/log.jsonl: Is a directory",
+    ),
+    "eval.json a directory": (
+        "runs/{run}/eval.json", Path.mkdir, "eval --run {run} --out {tmp}",
+        "{tmp}/runs/{run}/eval.json: Is a directory",
+    ),
+    "reports a file": (
+        "reports", Path.touch, "report --runs {run} --out {tmp}", "{tmp}/reports: File exists",
+    ),
+}
+
+
+@pytest.fixture(scope="module")
+def output_faults(tmp_path_factory, processes, oracle_run):
+    """Each OUTPUT_FAULTS row's command, running in its copy of the oracle run."""
+    run, run_id = oracle_run
+    started = {}
+    for fault, (name, block, command, line) in OUTPUT_FAULTS.items():
+        tmp = tmp_path_factory.mktemp("output")
+        shutil.copytree(run, tmp, dirs_exist_ok=True)
+        path = tmp / name.format(run=run_id)
+        path.unlink(missing_ok=True)
+        block(path)
+        started[fault] = processes.submit(
+            _fails, command.format(tmp=tmp, run=run_id).split(), line.format(tmp=tmp, run=run_id))
+    return started
+
+
+@pytest.mark.parametrize("fault", list(OUTPUT_FAULTS))
+def test_an_output_path_that_cannot_be_written_is_a_one_line_error(output_faults, fault):
+    output_faults[fault].result()
 
 
 def test_validate_bundled_corpus_clean(capsys):
@@ -515,11 +639,7 @@ def test_validate_prints_errors_and_lints_and_exits_1(capsys, tmp_path):
 
 
 def test_validate_unknown_transcript():
-    proc = subprocess.run(
-        [sys.executable, "-m", "threadlab.cli", "validate", "--transcript", "nope"],
-        capture_output=True, text=True,
-    )
-    assert (proc.returncode, proc.stderr) == (1, "transcript 'nope' not in corpus\n")
+    _fails(["validate", "--transcript", "nope"], "transcript 'nope' not in corpus")
 
 
 def test_thread_writes_run_log(capsys, tmp_path):
@@ -567,21 +687,16 @@ def test_eval_counts_a_repeated_subcategory_once(capsys, tmp_path):
 
 def test_eval_rejects_unknown_subcategory(capsys, tmp_path):
     run_id = _thread_run(capsys, tmp_path)
-    with pytest.raises(SystemExit, match="XX"):
-        main(["eval", "--run", run_id, "--out", str(tmp_path), "--subcats", "AP,XX"])
+    _fails(["eval", "--run", run_id, "--out", tmp_path, "--subcats", "AP,XX"],
+           "unknown subcategory tags: XX")
     assert not (tmp_path / "runs" / run_id / "eval.json").exists()
 
 
 @pytest.mark.parametrize("command", ["eval --run", "report --runs"])
 def test_unknown_run_id_is_a_one_line_error(tmp_path, command):
-    proc = subprocess.run(
-        [sys.executable, "-m", "threadlab.cli", *command.split(), "0123456789abcdef",
-         "--out", str(tmp_path)],
-        capture_output=True, text=True,
-    )
-    assert proc.returncode != 0
     path = tmp_path / "runs" / "0123456789abcdef" / "log.jsonl"
-    assert proc.stderr == f"{path}: No such file or directory\n"
+    _fails([*command.split(), "0123456789abcdef", "--out", tmp_path],
+           f"{path}: No such file or directory")
 
 
 def test_report_writes_csv_and_svg(capsys, tmp_path):
@@ -604,9 +719,8 @@ def test_report_writes_csv_and_svg(capsys, tmp_path):
 
 
 def test_report_labels_must_match_runs_one_for_one(tmp_path):
-    with pytest.raises(SystemExit) as exc:
-        main(["report", "--runs", "a,b", "--labels", "x", "--out", str(tmp_path)])
-    assert exc.value.code == "--labels must match --runs one for one"
+    _fails(["report", "--runs", "a,b", "--labels", "x", "--out", tmp_path],
+           "--labels must match --runs one for one")
 
 
 def test_report_refuses_a_pricing_file_that_lacks_a_run_model(capsys, tmp_path):
@@ -615,9 +729,8 @@ def test_report_refuses_a_pricing_file_that_lacks_a_run_model(capsys, tmp_path):
     pricing.write_text('{"m": {"input_per_1m": 1, "output_per_1m": 1}}', encoding="utf-8")
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"pricing": str(pricing)}), encoding="utf-8")
-    with pytest.raises(SystemExit) as exc:
-        main(["report", "--runs", run_id, "--config", str(config), "--out", str(tmp_path)])
-    assert exc.value.code == f"{pricing}: no pricing entry for model 'test-model'"
+    _fails(["report", "--runs", run_id, "--config", config, "--out", tmp_path],
+           f"{pricing}: no pricing entry for model 'test-model'")
     assert not (tmp_path / "reports").exists()
 
 
@@ -702,33 +815,6 @@ def test_config_pricing_sets_run_cost(capsys, tmp_path):
     summary = json.loads(lines[-1])
     assert summary["kind"] == "summary"
     assert summary["cost_usd"] > 0
-
-
-def test_missing_model_is_an_error(capsys, tmp_path):
-    with pytest.raises(SystemExit, match="model"):
-        main(["thread", "--provider", "oracle", "--window", "10",
-              "--transcripts", "ws01", "--out", str(tmp_path)])
-
-
-def test_bad_spec_is_an_error(capsys, tmp_path):
-    with pytest.raises(SystemExit, match="bad experiment spec"):
-        main(["thread", "--provider", "oracle", "--model", "m",
-              "--window", "10", "--shots", "2",
-              "--transcripts", "ws01", "--out", str(tmp_path)])
-
-
-def test_config_spec_typo_is_an_error(capsys, tmp_path):
-    cfg_path = tmp_path / "config.json"
-    cfg_path.write_text(json.dumps({"spec": {"stratgy": "all_at_once"}}), encoding="utf-8")
-    with pytest.raises(SystemExit, match="bad experiment spec: .*stratgy"):
-        main(["thread", "--config", str(cfg_path), "--provider", "oracle", "--model", "m",
-              "--transcripts", "ws01", "--out", str(tmp_path)])
-
-
-def test_replay_requires_fixtures(capsys, tmp_path):
-    with pytest.raises(SystemExit, match="fixtures"):
-        main(["thread", "--provider", "replay", "--model", "m",
-              "--window", "10", "--transcripts", "ws01", "--out", str(tmp_path)])
 
 
 def test_module_entry_point_runs():
