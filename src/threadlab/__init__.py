@@ -33,11 +33,7 @@ from .metrics import (
     PARSE_ERROR_LABEL,
     AggregateReport,
     MetricReport,
-    accuracy,
     aggregate,
-    binary_code_metrics,
-    cohens_kappa,
-    macro_f1,
     score,
 )
 from .prompts import (
@@ -81,16 +77,12 @@ __all__ = [
     "Utterance",
     "Window",
     "WindowConfig",
-    "accuracy",
     "aggregate",
-    "binary_code_metrics",
     "bundled_corpus_dir",
-    "cohens_kappa",
     "complete",
     "corpus_stats",
     "evaluate_run",
     "load_corpus",
-    "macro_f1",
     "make_window",
     "parse_gold",
     "parse_respond_line",

@@ -10,7 +10,9 @@ reports/tradeoff.{csv,svg}.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
+import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -140,6 +142,14 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     return worst
 
 
+def _require_dir(path: Path) -> None:
+    """Raise, creating nothing, the error that making directory ``path`` meets at a file."""
+    blocked = next(p for p in (path, *path.parents) if p.exists())
+    if not blocked.is_dir():
+        code = errno.EEXIST if blocked == path else errno.ENOTDIR
+        raise OSError(code, os.strerror(code), str(path))
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
     config, corpus = _load_inputs(args)
     spec = _build_spec(args.task, config, args)
@@ -147,6 +157,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     cache = CompletionCache(config.cache) if config.cache else None
     pricing = _pricing(config, [spec.model.model_id])
     runs_dir = Path(args.out) / "runs"
+    _require_dir(runner_mod.log_path(runs_dir, spec.run_id).parent)  # before the first call
     kwargs = dict(
         corpus=corpus, provider=provider, cache=cache,
         concurrency=args.concurrency, pricing=pricing,

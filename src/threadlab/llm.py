@@ -404,10 +404,10 @@ class HttpProvider:
         headers = self._headers(model)
         body = self._body(prompt, model)
         last_throttle = False
+        started = time.perf_counter()  # the latency spans every attempt and backoff sleep
         for attempt in range(self._retry.max_attempts):
             if attempt:
                 time.sleep(self._retry.delay(attempt - 1, self._rng))
-            started = time.perf_counter()
             try:
                 resp = self._session.post(
                     model.endpoint, headers=headers, json=body, timeout=_TIMEOUT_S

@@ -63,7 +63,16 @@ class MetricReport:
 
 
 def score(gold: Sequence[str], pred: Sequence[str]) -> MetricReport:
-    """All three metrics for one gold/prediction pair, from one counting pass."""
+    """Accuracy, macro-F1 and Cohen's kappa for one gold/prediction pair, from one
+    counting pass.
+
+    The class space is the union of labels in either sequence. Macro-F1 is the
+    unweighted mean of per-class F1; precision and recall with empty
+    denominators are taken as 0, and a class with precision + recall = 0 has
+    F1 = 0. Kappa takes chance agreement from the two marginal distributions;
+    when that is exactly 1 (both raters stuck on one identical class), kappa is
+    1 if observed agreement is perfect and 0 otherwise.
+    """
     _check_lengths(gold, pred)
     n = len(gold)
     gold_n, pred_n = Counter(gold), Counter(pred)
@@ -89,31 +98,6 @@ def score(gold: Sequence[str], pred: Sequence[str]) -> MetricReport:
     return MetricReport(
         accuracy=matches / n, macro_f1=f1_sum / n_classes, kappa=kappa, n=n, n_classes=n_classes
     )
-
-
-def accuracy(gold: Sequence[str], pred: Sequence[str]) -> float:
-    """Fraction of positions where the labels match exactly."""
-    return score(gold, pred).accuracy
-
-
-def macro_f1(gold: Sequence[str], pred: Sequence[str]) -> float:
-    """Unweighted mean of per-class F1.
-
-    The class space is the union of labels observed in either sequence.
-    Precision and recall with empty denominators are taken as 0, and a class
-    with precision + recall = 0 contributes F1 = 0.
-    """
-    return score(gold, pred).macro_f1
-
-
-def cohens_kappa(gold: Sequence[str], pred: Sequence[str]) -> float:
-    """Cohen's kappa with chance agreement from the two marginal distributions.
-
-    Degenerate case: when expected agreement is exactly 1 (both raters stuck
-    on one identical class), kappa is 1 if observed agreement is perfect and 0
-    otherwise.
-    """
-    return score(gold, pred).kappa
 
 
 @dataclass(frozen=True)
@@ -199,12 +183,3 @@ def presence(code: str, code_sets: Iterable["CodeSet | None"]) -> list[str]:
         PARSE_ERROR_LABEL if cs is None else PRESENT if code in cs.letters else ABSENT
         for cs in code_sets
     ]
-
-
-def binary_code_metrics(
-    gold_codes: Sequence[CodeSet],
-    pred_codes: Sequence["CodeSet | None"],
-    code: str,
-) -> MetricReport:
-    """Reduce code sets to present/absent for one letter (see :func:`presence`) and score that."""
-    return score(presence(code, gold_codes), presence(code, pred_codes))

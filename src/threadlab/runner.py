@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from itertools import filterfalse, groupby, repeat
 from operator import attrgetter
 from pathlib import Path
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 from . import metrics, outparse, prompts
 from .corpus import (
@@ -63,7 +63,8 @@ class GoldMismatch(RunnerError):
 
 class StrayRecord(GoldMismatch):
     """A run log whose records do not match its spec: a record of a transcript
-    the spec does not list, or a listed transcript's records that do not cover it."""
+    the spec does not list, a listed transcript's records that do not cover it,
+    or a prediction that is not a label of the run's task."""
 
 
 class MissingThreadSource(RunnerError):
@@ -155,7 +156,7 @@ class RunLog:
     output_tokens: int = 0
     cost_usd: float | None = None
     failed_transcripts: tuple[str, ...] = ()
-    n_fallback_labels: int = 0  # "-" labels put in place of failed predictions later prompts read
+    n_fallback_labels: int = 0  # failed thread predictions fed on as "-", a last utterance's too
 
     def to_jsonl(self) -> str:
         """A ``meta`` line (run id and spec), a ``record`` line per utterance, then a
@@ -313,14 +314,12 @@ def resolve_thread_labels(
         raise MissingThreadSource(f"run {ref} is not a threading run")
     predicted, fallbacks = {}, 0
     try:
-        grouped = _records_by_transcript(source_log)
-        for tid in spec.transcripts:
-            if tid not in grouped:
-                raise MissingThreadSource(f"run {ref} does not list transcript {tid!r}")
-            _check_coverage(tid, grouped[tid], corpus[tid][0])
-            raw = list(map(_predicted, grouped[tid]))
+        for tid, _, raw in _predictions(source_log, corpus, spec.transcripts):
             fallbacks += raw.count(PARSE_ERROR_LABEL)
-            predicted[tid] = dict(enumerate(map(_fed_label, raw), start=1))
+            try:
+                predicted[tid] = dict(enumerate(map(_fed_label, raw), start=1))
+            except ValueError as exc:  # a prediction that is no thread label
+                raise StrayRecord(f"{tid}: {exc}") from None
     except StrayRecord as exc:
         raise StrayRecord(f"{path}: {exc}") from None
     return predicted, fallbacks
@@ -610,24 +609,31 @@ class EvalResult:
 _index, _predicted = attrgetter("index"), attrgetter("predicted")
 
 
-def _records_by_transcript(log: RunLog) -> dict[str, list[UtteranceRecord]]:
-    """The log's records per spec transcript, in index order; a record of any
-    other transcript raises StrayRecord."""
+def _predictions(
+    log: RunLog, corpus: Corpus, tids: Sequence[str]
+) -> Iterator[tuple[str, GoldAnnotations, list[str]]]:
+    """Each of ``tids`` with its gold and the log's predictions for it, in index order.
+
+    A record of a transcript the log's spec does not list raises StrayRecord
+    first. Then, per transcript: one the spec does not list raises
+    MissingThreadSource, gold that leaves an utterance unlabeled GoldMismatch,
+    and records that do not cover its utterances StrayRecord.
+    """
     grouped: dict[str, list[UtteranceRecord]] = {tid: [] for tid in log.spec.transcripts}
     # a run logs each transcript's records in one or a few stretches
     for tid, stretch in groupby(log.records, attrgetter("transcript_id")):
         if tid not in grouped:
             raise StrayRecord(f"record for transcript {tid!r}, which the run's spec does not list")
         grouped[tid].extend(stretch)
-    for recs in grouped.values():
-        recs.sort(key=_index)
-    return grouped
-
-
-def _check_coverage(tid: str, recs: list[UtteranceRecord], t: Transcript) -> None:
-    got = list(map(_index, recs))
-    if got != list(range(1, len(t) + 1)):
-        raise StrayRecord(f"{tid}: records cover {got[:5]}..., expected 1..{len(t)}")
+    for tid in tids:
+        if tid not in grouped:
+            raise MissingThreadSource(f"run {log.run_id} does not list transcript {tid!r}")
+        t, g = _gold_pair(corpus, tid)
+        recs = sorted(grouped[tid], key=_index)
+        got = list(map(_index, recs))
+        if got != list(range(1, len(t) + 1)):
+            raise StrayRecord(f"{tid}: records cover {got[:5]}..., expected 1..{len(t)}")
+        yield tid, g, list(map(_predicted, recs))
 
 
 def evaluate_run(
@@ -643,9 +649,9 @@ def evaluate_run(
     Conversations missing a requested subcategory are skipped for that slice,
     and a tag absent from every conversation is reported as empty rather than
     raising. A repeated tag is sliced once; a tag outside SUBCATEGORY_TAGS
-    raises ValueError. A record of a transcript the spec does not list, or a
-    listed transcript whose records do not cover its utterances, raises
-    StrayRecord, a GoldMismatch.
+    raises ValueError. A record of a transcript the spec does not list, a
+    listed transcript whose records do not cover its utterances, or a code
+    run's prediction that is not a code set raises StrayRecord, a GoldMismatch.
     """
     unknown = set(subcats or ()) - SUBCATEGORY_TAGS
     if unknown:
@@ -653,20 +659,15 @@ def evaluate_run(
     threading_run = log.spec.task == "threading"
     if not threading_run and code_letter not in VALID_CODES:
         raise ValueError(f"code_letter must be one of A-E, got {code_letter!r}")
-    grouped = _records_by_transcript(log)
     per_conv: dict[str, metrics.MetricReport] = {}
     # one slice per distinct tag, in the order the tags are first given;
     # code runs are not sliced
     sliced: dict[str, list[metrics.MetricReport]] = (
         {tag: [] for tag in subcats or ()} if threading_run else {}
     )
-    for tid in log.spec.transcripts:
-        t, g = _gold_pair(corpus, tid)
-        recs = grouped[tid]
-        _check_coverage(tid, recs, t)
-        # records now hold indices 1..n in order, so position p is index p + 1
-        indices = range(1, len(recs) + 1)
-        pred = list(map(_predicted, recs))
+    for tid, g, pred in _predictions(log, corpus, log.spec.transcripts):
+        # predictions hold indices 1..n in order, so position p is index p + 1
+        indices = range(1, len(pred) + 1)
         if threading_run:
             gold = list(map(ThreadLabel.canonical, map(g.thread.__getitem__, indices)))
             per_conv[tid] = metrics.score(gold, pred)
@@ -675,9 +676,13 @@ def evaluate_run(
                     sliced[tag].append(rep)
         else:
             # each distinct string is read once, in record order, so the first
-            # bad one raises CodeSet's ValueError; a failed parse has no code set
+            # one that is no code set is the fault; a failed parse has no code set
             distinct = list(dict.fromkeys(pred))
-            sets = (None if p == PARSE_ERROR_LABEL else CodeSet(frozenset(p)) for p in distinct)
+            try:
+                sets = [None if p == PARSE_ERROR_LABEL else CodeSet(frozenset(p))
+                        for p in distinct]
+            except ValueError as exc:
+                raise StrayRecord(f"{tid}: {exc}") from None
             pred_of = dict(zip(distinct, metrics.presence(code_letter, sets)))
             gold_of = dict(zip(g.abcde, metrics.presence(code_letter, g.abcde.values())))
             per_conv[tid] = metrics.score(

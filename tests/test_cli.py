@@ -413,6 +413,11 @@ def _line_2(new):
     return lambda data: b"\n".join([data.split(b"\n")[0], new, *data.split(b"\n")[2:]])
 
 
+def _first_prediction(new):
+    """The log with its first record's prediction replaced by ``new``."""
+    return lambda data: re.sub(rb'"predicted": "[^"]*"', b'"predicted": "%s"' % new, data, count=1)
+
+
 def _cache_record(**changes):
     """A cache line with the given fields changed."""
     d = {"prompt_hash": "0" * 64, "response_text": "1 A [respond line = -]", "input_tokens": 12,
@@ -422,9 +427,9 @@ def _cache_record(**changes):
 
 RUN = "--provider oracle --model test-model --window 10 --transcripts ws01,cs01 --out {tmp}"
 # fault: (the file broken, its bytes from the old ones, the command then run,
-# the line it exits with after the file's path); {tmp} is the row's directory and
-# {run} the run id, of an oracle threading run with {"cache": "{tmp}/c.jsonl"},
-# then evaluated
+# the line it exits with after the file's path); {tmp} is the row's directory,
+# {run} the run id of an oracle threading run with {"cache": "{tmp}/c.jsonl"},
+# then evaluated, and {code} that of an oracle code run, not evaluated
 RUN_FILE_FAULTS = {
     "log with an unknown key": (
         "runs/{run}/log.jsonl",
@@ -531,6 +536,19 @@ RUN_FILE_FAULTS = {
         "runs/{run}/log.jsonl", _with_stray_record, f"code {RUN} --thread-source llm:{{run}}",
         "record for transcript 'ws02', which the run's spec does not list",
     ),
+    "log prediction not a code set, eval": (
+        "runs/{code}/log.jsonl", _first_prediction(b"XZ"), "eval --run {code} --out {tmp}",
+        "ws01: codes outside A-E: ['X', 'Z']",
+    ),
+    "log prediction not a code set, report": (
+        "runs/{code}/log.jsonl", _first_prediction(b"XZ"), "report --runs {code} --out {tmp}",
+        "ws01: codes outside A-E: ['X', 'Z']",
+    ),
+    "log prediction not a thread label, code": (
+        "runs/{run}/log.jsonl", _first_prediction(b"garbage"),
+        f"code {RUN} --thread-source llm:{{run}}",
+        "ws01: bad link target 'garbage'",
+    ),
     "log with its meta line repeated": (
         "runs/{run}/log.jsonl", lambda data: data[:data.index(b"\n") + 1] + data,
         "eval --run {run} --out {tmp}",
@@ -541,30 +559,33 @@ RUN_FILE_FAULTS = {
 
 @pytest.fixture(scope="module")
 def oracle_run(tmp_path_factory):
-    """The directory and id of an oracle threading run with {"cache": "{tmp}/c.jsonl"},
-    then evaluated. Its files hold no path of their own, so a row runs in a copy."""
+    """The directory and ids of an oracle threading run with {"cache": "{tmp}/c.jsonl"},
+    then evaluated, and of an oracle code run. Their files hold no path of their own,
+    so a row runs in a copy."""
     run = tmp_path_factory.mktemp("run")
     (run / "cache.json").write_text(json.dumps({"cache": str(run / "c.jsonl")}))
     assert main(f"thread {RUN} --config {{tmp}}/cache.json".format(tmp=run).split()) == 0
     (run_id,) = (path.name for path in (run / "runs").iterdir())
     assert main(["eval", "--run", run_id, "--out", str(run)]) == 0
-    return run, run_id
+    assert main(f"code {RUN}".format(tmp=run).split()) == 0
+    (code_id,) = (path.name for path in (run / "runs").iterdir() if path.name != run_id)
+    return run, run_id, code_id
 
 
 @pytest.fixture(scope="module")
 def run_file_faults(tmp_path_factory, processes, oracle_run):
     """Each RUN_FILE_FAULTS row's command, running in its copy of the oracle run."""
-    run, run_id = oracle_run
+    run, run_id, code_id = oracle_run
     started = {}
     for fault, (name, edit, command, line) in RUN_FILE_FAULTS.items():
         tmp = tmp_path_factory.mktemp("run_file")
         shutil.copytree(run, tmp, dirs_exist_ok=True)
         (tmp / "cache.json").write_text(json.dumps({"cache": str(tmp / "c.jsonl")}))
         (tmp / "replay.json").write_text(json.dumps({"fixtures": str(tmp / "c.jsonl")}))
-        path = tmp / name.format(run=run_id)
+        path = tmp / name.format(run=run_id, code=code_id)
         path.write_bytes(edit(path.read_bytes()))
         started[fault] = processes.submit(
-            _fails, command.format(tmp=tmp, run=run_id).split(), f"{path}: {line}")
+            _fails, command.format(tmp=tmp, run=run_id, code=code_id).split(), f"{path}: {line}")
     return started
 
 
@@ -574,10 +595,16 @@ def test_a_broken_run_file_is_a_one_line_error_naming_it(run_file_faults, fault)
 
 
 # fault: (the output path blocked, how, the command then run, the line it exits
-# with); {tmp} and {run} as for RUN_FILE_FAULTS
+# with); {tmp} and {run} as for RUN_FILE_FAULTS, and {tmp}/cache.json names a
+# {tmp}/c.jsonl that does not exist yet
 OUTPUT_FAULTS = {
     "--out a file": (
         "out", Path.touch, f"thread {RUN}".replace("{tmp}", "{tmp}/out"),
+        "{tmp}/out/runs/{run}: Not a directory",
+    ),
+    "--out a file, with a cache": (
+        "out", Path.touch,
+        f"thread {RUN} --config {{tmp}}/cache.json".replace("--out {tmp}", "--out {tmp}/out"),
         "{tmp}/out/runs/{run}: Not a directory",
     ),
     "log a directory": (
@@ -597,22 +624,27 @@ OUTPUT_FAULTS = {
 @pytest.fixture(scope="module")
 def output_faults(tmp_path_factory, processes, oracle_run):
     """Each OUTPUT_FAULTS row's command, running in its copy of the oracle run."""
-    run, run_id = oracle_run
+    run, run_id, _ = oracle_run
     started = {}
     for fault, (name, block, command, line) in OUTPUT_FAULTS.items():
         tmp = tmp_path_factory.mktemp("output")
         shutil.copytree(run, tmp, dirs_exist_ok=True)
+        (tmp / "c.jsonl").unlink()
+        (tmp / "cache.json").write_text(json.dumps({"cache": str(tmp / "c.jsonl")}))
         path = tmp / name.format(run=run_id)
         path.unlink(missing_ok=True)
         block(path)
-        started[fault] = processes.submit(
+        started[fault] = tmp, processes.submit(
             _fails, command.format(tmp=tmp, run=run_id).split(), line.format(tmp=tmp, run=run_id))
     return started
 
 
 @pytest.mark.parametrize("fault", list(OUTPUT_FAULTS))
 def test_an_output_path_that_cannot_be_written_is_a_one_line_error(output_faults, fault):
-    output_faults[fault].result()
+    tmp, done = output_faults[fault]
+    done.result()
+    # a run with the cache config meets its blocked path before its first call
+    assert not (tmp / "c.jsonl").exists()
 
 
 def test_validate_bundled_corpus_clean(capsys):

@@ -83,7 +83,9 @@ def stub_server(responses):
             pass
 
     server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    # a short poll, so shutdown() returns at once rather than within the default 0.5 s
+    thread = threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.01},
+                              daemon=True)
     thread.start()
     try:
         yield f"http://127.0.0.1:{server.server_port}/v1/chat/completions", seen
@@ -291,6 +293,15 @@ def test_a_reply_without_integer_counts_keeps_what_it_has(usage):
     got = [result.input_tokens, result.output_tokens]
     assert (result.response_text, got) == ("[respond line = -]", counts)
     assert {type(n) for n in got} <= {int, type(None)}
+
+
+def test_latency_covers_every_attempt_and_backoff_sleep():
+    retry = RetryPolicy(max_attempts=3, backoff_base_s=0.02, backoff_cap_s=0.04, jitter_frac=0)
+    session = _ScriptedSession(_Reply(429, {}), _Reply(429, {}), _Reply(200, OK_PAYLOAD))
+    result = HttpProvider(retry=retry, session=session).send(
+        _prompt(), _model("http://127.0.0.1:9/v1/chat/completions"), "h")
+    assert session.posts == 3
+    assert result.latency_ms >= 20 + 40  # the two backoff sleeps
 
 
 def test_a_connection_error_is_retried_and_the_next_reply_returned():

@@ -11,11 +11,8 @@ from threadlab.metrics import (
     EmptyInput,
     LengthMismatch,
     MetricReport,
-    accuracy,
     aggregate,
-    binary_code_metrics,
-    cohens_kappa,
-    macro_f1,
+    presence,
     score,
     subcategory_slices,
 )
@@ -31,35 +28,35 @@ from reference_metrics import (
 def test_alternating_pairs_kappa_zero():
     gold = ["A", "A", "B", "B"]
     pred = ["A", "B", "A", "B"]
-    assert accuracy(gold, pred) == 0.5
-    assert macro_f1(gold, pred) == 0.5
-    assert cohens_kappa(gold, pred) == 0.0
+    assert score(gold, pred).accuracy == 0.5
+    assert score(gold, pred).macro_f1 == 0.5
+    assert score(gold, pred).kappa == 0.0
 
 
 def test_identical_sequences_kappa_one():
     gold = ["A", "B", "A", "C"]
-    assert cohens_kappa(gold, list(gold)) == 1.0
-    assert accuracy(gold, list(gold)) == 1.0
-    assert macro_f1(gold, list(gold)) == 1.0
+    assert score(gold, list(gold)).kappa == 1.0
+    assert score(gold, list(gold)).accuracy == 1.0
+    assert score(gold, list(gold)).macro_f1 == 1.0
 
 
 def test_degenerate_single_class():
     # both raters stuck on one class: chance agreement is exactly 1
-    assert cohens_kappa(["A", "A"], ["A", "A"]) == 1.0
-    assert cohens_kappa(["A", "A"], ["A", "B"]) == 0.0
+    assert score(["A", "A"], ["A", "A"]).kappa == 1.0
+    assert score(["A", "A"], ["A", "B"]).kappa == 0.0
 
 
 def test_disjoint_label_sets():
-    assert cohens_kappa(["A", "A"], ["B", "B"]) == 0.0
-    assert accuracy(["A", "A"], ["B", "B"]) == 0.0
+    assert score(["A", "A"], ["B", "B"]).kappa == 0.0
+    assert score(["A", "A"], ["B", "B"]).accuracy == 0.0
 
 
 def test_macro_f1_counts_missed_class():
     gold = ["E", "-", "E"]
     pred = ["E", "E", "E"]
     # E: precision 2/3, recall 1, F1 0.8; "-": all zero -> macro 0.4
-    assert macro_f1(gold, pred) == pytest.approx(0.4)
-    assert accuracy(gold, pred) == pytest.approx(2 / 3)
+    assert score(gold, pred).macro_f1 == pytest.approx(0.4)
+    assert score(gold, pred).accuracy == pytest.approx(2 / 3)
 
 
 def test_parse_error_label_is_a_real_class():
@@ -73,9 +70,9 @@ def test_parse_error_label_is_a_real_class():
 
 def test_input_checks():
     with pytest.raises(LengthMismatch):
-        accuracy(["A"], ["A", "B"])
+        score(["A"], ["A", "B"]).accuracy
     with pytest.raises(EmptyInput):
-        cohens_kappa([], [])
+        score([], []).kappa
 
 
 # --- aggregation -----------------------------------------------------------
@@ -123,7 +120,7 @@ def test_subcategory_slice_position_mapping():
 def test_binary_code_metrics_reduction():
     gold = [CodeSet.of("E"), CodeSet.of("A"), CodeSet.of("A", "E"), CodeSet.of()]
     pred = [CodeSet.of("E"), CodeSet.of("E"), None, CodeSet.of()]
-    rep = binary_code_metrics(gold, pred, "E")
+    rep = score(presence("E", gold), presence("E", pred))
     # gold -> P A P A ; pred -> P P ⟂ A
     assert rep.accuracy == 0.5
     assert rep.n_classes == 3
@@ -136,7 +133,7 @@ def test_binary_code_metrics_reduction():
 
 def test_binary_code_metrics_length_check():
     with pytest.raises(LengthMismatch):
-        binary_code_metrics([CodeSet.of("E")], [], "E")
+        score(presence("E", [CodeSet.of("E")]), presence("E", []))
 
 
 # --- brute-force reference cross-check -------------------------------------
@@ -155,10 +152,10 @@ def test_against_reference_randomized():
     rng = random.Random(7)
     for _ in range(300):
         gold, pred = _random_instance(rng)
-        assert accuracy(gold, pred) == pytest.approx(ref_accuracy(gold, pred), abs=1e-12)
-        assert macro_f1(gold, pred) == pytest.approx(ref_macro_f1(gold, pred), abs=1e-12)
-        assert cohens_kappa(gold, pred) == pytest.approx(ref_kappa(gold, pred), abs=1e-12)
-        assert macro_f1(gold, pred) == rescan_macro_f1(gold, pred)
+        assert score(gold, pred).accuracy == pytest.approx(ref_accuracy(gold, pred), abs=1e-12)
+        assert score(gold, pred).macro_f1 == pytest.approx(ref_macro_f1(gold, pred), abs=1e-12)
+        assert score(gold, pred).kappa == pytest.approx(ref_kappa(gold, pred), abs=1e-12)
+        assert score(gold, pred).macro_f1 == rescan_macro_f1(gold, pred)
 
 
 def _thread_like_instance(rng, n):
@@ -219,9 +216,9 @@ def test_score_equals_the_three_public_metrics():
     instances += [_thread_like_instance(rng, n) for n in (1, 2, 30, 300)]
     for gold, pred in instances:
         assert score(gold, pred) == MetricReport(
-            accuracy=accuracy(gold, pred),
-            macro_f1=macro_f1(gold, pred),
-            kappa=cohens_kappa(gold, pred),
+            accuracy=score(gold, pred).accuracy,
+            macro_f1=score(gold, pred).macro_f1,
+            kappa=score(gold, pred).kappa,
             n=len(gold),
             n_classes=len(set(gold) | set(pred)),
         )
@@ -232,14 +229,14 @@ def test_against_sklearn_when_available():
     rng = random.Random(11)
     for _ in range(100):
         gold, pred = _random_instance(rng)
-        assert accuracy(gold, pred) == pytest.approx(sk.accuracy_score(gold, pred))
+        assert score(gold, pred).accuracy == pytest.approx(sk.accuracy_score(gold, pred))
         labels = sorted(set(gold) | set(pred))
-        assert macro_f1(gold, pred) == pytest.approx(
+        assert score(gold, pred).macro_f1 == pytest.approx(
             sk.f1_score(gold, pred, labels=labels, average="macro", zero_division=0)
         )
         # sklearn returns nan for the degenerate chance==1 case; skip those
         if len(set(gold)) > 1 or len(set(pred)) > 1:
-            assert cohens_kappa(gold, pred) == pytest.approx(sk.cohen_kappa_score(gold, pred))
+            assert score(gold, pred).kappa == pytest.approx(sk.cohen_kappa_score(gold, pred))
 
 
 # --- properties ------------------------------------------------------------
@@ -255,9 +252,9 @@ pair_lists = st.integers(1, 30).flatmap(
 @given(pair_lists)
 def test_metric_bounds(pair):
     gold, pred = pair
-    assert 0.0 <= accuracy(gold, pred) <= 1.0
-    assert 0.0 <= macro_f1(gold, pred) <= 1.0
-    assert cohens_kappa(gold, pred) <= 1.0
+    assert 0.0 <= score(gold, pred).accuracy <= 1.0
+    assert 0.0 <= score(gold, pred).macro_f1 <= 1.0
+    assert score(gold, pred).kappa <= 1.0
 
 
 @given(pair_lists, st.randoms(use_true_random=False))
@@ -268,9 +265,9 @@ def test_joint_permutation_invariance(pair, rng):
     rng.shuffle(order)
     g2 = [gold[i] for i in order]
     p2 = [pred[i] for i in order]
-    assert accuracy(g2, p2) == pytest.approx(accuracy(gold, pred))
-    assert macro_f1(g2, p2) == pytest.approx(macro_f1(gold, pred))
-    assert cohens_kappa(g2, p2) == pytest.approx(cohens_kappa(gold, pred))
+    assert score(g2, p2).accuracy == pytest.approx(score(gold, pred).accuracy)
+    assert score(g2, p2).macro_f1 == pytest.approx(score(gold, pred).macro_f1)
+    assert score(g2, p2).kappa == pytest.approx(score(gold, pred).kappa)
 
 
 @given(pair_lists)
@@ -280,6 +277,6 @@ def test_bijective_relabeling_invariance(pair):
     rename = {"A": "X", "B": "Y", "C": "Z", "⟂": "W"}
     g2 = [rename[g] for g in gold]
     p2 = [rename[p] for p in pred]
-    assert accuracy(g2, p2) == pytest.approx(accuracy(gold, pred))
-    assert macro_f1(g2, p2) == pytest.approx(macro_f1(gold, pred))
-    assert cohens_kappa(g2, p2) == pytest.approx(cohens_kappa(gold, pred))
+    assert score(g2, p2).accuracy == pytest.approx(score(gold, pred).accuracy)
+    assert score(g2, p2).macro_f1 == pytest.approx(score(gold, pred).macro_f1)
+    assert score(g2, p2).kappa == pytest.approx(score(gold, pred).kappa)

@@ -39,7 +39,7 @@ from threadlab.llm import (
     complete,
     prompt_digest,
 )
-from threadlab.metrics import PARSE_ERROR_LABEL, aggregate, binary_code_metrics
+from threadlab.metrics import PARSE_ERROR_LABEL, aggregate, presence, score
 from threadlab.prompts import (
     TRANSCRIPT_START, render_abcde, render_baseline, render_thread_all_at_once,
     render_thread_window,
@@ -822,6 +822,9 @@ THREAD_SOURCE_FAULTS = {
             "{path}: ws01: records cover [1, 2, 3, 4, 5]..., expected 1..21"),
     "stray record": ("threading", ("ws01",), _stray, StrayRecord,
                      "{path}: record for transcript 'ws02', which the run's spec does not list"),
+    "stray record and gap": ("threading", ("ws01",), lambda log: (_gap(log), _stray(log)),
+                             StrayRecord, "{path}: record for transcript 'ws02', which the "
+                             "run's spec does not list"),
     "not threading": ("abcde", ("ws01",), None, MissingThreadSource,
                       "run {run} is not a threading run"),
     "transcript not listed": ("threading", ("cs01",), None, MissingThreadSource,
@@ -1067,11 +1070,10 @@ def _per_record_code_eval(log, corpus, letter):
     for tid in log.spec.transcripts:
         _, g = corpus[tid]
         recs = sorted((r for r in log.records if r.transcript_id == tid), key=lambda r: r.index)
-        per_conv[tid] = binary_code_metrics(
-            [g.codes_at(r.index) for r in recs],
-            [None if r.predicted == PARSE_ERROR_LABEL else CodeSet(frozenset(r.predicted))
-             for r in recs],
-            letter,
+        per_conv[tid] = score(
+            presence(letter, [g.codes_at(r.index) for r in recs]),
+            presence(letter, [None if r.predicted == PARSE_ERROR_LABEL
+                              else CodeSet(frozenset(r.predicted)) for r in recs]),
         )
     return per_conv
 
@@ -1106,9 +1108,9 @@ def test_evaluate_code_run_raises_on_the_first_bad_prediction(bundled):
     log = _code_log(bundled, ["A", "AQ", "", "Z", "BZ"])
     with pytest.raises(ValueError) as old:
         _per_record_code_eval(log, bundled, "E")
-    with pytest.raises(ValueError) as new:
+    with pytest.raises(StrayRecord) as new:
         evaluate_run(log, bundled, code_letter="E")
-    assert str(new.value) == str(old.value) == "codes outside A-E: ['Q']"
+    assert str(new.value) == f"ws01: {old.value}" == "ws01: codes outside A-E: ['Q']"
 
 
 @pytest.mark.parametrize("task", ["threading", "abcde"])
