@@ -19,11 +19,11 @@ import weakref
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring
 from pathlib import Path
-from typing import TYPE_CHECKING, Mapping, Protocol, TextIO
+from typing import TYPE_CHECKING, BinaryIO, Mapping, Protocol
 
 from .corpus import GoldAnnotations
 from .prompts import TRANSCRIPT_START, RenderedPrompt
-from .schema import as_fields, build_typed, objects, read, typed
+from .schema import build_typed, json_line, objects, read, typed
 
 if TYPE_CHECKING:
     import requests
@@ -213,7 +213,7 @@ class CompletionCache:
         # File size to cut back to before the next append, when the file ends
         # in a torn line.
         self._truncate_to: int | None = None
-        self._fh: TextIO | None = None
+        self._fh: BinaryIO | None = None
         if self._path and self._path.exists():
             read(self._path, self._load)
 
@@ -238,16 +238,18 @@ class CompletionCache:
             return self._records.get(prompt_hash)
 
     def put(self, record: CompletionRecord) -> None:
-        """Keep ``record`` and append it to the file, flushed, so a new reader sees it."""
+        """Keep ``record`` and append its line to the file in one write, so a new
+        reader sees it as soon as this returns."""
+        line = f"{json_line(record)}\n".encode("utf-8") if self._path else None
         with self._lock:
             if record.prompt_hash in self._records:
                 return
             self._records[record.prompt_hash] = record
-            if self._path:
+            if line is not None:
                 if self._fh is None:
                     self._open()
-                self._fh.write(json.dumps(as_fields(record), ensure_ascii=False) + "\n")
-                self._fh.flush()
+                while line:  # an unbuffered write may take part of the line
+                    line = line[self._fh.write(line):]
 
     def _open(self) -> None:
         """Open the one append handle, first cutting off a torn tail; it closes with the cache."""
@@ -255,7 +257,7 @@ class CompletionCache:
         if self._truncate_to is not None:
             os.truncate(self._path, self._truncate_to)
             self._truncate_to = None
-        self._fh = self._path.open("a", encoding="utf-8")
+        self._fh = self._path.open("ab", buffering=0)
         weakref.finalize(self, self._fh.close)
 
 

@@ -40,7 +40,9 @@ from .llm import (
     prompt_digest,  # noqa: F401  (perfbench/spans.py patches runner.prompt_digest)
 )
 from .metrics import PARSE_ERROR_LABEL
-from .schema import FileError, MalformedRecord, as_fields, build_typed, objects, read, typed
+from .schema import (
+    FileError, MalformedRecord, as_fields, build_typed, json_line, objects, read, typed,
+)
 # make_window stays importable from here: perfbench/spans.py patches runner.make_window.
 from .windowing import WindowConfig, context_slice, make_window  # noqa: F401
 
@@ -163,8 +165,7 @@ class RunLog:
         ``summary`` line with the other fields; each line's keys are its record's fields."""
         lines = [json.dumps({"kind": "meta", "run_id": self.run_id, "spec": self.spec},
                             default=as_fields)]
-        for rec in self.records:
-            lines.append(json.dumps({"kind": "record", **as_fields(rec)}, ensure_ascii=False))
+        lines += [json_line(rec, '{"kind": "record", ') for rec in self.records]
         summary = as_fields(self)
         del summary["run_id"], summary["spec"], summary["records"]
         lines.append(json.dumps({"kind": "summary", **summary}))

@@ -3,7 +3,8 @@
 Run logs, completion caches and eval reports write each record as its fields,
 by name and in declaration order, and one reader, ``typed``, reads every one
 back by the same fields, so the field list is the one place the on-disk format
-is declared, for reading as well as writing. A fault in any file read is a
+is declared, for reading as well as writing. Cache lines and run-log record
+lines are written by one writer, ``json_line``. A fault in any file read is a
 FileError whose message starts with the path and the line.
 """
 
@@ -15,6 +16,7 @@ from collections.abc import Callable, Iterator, Mapping
 from dataclasses import MISSING, fields, is_dataclass
 from functools import cache
 from itertools import product
+from json.encoder import encode_basestring
 from json.scanner import make_scanner
 from pathlib import Path
 from typing import TypeVar, Union, get_args, get_origin, get_type_hints
@@ -129,8 +131,7 @@ def typed(hint, value, path: str = "", /, **given):
         unknown = next((k for k in value if k not in _names(hint) or k in given), None)
         if unknown is not None:
             raise ValueError(f"unknown key {_at(path, unknown)!r}")
-        missing = next((f.name for f in fields(hint) if f.name not in value and f.name not in given
-                        and f.default is MISSING and f.default_factory is MISSING), None)
+        missing = next((k for k in _required(hint) if k not in value and k not in given), None)
         if missing is not None:
             raise ValueError(f"missing key {_at(path, missing)!r}")
         return hint(**{k: typed(hints[k], v, _at(path, k)) for k, v in value.items()}, **given)
@@ -188,6 +189,13 @@ def _names(cls: type) -> tuple[str, ...]:
 
 
 @cache
+def _required(cls: type) -> tuple[str, ...]:
+    """The fields without a default, in declaration order."""
+    return tuple(f.name for f in fields(cls)
+                 if f.default is MISSING and f.default_factory is MISSING)
+
+
+@cache
 def _type_rows(cls: type) -> frozenset[tuple[type, ...]]:
     """Every tuple of value types, in field order, that typed reads as they are:
     a field's scalar types, or none for a field that is not a scalar."""
@@ -205,3 +213,50 @@ def as_fields(record) -> dict:
     ``json.dumps(..., default=as_fields)`` to encode nested records by the same rule.
     """
     return {name: getattr(record, name) for name in _names(type(record))}
+
+
+def json_line(record, head: str = "{") -> str:
+    """``json.dumps(as_fields(record), ensure_ascii=False)``, with ``head`` in place of its
+    opening ``{``: ``head='{"kind": "record", '`` puts a key before the fields."""
+    return _line_writer(type(record))(record, head)
+
+
+def _other(value) -> str:
+    """The JSON text of a value its field's type does not predict."""
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if value is None:
+        return "null"
+    return json.dumps(value, ensure_ascii=False)
+
+
+@cache
+def _line_writer(cls: type) -> Callable[[object, str], str]:
+    """One f-string function per record class, compiled once, as dataclasses compiles
+    ``__init__``. The key texts are escaped here. A ``str`` in a str field takes
+    json's own ``encode_basestring``, an ``int`` in an int field formats as
+    ``int.__repr__`` does, and any other value takes ``_other``."""
+    def literal(text: str) -> str:  # an f-string piece that reads as ``text``
+        return "f" + repr(text.replace("{", "{{").replace("}", "}}"))
+
+    hints = _hints(cls)
+    lines, parts = ["def line(r, head):"], ["f'{head}'"]
+    for k, name in enumerate(_names(cls)):
+        hint, v = hints[name], f"v{k}"
+        members = get_args(hint) if get_origin(hint) in _UNIONS else (hint,)
+        if str in members:
+            text = f"_enc({v}) if _type({v}) is _str else _other({v})"
+        elif int in members:
+            text = f"{v} if _type({v}) is _int else _other({v})"
+        else:
+            text = f"_other({v})"
+        lines.append(f"    {v} = r.{name}")
+        parts += [literal(", " * bool(k) + json.dumps(name, ensure_ascii=False) + ": "),
+                  f"f'{{{text}}}'"]
+    parts.append(literal("}"))
+    lines.append("    return " + " ".join(parts))
+    scope = {"_enc": encode_basestring, "_other": _other, "_type": type, "_str": str, "_int": int}
+    exec("\n".join(lines), scope)
+    return scope["line"]

@@ -6,9 +6,12 @@ encoded cannot silently change what earlier runs wrote.
 
 import dataclasses
 import json
+import random
 import re
+import typing
 
 import pytest
+from conftest import FIXTURES
 
 from threadlab.llm import (
     CompletionCache,
@@ -17,10 +20,11 @@ from threadlab.llm import (
     OracleProvider,
     PricingTable,
     ProviderResult,
+    ReplayProvider,
     TransportError,
 )
 from threadlab.runner import ExperimentSpec, RunLog, UtteranceRecord, run_threading
-from threadlab.schema import MalformedRecord, build_typed, objects
+from threadlab.schema import MalformedRecord, as_fields, build_typed, json_line, objects
 from threadlab.windowing import WindowConfig
 
 SPEC_KEYS = ["task", "strategy", "model", "transcripts", "window", "shots", "shot_ids",
@@ -187,6 +191,63 @@ def test_cache_line_keys_keep_their_order(tmp_path):
         '{"prompt_hash": "h1", "response_text": "r", "input_tokens": 1, "output_tokens": 2, '
         '"latency_ms": 3, "provider": "x", "tokens_estimated": true}\n'
     )
+
+
+# Characters JSON escapes, characters it leaves as they are though they end a
+# line elsewhere, f-string and format syntax, and characters outside the BMP.
+WRITER_CHARS = ['"', "\\", "\n", "\x00", "\x1f", "\x85", "\u2028", "{", "}", "%", "'",
+                "\U0001f600", "\U00010348", "a", "é", " "]
+
+
+def _any_value(rng):
+    """A value of any JSON scalar type, or of none: a record field may hold a wrong type."""
+    return rng.choice([
+        lambda: "".join(rng.choices(WRITER_CHARS, k=rng.randrange(12))),
+        lambda: rng.choice([0, 1, -1, 2**63, -(2**64) - 1, 10**30, rng.randrange(-10**6, 10**6)]),
+        lambda: rng.choice([True, False]),
+        lambda: None,
+        lambda: rng.choice([0.0, -0.0, 1.5, 2.0, 1e300, float("nan"), float("inf"),
+                            float("-inf"), rng.uniform(-1e6, 1e6)]),
+        lambda: [1, "{x}"],
+    ])()
+
+
+def _random_records(rng, cls, n):
+    """``n`` records of ``cls`` whose fields mostly hold a value of their own type
+    (a bool passes for an int) and otherwise a value of any type."""
+    hints = typing.get_type_hints(cls)
+    records = []
+    for _ in range(n):
+        values = []
+        for f in dataclasses.fields(cls):
+            value = _any_value(rng)
+            while rng.random() < 0.75 and not isinstance(value, hints[f.name]):
+                value = _any_value(rng)
+            values.append(value)
+        records.append(cls(*values))
+    return records
+
+
+@pytest.mark.parametrize("cls", [CompletionRecord, UtteranceRecord])
+def test_json_line_writes_what_json_dumps_writes(cls):
+    rng = random.Random(f"json_line {cls.__name__}")
+    for record in _random_records(rng, cls, 3000):
+        fields = as_fields(record)
+        assert json_line(record) == json.dumps(fields, ensure_ascii=False)
+        assert json_line(record, '{"kind": "record", ') == json.dumps(
+            {"kind": "record", **fields}, ensure_ascii=False)
+
+
+@pytest.mark.parametrize("name", ["all_at_once_n10", "all_at_once_n20", "window_n10",
+                                  "window_n20"])
+def test_a_replayed_run_log_is_byte_identical_to_its_frozen_log(bundled, name):
+    replay = FIXTURES / "replay"
+    cell = next(c for c in json.loads((replay / "specs.json").read_text(encoding="utf-8"))
+                if c["name"] == name)
+    provider = ReplayProvider.from_path(replay / "responses.jsonl")
+    log = run_threading(ExperimentSpec.from_dict(cell["spec"]), bundled, provider, cache=None)
+    frozen = (replay / f"log_{name}.jsonl").read_text(encoding="utf-8")
+    assert dataclasses.replace(log, wall_time_ms=0).to_jsonl() == frozen
 
 
 def _cache_line(**changes):

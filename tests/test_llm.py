@@ -437,6 +437,55 @@ def test_cache_torn_tail_is_cut_before_the_handle_opens(tmp_path):
     )
 
 
+def test_concurrent_puts_append_whole_lines(tmp_path):
+    # Lines are encoded outside the cache's lock; the appends must still land
+    # whole. Some lines are longer than a write buffer.
+    path = tmp_path / "cache.jsonl"
+    cache = CompletionCache(path)
+    records = [[CompletionRecord(f"t{t}-{i}", f"{t} {i}\n" * (1 + (i % 7) * 500), i, t, 0,
+                                 "x", i % 2 == 0) for i in range(200)] for t in range(8)]
+
+    def work(own):
+        for record in own:
+            cache.put(record)
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(own,)) for own in records]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    expected = {r.prompt_hash: json.dumps(as_fields(r), ensure_ascii=False)
+                for own in records for r in own}
+    lines = path.read_text(encoding="utf-8").split("\n")
+    assert lines.pop() == "" and len(lines) == 1600
+    assert sorted(lines) == sorted(expected.values())
+    fresh = CompletionCache(path)
+    assert len(fresh) == 1600
+    assert all(fresh.get(r.prompt_hash) == r for own in records for r in own)
+
+
+def test_put_finishes_a_line_that_a_write_takes_in_parts(tmp_path):
+    path = tmp_path / "cache.jsonl"
+    cache = CompletionCache(path)
+    cache.put(CompletionRecord("h1", "a", 1, 1, 0, "x"))
+    handle = cache._fh
+
+    class Trickle:  # an unbuffered file that takes at most 5 bytes per write
+        def write(self, data):
+            return handle.write(data[:5])
+
+    cache._fh = Trickle()
+    cache.put(CompletionRecord("h2", "ü" * 20, 1, 1, 0, "x"))
+    assert path.read_text(encoding="utf-8").split("\n")[1] == _record_line("h2", "ü" * 20)
+    assert CompletionCache(path).get("h2").response_text == "ü" * 20
+
+
 def test_prompt_digest_sensitivity():
     m1 = ModelConfig(model_id="m", temperature=0.0)
     m2 = ModelConfig(model_id="m", temperature=0.5)

@@ -5,11 +5,14 @@ A scripted provider answers every prompt deterministically from the prompt
 hash: mostly gold, sometimes a wrong-but-well-formed label, sometimes junk
 that must fail parsing. Running the four-cell experiment matrix against it
 fills a response fixture; replaying that fixture must then reproduce the
-frozen eval reports byte for byte. Rerunning this script is idempotent.
+frozen eval reports byte for byte, and the replayed run logs, wall time
+zeroed, pin the run-log bytes as the response fixture pins the cache bytes.
+Rerunning this script is idempotent.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import sys
@@ -119,6 +122,9 @@ def main() -> int:
             raise SystemExit(f"{name}: replay eval drifted from the scripted pass")
         eval_name = f"eval_{name}.json"
         (OUT / eval_name).write_text(result.to_json(), encoding="utf-8")
+        (OUT / f"log_{name}.jsonl").write_text(
+            dataclasses.replace(log, wall_time_ms=0).to_jsonl(), encoding="utf-8"
+        )
         manifest.append({"name": name, "spec": spec, "eval": eval_name})
         agg = result.aggregate
         print(f"{name}: run {log.run_id} kappa {agg.kappa.mean:.4f} "
