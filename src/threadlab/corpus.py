@@ -365,8 +365,11 @@ def format_timestamp(ms: int) -> str:
 # ---------------------------------------------------------------------------
 
 _TRANSCRIPT_FIELDS = ("index", "timestamp", "speaker", "text")
-# The clock form every serialized transcript uses; any other timestamp takes parse_timestamp.
-_TS_HMS_RE = re.compile(r"[0-9]{2}:[0-5][0-9]:[0-5][0-9]")
+# The milliseconds of each field of the ``HH:MM:SS`` clock form every serialized
+# transcript uses, by its two ASCII digits; any other timestamp takes parse_timestamp.
+_HOURS_MS = {f"{n:02d}": n * 3_600_000 for n in range(100)}
+_MINUTES_MS = {f"{n:02d}": n * 60_000 for n in range(60)}
+_SECONDS_MS = {f"{n:02d}": n * 1000 for n in range(60)}
 
 
 def _record_index(line_no: int, raw: object, seen: Container[int]) -> int:
@@ -384,6 +387,15 @@ def _record_index(line_no: int, raw: object, seen: Container[int]) -> int:
     if index in seen:
         raise MalformedRecord(line_no, f"duplicate index {index}")
     return index
+
+
+def _timestamp(line_no: int, value: object) -> int:
+    """:func:`parse_timestamp` of a record's ``timestamp``; its ValueError is
+    raised as MalformedRecord."""
+    try:
+        return parse_timestamp(value)
+    except ValueError as exc:
+        raise MalformedRecord(line_no, str(exc)) from None
 
 
 def _text_field(line_no: int, field: str, value: object) -> str:
@@ -419,14 +431,16 @@ def parse_transcript(
         except KeyError:
             missing = [f for f in _TRANSCRIPT_FIELDS if f not in rec]
             raise MalformedRecord(line_no, f"missing fields: {', '.join(missing)}") from None
-        seen_indices.add(_record_index(line_no, index, seen_indices))
-        if type(ts) is str and _TS_HMS_RE.fullmatch(ts):
-            ts = (int(ts[:2]) * 3600 + int(ts[3:5]) * 60 + int(ts[6:])) * 1000
-        else:
+        if type(index) is not int or index in seen_indices:
+            index = _record_index(line_no, index, seen_indices)
+        seen_indices.add(index)
+        if type(ts) is str and len(ts) == 8 and ts[2] == ts[5] == ":":
             try:
-                ts = parse_timestamp(ts)
-            except ValueError as exc:
-                raise MalformedRecord(line_no, str(exc)) from None
+                ts = _HOURS_MS[ts[:2]] + _MINUTES_MS[ts[3:5]] + _SECONDS_MS[ts[6:]]
+            except KeyError:
+                ts = _timestamp(line_no, ts)
+        else:
+            ts = _timestamp(line_no, ts)
         if type(speaker) is not str or type(text) is not str:
             speaker = _text_field(line_no, "speaker", speaker)
             text = _text_field(line_no, "text", text)
@@ -482,7 +496,9 @@ def parse_gold(
     for line_no, rec in objects(source):
         if "index" not in rec or "respond_line" not in rec:
             raise MalformedRecord(line_no, "missing index or respond_line")
-        idx = _record_index(line_no, rec["index"], thread)
+        idx = rec["index"]
+        if type(idx) is not int or idx in thread:
+            idx = _record_index(line_no, idx, thread)
         raw_label = rec["respond_line"]
         if type(raw_label) is not str:
             # An integer reads as its text, as a speaker number does.
@@ -501,14 +517,23 @@ def parse_gold(
                 raise MalformedRecord(line_no, f"respond_line {raw_label!r} links forward")
         thread[idx] = label
 
-        raw_codes = _gold_text(line_no, rec, "abcde", 'a bracketed string such as "[A, C]"')
+        raw_codes = rec.get("abcde")
+        if type(raw_codes) is str:
+            raw_codes = raw_codes.strip()
+        else:
+            raw_codes = _gold_text(line_no, "abcde", raw_codes,
+                                   'a bracketed string such as "[A, C]"')
         if raw_codes:
             try:
                 abcde[idx] = CodeSet.from_string(raw_codes)
             except ValueError as exc:
                 raise MalformedRecord(line_no, f"abcde {raw_codes!r}: {exc}") from None
 
-        tag = _gold_text(line_no, rec, "subcat", 'a tag string such as "CI"')
+        tag = rec.get("subcat")
+        if type(tag) is str:
+            tag = tag.strip()
+        else:
+            tag = _gold_text(line_no, "subcat", tag, 'a tag string such as "CI"')
         if tag:
             if tag not in SUBCATEGORY_TAGS:
                 raise MalformedRecord(line_no, f"unknown subcategory {tag!r}")
@@ -519,15 +544,12 @@ def parse_gold(
     )
 
 
-def _gold_text(line_no: int, rec: Mapping, key: str, expected: str) -> str:
-    """A gold record's optional ``abcde`` or ``subcat``, stripped; absent or null
-    is ``""``, and any other value that is not a string raises."""
-    value = rec.get(key)
+def _gold_text(line_no: int, key: str, value: object, expected: str) -> str:
+    """A gold record's optional ``abcde`` or ``subcat`` that is not a string:
+    absent or null is ``""``, and any other value raises."""
     if value is None:
         return ""
-    if not isinstance(value, str):
-        raise MalformedRecord(line_no, f"{key} is {value!r}, expected {expected}")
-    return value.strip()
+    raise MalformedRecord(line_no, f"{key} is {value!r}, expected {expected}")
 
 
 def serialize_gold(g: GoldAnnotations) -> str:

@@ -23,7 +23,7 @@ from typing import TYPE_CHECKING, BinaryIO, Mapping, Protocol
 
 from .corpus import GoldAnnotations
 from .prompts import TRANSCRIPT_START, RenderedPrompt
-from .schema import build_typed, json_line, objects, read, typed
+from .schema import json_line, objects, read, record_reader, typed
 
 if TYPE_CHECKING:
     import requests
@@ -226,9 +226,10 @@ class CompletionCache:
         if end < len(data):
             self._truncate_to = end
             data = data[:end]
+        build, records = record_reader(CompletionRecord), self._records
         for line_no, d in objects(data):
-            rec = build_typed(CompletionRecord, line_no, d)
-            self._records[rec.prompt_hash] = rec
+            rec = build(line_no, d)
+            records[rec.prompt_hash] = rec
 
     def __len__(self) -> int:
         return len(self._records)
@@ -445,10 +446,12 @@ class HttpProvider:
 
     @staticmethod
     def _parse_response(payload: Mapping, latency_ms: int) -> ProviderResult:
-        """The reply of a 200 body: text content, and ``usage`` absent, null or
-        an object whose token counts are ints, absent or null."""
+        """The reply of a 200 body: text content that encodes as UTF-8, and
+        ``usage`` absent, null or an object whose token counts are ints, absent
+        or null."""
         try:
             text = typed(str, payload["choices"][0]["message"]["content"], "content")
+            text.encode("utf-8")  # a lone surrogate from a JSON escape: no cache line can hold it
             usage = typed(dict | None, payload.get("usage"), "usage") or {}
             counts = [typed(int | None, usage.get(key), f"usage.{key}")
                       for key in ("prompt_tokens", "completion_tokens")]

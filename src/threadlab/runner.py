@@ -41,7 +41,7 @@ from .llm import (
 )
 from .metrics import PARSE_ERROR_LABEL
 from .schema import (
-    FileError, MalformedRecord, as_fields, build_typed, json_line, objects, read, typed,
+    FileError, MalformedRecord, as_fields, json_line, objects, read, record_reader, typed,
 )
 # make_window stays importable from here: perfbench/spans.py patches runner.make_window.
 from .windowing import WindowConfig, context_slice, make_window  # noqa: F401
@@ -175,10 +175,11 @@ class RunLog:
     @classmethod
     def from_jsonl(cls, text: str | bytes) -> "RunLog":
         lines, records = {}, []
+        build = record_reader(UtteranceRecord)
         for line_no, d in objects(text):
             kind = d.pop("kind", None)
             if kind == "record":
-                records.append(build_typed(UtteranceRecord, line_no, d))
+                records.append(build(line_no, d))
             elif kind not in ("meta", "summary"):
                 raise MalformedRecord(
                     line_no, "missing key 'kind'" if kind is None else f"unknown kind {kind!r}"

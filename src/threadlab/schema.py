@@ -4,8 +4,9 @@ Run logs, completion caches and eval reports write each record as its fields,
 by name and in declaration order, and one reader, ``typed``, reads every one
 back by the same fields, so the field list is the one place the on-disk format
 is declared, for reading as well as writing. Cache lines and run-log record
-lines are written by one writer, ``json_line``. A fault in any file read is a
-FileError whose message starts with the path and the line.
+lines are written by one writer, ``json_line``, and read by one reader per
+class, ``record_reader``. A fault in any file read is a FileError whose
+message starts with the path and the line.
 """
 
 from __future__ import annotations
@@ -172,15 +173,28 @@ def _reads(hint) -> tuple[tuple[type, ...], str]:
 def build_typed(cls: type[T], line_no: int, d: Mapping) -> T:
     """:func:`typed` of ``cls`` from ``d``, the record on line ``line_no``; its
     ValueError is raised as MalformedRecord."""
-    if tuple(d) == _names(cls) and tuple(map(type, d.values())) in _type_rows(cls):
-        # The keys are the fields in order, as every writer leaves them, and each
-        # value's type is one of its field's: build positionally. Any other line
-        # takes the reader, for its conversions and its message.
-        return cls(*d.values())
-    try:
-        return typed(cls, d)
-    except ValueError as exc:
-        raise MalformedRecord(line_no, str(exc)) from None
+    return record_reader(cls)(line_no, d)
+
+
+@cache
+def record_reader(cls: type[T]) -> Callable[[int, Mapping], T]:
+    """The reader of ``cls``'s record lines: ``build(line_no, d)`` is :func:`typed`
+    of ``cls`` from ``d``, its ValueError raised as MalformedRecord. The class's
+    field names and type rows are bound once: fetch it once per file, call it per line."""
+    names, rows = _names(cls), _type_rows(cls)
+
+    def build(line_no: int, d: Mapping) -> T:
+        if tuple(d) == names and tuple(map(type, d.values())) in rows:
+            # The keys are the fields in order, as every writer leaves them, and
+            # each value's type is one of its field's: build positionally. Any
+            # other line takes the reader, for its conversions and its message.
+            return cls(*d.values())
+        try:
+            return typed(cls, d)
+        except ValueError as exc:
+            raise MalformedRecord(line_no, str(exc)) from None
+
+    return build
 
 
 @cache

@@ -152,16 +152,20 @@ def test_parse_transcript_renumbers_in_order():
     assert t[2].speaker == "B"
 
 
-def test_parse_transcript_duplicate_index():
+@pytest.mark.parametrize("first, second", [(1, 1), (2, "2"), ("2", 2), (2.0, 2)])
+def test_parse_transcript_duplicate_index(first, second):
     src = _mk_jsonl(
         [
-            {"index": 1, "timestamp": "00:00:01", "speaker": "A", "text": "one"},
-            {"index": 1, "timestamp": "00:00:02", "speaker": "B", "text": "two"},
+            {"index": first, "timestamp": "00:00:01", "speaker": "A", "text": "one",
+             "respond_line": "-"},
+            {"index": second, "timestamp": "00:00:02", "speaker": "B", "text": "two",
+             "respond_line": "-"},
         ]
     )
-    with pytest.raises(MalformedRecord) as exc:
-        parse_transcript(src)
-    assert (exc.value.line_no, exc.value.reason) == (2, "duplicate index 1")
+    for parse in (parse_transcript, parse_gold):
+        with pytest.raises(MalformedRecord) as exc:
+            parse(src)
+        assert (exc.value.line_no, exc.value.reason) == (2, f"duplicate index {int(first)}")
 
 
 def test_parse_transcript_nonmonotonic_timestamp():
@@ -264,7 +268,9 @@ def test_integral_float_and_string_indices_keep_their_reading():
 
 @pytest.mark.parametrize("raw, ms", [
     ("00:00:13", 13_000), ("1:02", 62_000), ("99:59:59", 359_999_000), ("00:60:00", None),
-    ("\uff10\uff11:02:03", 3_723_000),
+    ("\uff10\uff11:02:03", 3_723_000), ("00:00:00", 0), ("24:00:00", 86_400_000),
+    ("00:00:60", None), ("\u0660\u0660:\u0660\u0660:\u0660\u0665", 5000), (" 00:00:05", 5000),
+    ("00:00:5", None), ("0:00:05", 5000), ("5000", 5000),
 ])
 def test_transcript_timestamps_read_as_parse_timestamp_reads_them(raw, ms):
     src = json.dumps({"index": 1, "timestamp": raw, "speaker": "A", "text": "x"})

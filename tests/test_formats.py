@@ -290,6 +290,19 @@ def test_cache_line_integral_float_reads_as_an_int(tmp_path):
     assert latency == 2 and type(latency) is int
 
 
+def test_a_cache_line_and_a_record_line_with_their_keys_reversed_read_as_in_order(
+    bundled, tmp_path
+):
+    in_order = json.loads(_cache_line())
+    for name, d in (("in_order", in_order), ("reversed", dict(reversed(in_order.items())))):
+        (tmp_path / name).write_text(json.dumps(d) + "\n")
+    cached = [CompletionCache(tmp_path / name).get("h1") for name in ("in_order", "reversed")]
+    assert cached[0] is not None and cached[1] == cached[0]
+    meta, *records, summary = _log_lines(bundled)
+    turned = [meta, *(dict(reversed(r.items())) for r in records), summary]
+    assert _from_lines(turned) == _from_lines([meta, *records, summary])
+
+
 def _per_line_loads(text):
     """The JSONL reader's rule as json.loads states it: (line, object) pairs up
     to the first bad line, and that line's number and reason."""

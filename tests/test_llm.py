@@ -265,6 +265,7 @@ def _with_usage(usage):
     _with_usage({"prompt_tokens": 12, "completion_tokens": True}),
     _with_usage({"prompt_tokens": 12.5, "completion_tokens": 5}),
     _with_usage([12, 5]),
+    {"choices": [{"message": {"content": "3 Ana [respond line = 1]\ud83d"}}]},
 ])
 def test_a_malformed_reply_fails_only_its_prompt_and_is_not_cached(
     bundled, tmp_path, monkeypatch, payload
