@@ -447,13 +447,6 @@ def parse_transcript(
         speaker = speaker.strip()
         if not speaker:
             raise MalformedRecord(line_no, "empty speaker")
-        # A JSON escape can give half a surrogate pair, which no prompt can carry.
-        if not (speaker.isascii() and text.isascii()):
-            for field, value in (("speaker", speaker), ("text", text)):
-                try:
-                    value.encode("utf-8")
-                except UnicodeEncodeError:
-                    raise MalformedRecord(line_no, f"{field} is not valid Unicode text") from None
         if ts < prev_ts and decrease is None:
             decrease = line_no
         prev_ts = ts

@@ -296,16 +296,16 @@ def resolve_thread_labels(
     corpus: Corpus,
     runs_dir: str | Path | None = None,
 ) -> tuple[dict[str, Mapping[int, ThreadLabel]], int]:
-    """Thread-label maps for an abcde run, per its thread_source.
-
-    Returns ({transcript_id: {index: label}}, fallback_count). For an llm run
-    reference, unparseable predictions fall back to the new-thread marker and
-    are counted; the source log's records are checked as for evaluate_run.
-    """
+    """The thread labels a run's prompts show, {transcript_id: {index: label}}, and a
+    count: gold for gold feedback and for the human thread source, none without a
+    source, else an llm run's predictions. An unparseable prediction is fed as the
+    new-thread marker and counted; the source log's records are checked as for
+    evaluate_run."""
+    fed_gold = spec.strategy == "window" and spec.window.feedback == "gold"
+    if spec.thread_source == THREAD_SOURCE_HUMAN or (spec.task == "threading" and fed_gold):
+        return {tid: corpus[tid][1].thread for tid in spec.transcripts}, 0
     if spec.thread_source == THREAD_SOURCE_NONE:
         return {}, 0
-    if spec.thread_source == THREAD_SOURCE_HUMAN:
-        return {tid: corpus[tid][1].thread for tid in spec.transcripts}, 0
 
     ref = spec.thread_source[len(LLM_SOURCE_PREFIX):]
     if runs_dir is None:
@@ -353,32 +353,24 @@ def _renderer(
     spec: ExperimentSpec, corpus: Corpus, thread_labels: Mapping[str, Mapping[int, ThreadLabel]]
 ) -> Renderer:
     """The run's one prompt function of (transcript, target, window lines)."""
-    tdir, override = spec.template_dir, spec.template_override
-    threaded = spec.thread_source != THREAD_SOURCE_NONE
+    if spec.task == "threading":
+        template_id = f"thread_{spec.strategy}"  # thread_all_at_once or thread_window
+    else:
+        template_id = spec.template_override or "abcde_{}_{}".format(
+            "full" if spec.strategy == "all_at_once" else "window",
+            "plain" if spec.thread_source == THREAD_SOURCE_NONE else "threaded",
+        )
     if spec.strategy == "all_at_once":
-        if spec.task == "threading":
-            # Every transcript's examples, resolved before the run's first call.
-            shots = {tid: _resolve_shots(spec, corpus, exclude=tid) for tid in spec.transcripts}
-            return lambda t, _, __: prompts.render_thread_all_at_once(
-                t, shots[t.id], template_dir=tdir
-            )
-        if override:
-            return lambda t, _, __: prompts.render_baseline(override, t, template_dir=tdir)
-        variant = f"abcde_full_{'threaded' if threaded else 'plain'}"
-        return lambda t, _, __: prompts.render_abcde(
-            variant, t, thread_labels[t.id] if threaded else None, template_dir=tdir
+        # Every transcript's examples, resolved before the run's first call.
+        shots = {tid: _resolve_shots(spec, corpus, exclude=tid) for tid in spec.transcripts}
+        return lambda t, _, __: prompts.render_full(
+            template_id, t, thread_labels.get(t.id), shots[t.id], spec.template_dir
         )
 
     n = spec.window.n
-    if spec.task == "threading":
-        template_id = "thread_window"
-        # Fed-back labels go on the context lines only; the target is asked about.
-        own_target = spec.window.feedback == "none"
-    else:
-        template_id = override or f"abcde_window_{'threaded' if threaded else 'plain'}"
-        own_target = True
-
-    render_window = prompts.window_renderer(template_id, n, tdir)
+    # Fed-back thread labels go on the context lines only; the target is asked about.
+    own_target = spec.task != "threading" or spec.window.feedback == "none"
+    render_window = prompts.window_renderer(template_id, n, spec.template_dir)
 
     def render(t: Transcript, i: int, lines: list[str | None]) -> prompts.RenderedPrompt:
         target = t.utterances[i - 1]
@@ -425,14 +417,12 @@ def _run(
     block_kind = "thread" if thread_task else "code"
     parsed_label = attrgetter("label" if thread_task else "codes")
     # Each transcript's window lines, rendered once for the run: a window's
-    # transcript block is a slice of them. They carry the abcde thread source's
-    # labels or gold feedback; self-feedback chains fill their own as they go.
-    fixed_lines: dict[str, list[str | None]] = {}
-    if spec.strategy == "window" and feedback != "self":
-        for tid in spec.transcripts:
-            t, g = corpus[tid]
-            labels = g.thread if feedback == "gold" else thread_labels.get(tid)
-            fixed_lines[tid] = prompts.transcript_lines(t.utterances, labels)
+    # transcript block is a slice of them, labeled from the run's label map.
+    # Self-feedback chains fill their own as they go.
+    fixed_lines = {
+        tid: prompts.transcript_lines(corpus[tid][0].utterances, thread_labels.get(tid))
+        for tid in spec.transcripts if spec.strategy == "window" and feedback != "self"
+    }
     # Set once a pooled chain raises: the run is lost, so the others stop.
     lost = threading.Event()
 
@@ -449,14 +439,14 @@ def _run(
             try:
                 rec = complete(p, spec.model, provider, cache)
             except _FAULTS as exc:
-                records.extend(
-                    UtteranceRecord(tid, i, exc.prompt_hash, PARSE_ERROR_LABEL, gold_of(g, i),
-                                    ok=False, fail_reason=type(exc).__name__)
-                    for i, _ in p.expected_entries
-                )
+                # One failed outcome per entry, named for the fault; no tokens spent.
+                prompt_hash, n_in, n_out, latency_ms = exc.prompt_hash, 0, 0, 0
+                outcomes = repeat(outparse.ParseOutcome(False, None, type(exc).__name__))
             else:
-                input_tokens += rec.input_tokens
-                output_tokens += rec.output_tokens
+                prompt_hash, n_in, n_out = rec.prompt_hash, rec.input_tokens, rec.output_tokens
+                latency_ms = rec.latency_ms
+                input_tokens += n_in
+                output_tokens += n_out
                 # Mine a live model's reply; hold other writers' to the format, however served.
                 mode = "lenient" if rec.provider == HttpProvider.name else "strict"
                 if target is None:
@@ -465,15 +455,14 @@ def _run(
                     ).outcomes
                 else:
                     outcomes = (parse_line(rec.response_text, target, p.target_speaker, mode),)
-                # Positional arguments and no generator: this builds one record
-                # per utterance, and a window prompt has one.
-                for (i, _), o in zip(p.expected_entries, outcomes):
-                    records.append(UtteranceRecord(
-                        tid, i, rec.prompt_hash,
-                        parsed_label(o.value).canonical() if o.ok else PARSE_ERROR_LABEL,
-                        gold_of(g, i), o.ok, o.reason,
-                        rec.input_tokens, rec.output_tokens, rec.latency_ms,
-                    ))
+            # Positional arguments and no generator: this builds one record per
+            # utterance, and a window prompt has one.
+            for (i, _), o in zip(p.expected_entries, outcomes):
+                records.append(UtteranceRecord(
+                    tid, i, prompt_hash,
+                    parsed_label(o.value).canonical() if o.ok else PARSE_ERROR_LABEL,
+                    gold_of(g, i), o.ok, o.reason, n_in, n_out, latency_ms,
+                ))
             if feedback == "self":
                 # Fed from the logged prediction, so the prompt stream is a
                 # pure function of the log; the target's line is rendered

@@ -12,6 +12,7 @@ message starts with the path and the line.
 from __future__ import annotations
 
 import json
+import re
 import types
 from collections.abc import Callable, Iterator, Mapping
 from dataclasses import MISSING, fields, is_dataclass
@@ -76,12 +77,20 @@ def json_value(source: str | bytes):
 
 # json.loads's own scanner, called without its per-call wrappers.
 _scan = make_scanner(json.JSONDecoder())
+# Half a surrogate pair, which no file or prompt can encode, and the one escape that gives it.
+_HALF, _HALF_ESCAPE = re.compile("[\ud800-\udfff]"), re.compile(r"\\u[dD]")
 
 
 def objects(source: str | bytes) -> Iterator[tuple[int, dict]]:
     """(line number, object) for each non-blank line of JSONL text; only ``"\\n"``
-    ends a line, as ``ensure_ascii=False`` leaves U+0085, U+2028 and U+2029 unescaped."""
-    for line_no, line in enumerate(decoded(source).split("\n"), start=1):
+    ends a line, as ``ensure_ascii=False`` leaves U+0085, U+2028 and U+2029 unescaped.
+    A string holding half a surrogate pair raises MalformedRecord on its line."""
+    text = decoded(source)
+    # Only a \ud escape gives half a pair, and most files hold no backslash at all.
+    halves = "\\" in text and _HALF_ESCAPE.search(text) is not None
+    lines = text.split("\n")
+    del text  # the lines hold the file's one copy of its text
+    for line_no, line in enumerate(lines, start=1):
         # An object that starts at the line's first character and ends at its
         # last is what json.loads would return for the line. Any other line,
         # blank, padded, not JSON or not an object, takes json.loads for its
@@ -99,7 +108,21 @@ def objects(source: str | bytes) -> Iterator[tuple[int, dict]]:
                 raise MalformedRecord(line_no, f"invalid JSON: {exc.msg}") from None
             if not isinstance(rec, dict):
                 raise MalformedRecord(line_no, "record is not an object")
+        if halves and _HALF_ESCAPE.search(line) and (where := _unencodable(rec)):
+            raise MalformedRecord(line_no, f"{where} is not valid Unicode text")
         yield line_no, rec
+
+
+def _unencodable(value, path: str = "") -> str | None:
+    """The dotted path of the first string in a record that holds half a surrogate pair."""
+    if type(value) is str:
+        return path if _HALF.search(value) else None
+    keyed = (value.items() if type(value) is dict
+             else enumerate(value) if type(value) is list else ())
+    return next(filter(None, (
+        _unencodable(item, _at(path, key) if type(key) is str else f"{path}[{key}]")
+        for key, item in keyed
+    )), None)
 
 
 def typed(hint, value, path: str = "", /, **given):
@@ -168,12 +191,6 @@ def _reads(hint) -> tuple[tuple[type, ...], str]:
     if hint in _SCALARS:
         return (int, float) if hint in (int, float) else (hint,), _SCALARS[hint]
     raise TypeError(f"no JSON reading of {hint}")
-
-
-def build_typed(cls: type[T], line_no: int, d: Mapping) -> T:
-    """:func:`typed` of ``cls`` from ``d``, the record on line ``line_no``; its
-    ValueError is raised as MalformedRecord."""
-    return record_reader(cls)(line_no, d)
 
 
 @cache

@@ -24,7 +24,7 @@ from threadlab.llm import (
     TransportError,
 )
 from threadlab.runner import ExperimentSpec, RunLog, UtteranceRecord, run_threading
-from threadlab.schema import MalformedRecord, as_fields, build_typed, json_line, objects
+from threadlab.schema import MalformedRecord, as_fields, json_line, objects, record_reader
 from threadlab.windowing import WindowConfig
 
 SPEC_KEYS = ["task", "strategy", "model", "transcripts", "window", "shots", "shot_ids",
@@ -119,6 +119,26 @@ def test_run_log_record_value_of_the_wrong_type_raises(bundled, key, value):
         _from_lines(lines)
 
 
+@pytest.mark.parametrize("line, path", [
+    (0, ("spec", "model", "model_id")), (0, ("spec", "transcripts", 1)), (1, ("gold",)),
+    (-1, ("failed_transcripts", 0)),
+])
+def test_run_log_line_with_a_lone_surrogate_raises(bundled, line, path):
+    # json.dumps escapes the half pair as \ud83d, which reads back as a str
+    # that no file or prompt can encode
+    lines = _log_lines(bundled)
+    *outer, last = path
+    target = lines[line]
+    for key in outer:
+        target = target[key]
+    target[last] = "half \ud83d"
+    where = "".join(f"[{key}]" if type(key) is int else f".{key}" for key in path)[1:]
+    line_no = len(lines) if line < 0 else line + 1
+    with pytest.raises(MalformedRecord,
+                       match=rf"^line {line_no}: {re.escape(where)} is not valid Unicode text$"):
+        _from_lines(lines)
+
+
 @pytest.mark.parametrize("fail_reason", [None, "TransportError"])
 def test_an_utterance_record_with_every_field_set_round_trips(fail_reason):
     rec = UtteranceRecord("ws01", 7, "f" * 64, "(3, -)", "4", fail_reason is None, fail_reason,
@@ -177,9 +197,10 @@ class _Listed:
 
 
 def test_build_typed_reads_a_tuple_field_from_a_list():
-    assert build_typed(_Listed, 1, {"name": None, "parts": ["a", "b"]}) == _Listed(None, ("a", "b"))
+    build = record_reader(_Listed)
+    assert build(1, {"name": None, "parts": ["a", "b"]}) == _Listed(None, ("a", "b"))
     with pytest.raises(MalformedRecord, match=r"^line 1: parts\[1\] is 1, expected str$"):
-        build_typed(_Listed, 1, {"name": None, "parts": ["a", 1]})
+        build(1, {"name": None, "parts": ["a", 1]})
 
 
 def test_cache_line_keys_keep_their_order(tmp_path):
@@ -301,6 +322,31 @@ def test_a_cache_line_and_a_record_line_with_their_keys_reversed_read_as_in_orde
     meta, *records, summary = _log_lines(bundled)
     turned = [meta, *(dict(reversed(r.items())) for r in records), summary]
     assert _from_lines(turned) == _from_lines([meta, *records, summary])
+
+
+@pytest.mark.parametrize("escape", ["\\ud83d", "\\uDE00", "\\ud83d\\ude00"])
+def test_a_cache_line_with_a_lone_surrogate_escape_raises_on_its_line(bundled, tmp_path, escape):
+    # Half a surrogate pair reads as a str that no cache line can hold, so the
+    # file is refused on its line when opened, not when a run caches the reply.
+    # An escaped pair is one character and replays.
+    spec = dataclasses.replace(SPEC, transcripts=("ws01",),
+                               window=WindowConfig(n=10, feedback="none"))
+    cached = tmp_path / "cache.jsonl"
+    oracle = OracleProvider({tid: g for tid, (_, g) in bundled.items()})
+    run_threading(spec, bundled, oracle, cache=CompletionCache(cached), concurrency=1)
+    lines = cached.read_text(encoding="utf-8").splitlines()
+    lines[2] = lines[2].replace('"response_text": "', '"response_text": "' + escape, 1)
+    cached.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    if escape.count("\\u") == 1:
+        with pytest.raises(MalformedRecord, match=rf"^{re.escape(str(cached))}: line 3: "
+                                                  "response_text is not valid Unicode text$"):
+            ReplayProvider.from_path(cached)
+        return
+    other = tmp_path / "other.jsonl"
+    log = run_threading(spec, bundled, ReplayProvider.from_path(cached),
+                        cache=CompletionCache(other), concurrency=1)
+    assert len(log.records) == len(bundled["ws01"][0])
+    assert "\U0001f600" in other.read_text(encoding="utf-8")
 
 
 def _per_line_loads(text):

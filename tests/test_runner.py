@@ -288,13 +288,33 @@ class RecordingProvider:
     dict(task="abcde", window=WindowConfig(n=5, feedback="none"), template_override="baseline_lee"),
     dict(task="abcde", window=WindowConfig(n=5, feedback="none"),
          template_override="baseline_qamar"),
-], ids=["thread_gold", "thread_none", "abcde_plain", "abcde_human", "lee", "qamar"])
+    dict(task="threading", strategy="all_at_once", window=None),
+    dict(task="threading", strategy="all_at_once", window=None, shots=2),
+    dict(task="abcde", strategy="all_at_once", window=None),
+    dict(task="abcde", strategy="all_at_once", window=None, thread_source="human"),
+    dict(task="abcde", strategy="all_at_once", window=None,
+         template_override="baseline_martinenghi"),
+], ids=["thread_gold", "thread_none", "abcde_plain", "abcde_human", "lee", "qamar",
+        "thread_full", "thread_full_2_shots", "abcde_full_plain", "abcde_full_human",
+        "martinenghi"])
 def test_run_window_prompts_match_the_public_renderers(bundled, kw):
     spec = _spec(transcripts=("ws01", "cs01"), **kw)
     provider = RecordingProvider(bundled)
     (run_threading if spec.task == "threading" else run_abcde)(spec, bundled, provider)
     for tid in spec.transcripts:
         t, g = bundled[tid]
+        if spec.strategy == "all_at_once":
+            if spec.task == "threading":
+                shots = [bundled[other] for other in bundled if other != tid][:spec.shots]
+                expected = render_thread_all_at_once(t, shots)
+            elif spec.template_override:
+                expected = render_baseline(spec.template_override, t)
+            elif spec.thread_source == "human":
+                expected = render_abcde("abcde_full_threaded", t, g.thread)
+            else:
+                expected = render_abcde("abcde_full_plain", t)
+            assert provider.texts[(tid, None)] == expected.text, tid
+            continue
         for i in range(1, len(t) + 1):
             w = make_window(t, i, spec.window, g.thread)
             if spec.task == "threading":
@@ -386,6 +406,7 @@ def test_provider_faults_cost_only_their_records(bundled, name, data):
         else:
             assert not r.ok and r.predicted == PARSE_ERROR_LABEL
             assert r.fail_reason == planned.__name__
+            assert r.input_tokens == r.output_tokens == r.latency_ms == 0
     hit = {tid for (tid, _), fault in plan.items() if fault is not None}
     assert log.failed_transcripts == tuple(tid for tid in FAULT_TIDS if tid in hit)
 
