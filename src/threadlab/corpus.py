@@ -15,6 +15,7 @@ import json
 import re
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
+from itertools import combinations
 from pathlib import Path
 from typing import Container, Iterable, Mapping, Sequence
 
@@ -262,14 +263,20 @@ class CodeSet:
 
     def to_string(self) -> str:
         """Bracketed form with letters sorted: ``[A, C]`` or ``[]``."""
-        return "[" + ", ".join(sorted(self.letters)) + "]"
+        return _SORTED_FORMS[self.letters][1]
 
     def canonical(self) -> str:
         """Sorted letters with no punctuation: ``AC``; empty set -> empty string."""
-        return "".join(sorted(self.letters))
+        return _SORTED_FORMS[self.letters][0]
 
 
 _NO_CODES = CodeSet()
+# The canonical and bracketed forms of each of the 32 code sets, by letters.
+_SORTED_FORMS = {
+    frozenset(letters): ("".join(letters), "[" + ", ".join(letters) + "]")
+    for n in range(len(VALID_CODES) + 1)
+    for letters in combinations(sorted(VALID_CODES), n)
+}
 
 
 @dataclass(frozen=True)

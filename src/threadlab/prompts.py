@@ -12,8 +12,11 @@ byte for byte.
 from __future__ import annotations
 
 import re
+from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate
+from json.encoder import encode_basestring
 from operator import attrgetter
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
@@ -103,11 +106,16 @@ def _fill(template_id: str, template_dir: str | Path | None, values: Mapping[str
 # ---------------------------------------------------------------------------
 
 
+def _label_suffix(label: ThreadLabel) -> str:
+    """`` [respond_line= X]``: ASCII that JSON writes as it is."""
+    return f" [respond_line= {label.surface()}]"
+
+
 def utterance_line(u: Utterance, label: ThreadLabel | None = None) -> str:
     """``#3 Prerna: text`` with `` [respond_line= X]`` appended when labeled."""
     line = f"#{u.index} {u.speaker}: {u.text}"
     if label is not None:
-        line += f" [respond_line= {label.surface()}]"
+        line += _label_suffix(label)
     return line
 
 
@@ -137,6 +145,73 @@ def _block(lines: Sequence[str | None], first: int) -> str:
     return "\n".join(lines)
 
 
+def _escaped(text: str) -> bytes:
+    """The UTF-8 bytes JSON writes for ``text`` inside a string."""
+    return encode_basestring(text)[1:-1].encode("utf-8")
+
+
+# What JSON escapes inside a string, but "\n": the other control characters,
+# the quote and the backslash.
+_ESCAPED_BUT_NEWLINE = (*(chr(c) for c in range(0x20) if c != 0x0A), '"', "\\")
+
+
+class WindowLines:
+    """Prompt lines of one transcript, as one text and its JSON escape.
+
+    ``text`` holds the lines, each followed by "\\n". ``escaped`` holds the
+    UTF-8 bytes JSON writes for that text inside a string, where each "\\n" is
+    the two bytes ``\\\\n``. Line k (from 0) starts at ``starts[k]`` in the text
+    and at ``escaped_starts[k]`` in the escaped bytes, and each list ends with
+    its buffer's length, so a run of lines is one slice of each. A None line, a
+    thread label that is missing, raises MissingThreadLabel for its utterance,
+    line k being utterance ``first`` + k.
+
+    Lines that hold nothing JSON escapes and no character beyond ASCII are
+    ``plain``: they are escaped as one text, where only the line ends grow.
+    Other lines are escaped one by one.
+    """
+
+    __slots__ = ("text", "escaped", "starts", "escaped_starts", "plain")
+
+    def __init__(self, lines: Sequence[str | None], first: int = 1):
+        if None in lines:
+            raise MissingThreadLabel(first + lines.index(None))
+        self.text = text = "\n".join(lines) + "\n" if lines else ""
+        self.starts = list(accumulate(map((1).__add__, map(len, lines)), initial=0))
+        self.plain = text.isascii() and text.count("\n") == len(lines) and not any(
+            c in text for c in _ESCAPED_BUT_NEWLINE
+        )
+        if self.plain:
+            self.escaped = text.encode("ascii").replace(b"\n", b"\\n")
+            self.escaped_starts = [start + k for k, start in enumerate(self.starts)]
+        else:
+            escaped = [_escaped(line) + b"\\n" for line in lines]
+            self.escaped = b"".join(escaped)
+            self.escaped_starts = list(accumulate(map(len, escaped), initial=0))
+
+
+class FedLines:
+    """The context lines a self-feedback chain shows: the last ``size`` lines it
+    labeled, each followed by "\\n", as text and as the bytes JSON writes for it.
+
+    The chain labels its targets in order and feeds each one, so at each
+    target these are the lines its window shows before it.
+    """
+
+    __slots__ = ("text", "escaped")
+
+    def __init__(self, size: int):
+        self.text: deque[str] = deque(maxlen=size)
+        self.escaped: deque[bytes] = deque(maxlen=size)
+
+    def feed(self, lines: WindowLines, k: int, label: ThreadLabel) -> None:
+        """Add line ``k`` of ``lines`` with ``label`` appended, sliced from its
+        text and escaped bytes: the label's suffix holds nothing JSON escapes."""
+        s, e, suffix = lines.starts, lines.escaped_starts, _label_suffix(label)
+        self.text.append(f"{lines.text[s[k]:s[k + 1] - 1]}{suffix}\n")
+        self.escaped.append(b"%s%s\\n" % (lines.escaped[e[k]:e[k + 1] - 2], suffix.encode()))
+
+
 # ---------------------------------------------------------------------------
 # Rendered prompt container
 # ---------------------------------------------------------------------------
@@ -157,6 +232,11 @@ class RenderedPrompt:
     label, in order: a window prompt's one target, or every utterance of a
     block prompt's transcript. ``target_index``/``target_speaker`` repeat a
     window prompt's target and are None on block prompts.
+
+    A window prompt also carries ``head``, its template's fixed text up to the
+    transcript marker, and ``escaped_tail``, the UTF-8 bytes JSON writes for
+    the rest of its text: what :func:`llm.prompt_digest` hashes after the
+    head. Block prompts leave it None.
     """
 
     text: str
@@ -165,6 +245,8 @@ class RenderedPrompt:
     target_speaker: str | None
     transcript_id: str
     expected_entries: tuple[tuple[int, str], ...]
+    escaped_tail: bytes | None = None
+    head: str = ""
 
 
 _THREAD_LINE = OutputContract("thread_line")
@@ -180,7 +262,22 @@ _TARGET_FIELDS: dict[str, Callable[[Utterance], str]] = {
     "target_timestamp": lambda u: format_timestamp(u.timestamp_ms),
 }
 
-WindowRenderer = Callable[[Sequence[str | None], Utterance, str], RenderedPrompt]
+
+@dataclass(slots=True)
+class WindowText:
+    """The buffers a run's window prompts over one transcript are sliced from.
+
+    A window shows its context lines from ``context`` and its target's line
+    from ``lines``; they are one buffer where the target's line is labeled as
+    the context's are. Position k of both is utterance ``first`` + k.
+    """
+
+    context: WindowLines | FedLines
+    lines: WindowLines
+    first: int = 1
+
+
+WindowRenderer = Callable[[WindowText, Utterance, str], RenderedPrompt]
 
 
 @lru_cache(maxsize=None)
@@ -193,11 +290,11 @@ def window_renderer(
     ``abcde_window`` variants, ``baseline_lee`` and ``baseline_qamar``. The
     template's parts are cut once, with ``window_n`` (the configured window
     size, which ``thread_window`` states) filled in and neighbouring literals
-    joined, so ``thread_window`` is a prefix, the transcript block and a
-    suffix. The function takes the window's transcript lines, the target's
-    last, from :func:`utterance_line` (a None line stands for a thread label
-    that is missing and raises MissingThreadLabel), the target utterance and
-    the transcript id.
+    joined, and its literals are escaped once. The function takes a
+    transcript's :class:`WindowText`, the target utterance and the transcript
+    id. A prompt's text, and the escaped bytes of its text after the head, are
+    each joined from the literals, slices of the WindowText and the target's
+    fields.
     """
     parts = [""]
     for k, part in enumerate(_compile(template_id, template_dir)):
@@ -205,24 +302,51 @@ def window_renderer(
             parts += part, ""
         else:
             parts[-1] += str(n) if k % 2 else part
-    parts = tuple(parts)
     contract = _THREAD_LINE if template_id == "thread_window" else _CODE_LINE
+    # The fixed text up to the transcript marker, whose hash state the digest
+    # keeps, then each placeholder's value (None for the transcript block, else
+    # the target field's getter) and the literal after it.
+    lead = parts[0]
+    head = lead[:lead.find(TRANSCRIPT_START)] if TRANSCRIPT_START in lead else lead
+    lead_escaped = _escaped(lead[len(head):])
+    plan = [
+        (None if name == "transcript_block" else _TARGET_FIELDS[name], literal, _escaped(literal))
+        for name, literal in zip(parts[1::2], parts[2::2])
+    ]
 
-    def render(
-        lines: Sequence[str | None], target: Utterance, transcript_id: str = ""
-    ) -> RenderedPrompt:
-        block = _block(lines, target.index - len(lines) + 1)
-        if len(parts) == 3:  # prefix, the transcript block, suffix
-            text = parts[0] + block + parts[2]
-        else:  # the target's fields too, or the block more than once
-            text = parts[0]
-            for k in range(1, len(parts), 2):
-                name = parts[k]
-                value = block if name == "transcript_block" else _TARGET_FIELDS[name](target)
-                text += value + parts[k + 1]
+    def render(text: WindowText, target: Utterance, transcript_id: str = "") -> RenderedPrompt:
+        i = target.index - text.first + 1  # the target's line is position i - 1
+        a = max(0, i - n)
+        context, lines = text.context, text.lines
+        s, e = lines.starts, lines.escaped_starts
+        # The transcript block, as pieces of text and of escaped bytes.
+        if context is lines:
+            block = lines.text[s[a]:s[i] - 1],
+            escaped = lines.escaped[e[a]:e[i] - 2],
+        else:
+            line, line_escaped = lines.text[s[i - 1]:s[i] - 1], lines.escaped[e[i - 1]:e[i] - 2]
+            if type(context) is FedLines:
+                block, escaped = (*context.text, line), (*context.escaped, line_escaped)
+            else:
+                cs, ce = context.starts, context.escaped_starts
+                block = context.text[cs[a]:cs[i - 1]], line
+                escaped = context.escaped[ce[a]:ce[i - 1]], line_escaped
+        out, out_escaped = [lead], [lead_escaped]
+        for field, literal, literal_escaped in plan:
+            if field is None:
+                out += block
+                out_escaped += escaped
+            else:
+                # The target's fields are parts of its line, so they hold
+                # nothing JSON escapes when the line's buffer holds nothing.
+                value = field(target)
+                out.append(value)
+                out_escaped.append(value.encode() if lines.plain else _escaped(value))
+            out.append(literal)
+            out_escaped.append(literal_escaped)
         return RenderedPrompt(
-            text, contract, target.index, target.speaker, transcript_id,
-            ((target.index, target.speaker),),
+            "".join(out), contract, target.index, target.speaker, transcript_id,
+            ((target.index, target.speaker),), b"".join(out_escaped), head,
         )
 
     return render
@@ -264,9 +388,10 @@ def render_full(
 
 def render_thread_window(w: Window, template_dir: str | Path | None = None) -> RenderedPrompt:
     """Sliding-window threading prompt: labeled context, unlabeled target line."""
-    lines = [utterance_line(u, label) for u, label in w.context]
-    lines.append(utterance_line(w.target))
-    return window_renderer("thread_window", w.n, template_dir)(lines, w.target, w.transcript_id)
+    utterances = [u for u, _ in w.context] + [w.target]
+    context = WindowLines([utterance_line(u, label) for u, label in w.context])
+    text = WindowText(context, WindowLines(transcript_lines(utterances)), utterances[0].index)
+    return window_renderer("thread_window", w.n, template_dir)(text, w.target, w.transcript_id)
 
 
 def _shots_block(shots: Sequence[tuple[Transcript, GoldAnnotations]]) -> str:
@@ -363,7 +488,9 @@ def _render_code(
         )
     if full:
         return render_full(variant, payload, labels, template_dir=template_dir)
-    lines = transcript_lines([u for u, _ in payload.context] + [payload.target], labels)
+    utterances = [u for u, _ in payload.context] + [payload.target]
+    lines = WindowLines(transcript_lines(utterances, labels), utterances[0].index)
+    text = WindowText(lines, lines, utterances[0].index)
     return window_renderer(variant, payload.n, template_dir)(
-        lines, payload.target, payload.transcript_id
+        text, payload.target, payload.transcript_id
     )

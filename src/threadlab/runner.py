@@ -44,7 +44,7 @@ from .schema import (
     FileError, MalformedRecord, as_fields, json_line, objects, read, record_reader, typed,
 )
 # make_window stays importable from here: perfbench/spans.py patches runner.make_window.
-from .windowing import WindowConfig, context_slice, make_window  # noqa: F401
+from .windowing import WindowConfig, make_window  # noqa: F401
 
 TASKS = ("threading", "abcde")
 STRATEGIES = ("all_at_once", "window")
@@ -121,6 +121,9 @@ class ExperimentSpec:
                 raise ValueError(f"{self.template_override} requires strategy {wanted}")
             if self.thread_source != THREAD_SOURCE_NONE:
                 raise ValueError("baseline templates take no thread labels")
+        if self.task == "abcde" and self.window is not None and self.window.feedback != "none":
+            # Code prompts show no fed-back labels: every feedback is one run.
+            object.__setattr__(self, "window", WindowConfig(self.window.n, "none"))
 
     @classmethod
     def from_dict(cls, d: Mapping) -> "ExperimentSpec":
@@ -345,14 +348,15 @@ _FAULT_NAMES = frozenset(f.__name__ for f in _FAULTS)
 # indices for windows, None for the whole transcript.
 Chain = tuple[str, Sequence[int | None]]
 # A renderer makes the prompt for (transcript, target) from the transcript's
-# window lines for the run; whole-transcript prompts ignore the lines.
-Renderer = Callable[[Transcript, int | None, list[str | None]], prompts.RenderedPrompt]
+# window buffers; whole-transcript prompts have none.
+Renderer = Callable[[Transcript, int | None, prompts.WindowText | None], prompts.RenderedPrompt]
 
 
 def _renderer(
     spec: ExperimentSpec, corpus: Corpus, thread_labels: Mapping[str, Mapping[int, ThreadLabel]]
-) -> Renderer:
-    """The run's one prompt function of (transcript, target, window lines)."""
+) -> tuple[Renderer, Callable[[str], prompts.WindowText | None]]:
+    """The run's one prompt function of (transcript, target, window buffers), and
+    the function that builds a transcript's window buffers."""
     if spec.task == "threading":
         template_id = f"thread_{spec.strategy}"  # thread_all_at_once or thread_window
     else:
@@ -365,19 +369,26 @@ def _renderer(
         shots = {tid: _resolve_shots(spec, corpus, exclude=tid) for tid in spec.transcripts}
         return lambda t, _, __: prompts.render_full(
             template_id, t, thread_labels.get(t.id), shots[t.id], spec.template_dir
-        )
+        ), lambda _: None
 
-    n = spec.window.n
-    # Fed-back thread labels go on the context lines only; the target is asked about.
-    own_target = spec.task != "threading" or spec.window.feedback == "none"
+    n, feedback = spec.window.n, spec.window.feedback
     render_window = prompts.window_renderer(template_id, n, spec.template_dir)
 
-    def render(t: Transcript, i: int, lines: list[str | None]) -> prompts.RenderedPrompt:
-        target = t.utterances[i - 1]
-        last = lines[i - 1] if own_target else prompts.utterance_line(target)
-        return render_window([*context_slice(lines, i, n), last], target, t.id)
+    def window_text(tid: str) -> prompts.WindowText:
+        utterances = corpus[tid][0].utterances
+        labels = thread_labels.get(tid)
+        # Fed-back thread labels go on the context lines only; the target is
+        # asked about. A self-feedback chain feeds its context as it goes.
+        if spec.task != "threading" or feedback == "none":
+            lines = context = prompts.WindowLines(prompts.transcript_lines(utterances, labels))
+        else:
+            lines = prompts.WindowLines(prompts.transcript_lines(utterances))
+            context = prompts.FedLines(n - 1) if feedback == "self" else (
+                prompts.WindowLines(prompts.transcript_lines(utterances, labels))
+            )
+        return prompts.WindowText(context, lines)
 
-    return render
+    return lambda t, i, text: render_window(text, t.utterances[i - 1], t.id), window_text
 
 
 def _chains(spec: ExperimentSpec, corpus: Corpus, chained: bool) -> list[Chain]:
@@ -409,33 +420,37 @@ def _run(
     if pricing is not None:
         pricing.rate(spec.model.model_id)  # an unpriced model fails before any call
     thread_labels, source_fallbacks = resolve_thread_labels(spec, corpus, runs_dir)
-    render = _renderer(spec, corpus, thread_labels)
+    render, window_text = _renderer(spec, corpus, thread_labels)
     thread_task = spec.task == "threading"
     feedback = spec.window.feedback if thread_task and spec.strategy == "window" else "none"
-    gold_of = lambda g, i: (g.thread[i] if thread_task else g.codes_at(i)).canonical()
+    # Each transcript's gold strings, index i at position i - 1.
+    gold = {}
+    for tid in spec.transcripts:
+        t, g = corpus[tid]
+        labels = map(g.thread.__getitem__ if thread_task else g.codes_at, range(1, len(t) + 1))
+        gold[tid] = [label.canonical() for label in labels]
     parse_line = outparse.parse_thread_response if thread_task else outparse.parse_code_response
     block_kind = "thread" if thread_task else "code"
     parsed_label = attrgetter("label" if thread_task else "codes")
-    # Each transcript's window lines, rendered once for the run: a window's
-    # transcript block is a slice of them, labeled from the run's label map.
-    # Self-feedback chains fill their own as they go.
-    fixed_lines = {
-        tid: prompts.transcript_lines(corpus[tid][0].utterances, thread_labels.get(tid))
-        for tid in spec.transcripts if spec.strategy == "window" and feedback != "self"
-    }
+    # Self-feedback windows must run in order. Other windows are independent:
+    # the pool takes them one by one, and the serial path one transcript at a time.
+    chained = feedback == "self" or concurrency <= 1
+    # A chain of a whole transcript builds its window buffers as it starts and
+    # drops them as it ends; windows the pool takes one by one share buffers
+    # built before it.
+    texts = {} if chained else {tid: window_text(tid) for tid in spec.transcripts}
     # Set once a pooled chain raises: the run is lost, so the others stop.
     lost = threading.Event()
 
     def run_chain(chain: Chain) -> tuple[list[UtteranceRecord], int, int]:
         tid, targets = chain
-        t, g = corpus[tid]
-        lines = [] if feedback == "self" else fixed_lines.get(tid, [])
+        t, golds, text = corpus[tid][0], gold[tid], texts[tid] if texts else window_text(tid)
         records: list[UtteranceRecord] = []
         input_tokens = output_tokens = 0
         for target in targets:
             if lost.is_set():
                 break
-            p = render(t, target, lines)
+            p = render(t, target, text)
             try:
                 rec = complete(p, spec.model, provider, cache)
             except _FAULTS as exc:
@@ -461,20 +476,16 @@ def _run(
                 records.append(UtteranceRecord(
                     tid, i, prompt_hash,
                     parsed_label(o.value).canonical() if o.ok else PARSE_ERROR_LABEL,
-                    gold_of(g, i), o.ok, o.reason, n_in, n_out, latency_ms,
+                    golds[i - 1], o.ok, o.reason, n_in, n_out, latency_ms,
                 ))
             if feedback == "self":
                 # Fed from the logged prediction, so the prompt stream is a
-                # pure function of the log; the target's line is rendered
+                # pure function of the log; the target's line is labeled
                 # with it once, here.
-                lines.append(prompts.utterance_line(
-                    t.utterances[target - 1], _fed_label(records[-1].predicted)
-                ))
+                text.context.feed(text.lines, target - 1, _fed_label(records[-1].predicted))
         return records, input_tokens, output_tokens
 
-    # Self-feedback windows must run in order. Other windows are independent:
-    # the pool takes them one by one, and the serial path one transcript at a time.
-    chains = _chains(spec, corpus, feedback == "self" or concurrency <= 1)
+    chains = _chains(spec, corpus, chained)
     started = time.perf_counter()
     if concurrency > 1 and len(chains) > 1:
         # Longest chain first (LPT list scheduling): a self-feedback chain's

@@ -29,3 +29,9 @@ def golden_target():
 @pytest.fixture(scope="session")
 def golden_shot():
     return _load_pair("shot")
+
+
+@pytest.fixture(scope="session")
+def golden_escapes():
+    """Seven lines of speakers and text holding characters JSON escapes."""
+    return _load_pair("escapes")

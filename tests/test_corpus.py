@@ -518,6 +518,16 @@ def test_label_surface_round_trip(raw):
     assert parse_respond_line(label.canonical()).canonical() == label.canonical()
 
 
+def test_every_code_set_reads_its_sorted_forms():
+    sets = [frozenset(c for k, c in enumerate("ABCDE") if mask >> k & 1) for mask in range(32)]
+    for letters in sets:
+        interned = CodeSet.from_string("[" + ", ".join(letters) + "]")
+        for cs in (interned, CodeSet(letters), CodeSet(frozenset(letters) ^ {"E"}),
+                   CodeSet.of(*reversed(sorted(letters)))):
+            assert cs.canonical() == "".join(sorted(cs.letters)), cs
+            assert cs.to_string() == "[" + ", ".join(sorted(cs.letters)) + "]", cs
+
+
 @given(st.sets(st.sampled_from("ABCDE")))
 def test_codeset_round_trip(letters):
     cs = CodeSet(frozenset(letters))

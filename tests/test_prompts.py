@@ -109,6 +109,18 @@ def test_threaded_variant_requires_every_label(golden_target):
         render_abcde("abcde_window_threaded", w_plain, None)
 
 
+@pytest.mark.parametrize("variant", ["abcde_window_threaded", "abcde_window_plain"])
+def test_a_window_showing_a_missing_thread_label_names_that_utterance(golden_target, variant):
+    t, g, _, w_plain = _windows(golden_target)
+    partial = {i: label for i, label in g.thread.items() if i != 4}
+    if variant.endswith("_plain"):  # plain prompts show no thread labels
+        assert render_abcde(variant, w_plain, partial).text == render_abcde(variant, w_plain).text
+        return
+    with pytest.raises(MissingThreadLabel) as exc:
+        render_abcde(variant, w_plain, partial)
+    assert exc.value.index == 4
+
+
 def test_template_dir_overrides_a_builtin_template_by_its_own_text(tmp_path, golden_target):
     _, _, w_labeled, _ = _windows(golden_target)
     builtin = render_thread_window(w_labeled).text

@@ -60,9 +60,11 @@ from threadlab.runner import (
     write_atomic,
 )
 from threadlab.schema import FileError, as_fields
-from threadlab.windowing import WindowConfig, make_window
+from threadlab.windowing import FEEDBACK_MODES, WindowConfig, make_window
 
+from conftest import FIXTURES
 from reference_metrics import EmptyCategory, ref_subcategory_slice
+from test_llm import reference_digest
 
 MODEL = ModelConfig(model_id="test-model")
 
@@ -132,6 +134,17 @@ def test_spec_baseline_strategy_pairing():
     assert ok.template_override == "baseline_qamar"
     with pytest.raises(ValueError):
         _spec(task="abcde", strategy="window", template_override="baseline_martinenghi")
+
+
+def test_an_abcde_spec_has_one_run_id_whatever_its_window_feedback():
+    # Code prompts never show fed-back labels, so the feedback names no other run.
+    none = _spec(task="abcde", window=WindowConfig(n=10, feedback="none"))
+    for feedback in FEEDBACK_MODES:
+        spec = _spec(task="abcde", window=WindowConfig(n=10, feedback=feedback))
+        assert spec == none and spec.run_id == none.run_id, feedback
+        assert ExperimentSpec.from_dict(json.loads(json.dumps(spec, default=as_fields))) == none
+    threading_ids = {_spec(window=WindowConfig(n=10, feedback=f)).run_id for f in FEEDBACK_MODES}
+    assert len(threading_ids) == len(FEEDBACK_MODES)
 
 
 # --- threading runs --------------------------------------------------------
@@ -440,8 +453,8 @@ def test_a_faulted_prompt_is_hashed_once(bundled, monkeypatch, strategy):
 
     digests = []
 
-    def counting(model, text):
-        digests.append(prompt_digest(model, text))
+    def counting(model, text, *route):
+        digests.append(prompt_digest(model, text, *route))
         return digests[-1]
 
     monkeypatch.setattr(threadlab.llm, "prompt_digest", counting)
@@ -1145,3 +1158,94 @@ def test_evaluate_does_not_depend_on_record_order(bundled, task):
     shuffled_log = dataclasses.replace(log, records=shuffled)
     kw = {"subcats": sorted(SUBCATEGORY_TAGS)} if task == "threading" else {"code_letter": "B"}
     assert evaluate_run(shuffled_log, bundled, **kw) == evaluate_run(log, bundled, **kw)
+
+
+# --- window prompt digests ---------------------------------------------------
+
+# Characters JSON escapes, or that take more than one UTF-8 byte, in utterance text.
+_ESCAPED_CHARS = ['"', "\\", "\t", "\r", "\x00", "\x1f", "\x7f", "\u00e9", "\U0001F600",
+                  "\x85", "\u2028"]
+# (task, window feedback, thread source, template override) of each window run.
+_WINDOW_RUNS = {
+    "thread_window.self": ("threading", "self", "none", None),
+    "thread_window.gold": ("threading", "gold", "none", None),
+    "thread_window.none": ("threading", "none", "none", None),
+    "abcde_window_plain": ("abcde", "none", "none", None),
+    "abcde_window_threaded": ("abcde", "none", "human", None),
+    "baseline_lee": ("abcde", "none", "none", "baseline_lee"),
+    "baseline_qamar": ("abcde", "none", "none", "baseline_qamar"),
+}
+
+
+def _window_spec(name, transcripts, n):
+    task, feedback, source, override = _WINDOW_RUNS[name]
+    return _spec(task=task, transcripts=transcripts, window=WindowConfig(n=n, feedback=feedback),
+                 thread_source=source, template_override=override)
+
+
+def test_window_runs_hash_the_frozen_window_digests(golden_escapes):
+    frozen = json.loads((FIXTURES / "prompts" / "window_digests.json").read_text("utf-8"))
+    model = ModelConfig(model_id=frozen["model_id"], temperature=frozen["temperature"])
+    corpus = {"escapes": golden_escapes}
+    for name in _WINDOW_RUNS:
+        spec = dataclasses.replace(_window_spec(name, ("escapes",), frozen["window_n"]),
+                                   model=model)
+        run = run_threading if spec.task == "threading" else run_abcde
+        log = run(spec, corpus, _oracle(corpus), concurrency=1)
+        # against the oracle, self feedback feeds the gold labels that gold feedback shows
+        key = name.replace(".self", ".fed").replace(".gold", ".fed")
+        assert [r.prompt_hash for r in log.records] == frozen["digests"][key], name
+
+
+class DigestCheckingProvider(FlakyThreadProvider):
+    """Flaky gold that checks every prompt's hash against the digest's formula."""
+
+    name = "checking"
+
+    def __init__(self, corpus, bad_indices):
+        super().__init__(corpus, bad_indices)
+        self.wrong = []
+
+    def send(self, prompt, model, prompt_hash):
+        if prompt_hash != reference_digest(model, prompt.text):
+            self.wrong.append((prompt.transcript_id, prompt.target_index))
+        return super().send(prompt, model, prompt_hash)
+
+
+def _escaped_transcript(tid, texts, labels, codes):
+    speakers = ("Zo\u00eb", 'Ana "A"', "Ben\\", "Kai\U0001F600")
+    t = Transcript(tid, tuple(
+        Utterance(i, i * 61_000, speakers[i % 4], text) for i, text in enumerate(texts, start=1)
+    ))
+    thread = {i: ThreadLabel.new_thread() if link == 0 else ThreadLabel.link(link)
+              for i, link in enumerate(labels, start=1)}
+    abcde = {i: CodeSet(frozenset(c)) for i, c in enumerate(codes, start=1)}
+    return t, GoldAnnotations(tid, thread, abcde)
+
+
+@st.composite
+def _escaped_corpora(draw):
+    corpus = {}
+    for tid in ("e1", "e2"):
+        n = draw(st.integers(1, 7))
+        texts = draw(st.lists(st.text(st.sampled_from(_ESCAPED_CHARS + ["a", " ", "\n"]),
+                                      max_size=12), min_size=n, max_size=n))
+        labels = [draw(st.integers(0, i - 1)) for i in range(1, n + 1)]
+        codes = draw(st.lists(st.sets(st.sampled_from("ABCDE")), min_size=n, max_size=n))
+        corpus[tid] = _escaped_transcript(tid, texts, labels, codes)
+    return corpus
+
+
+@given(corpus=_escaped_corpora(), n=st.integers(2, 4), bad=st.sets(st.integers(1, 7)))
+@settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_window_prompt_digests_equal_the_formula_on_escaped_text(corpus, n, bad):
+    for name in _WINDOW_RUNS:
+        spec = _window_spec(name, tuple(corpus), n)
+        run = run_threading if spec.task == "threading" else run_abcde
+        texts = set()
+        for concurrency in (1, 4):
+            provider = DigestCheckingProvider(corpus, bad)
+            log = run(spec, corpus, provider, concurrency=concurrency)
+            assert provider.wrong == [], name
+            texts.add(dataclasses.replace(log, wall_time_ms=0).to_jsonl())
+        assert len(texts) == 1, name

@@ -6,10 +6,16 @@ from the asset directory and filled with str.replace over the declared
 variable names only, so literal braces in the templates survive untouched.
 If the package's renderer drifts from the documented serialization, the
 fixtures written here will catch it.
+
+It also writes ``window_digests.json``: the prompt hashes a run of each
+window template makes over ``golden/escapes.jsonl``, a transcript of
+characters JSON escapes or encodes in more than one byte, computed from the
+hash's defining formula.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import sys
 from pathlib import Path
@@ -20,6 +26,9 @@ GOLDEN = ROOT / "tests" / "fixtures" / "golden"
 OUT = ROOT / "tests" / "fixtures" / "prompts"
 
 WINDOW_N = 10
+# The window size and model of the runs window_digests.json records.
+DIGEST_WINDOW_N = 3
+DIGEST_MODEL = {"model_id": "test-model", "temperature": 0.0}
 
 
 def read_jsonl(path: Path) -> list[dict]:
@@ -52,6 +61,62 @@ def block(utts: list[dict], gold: dict[int, str] | None = None) -> str:
         else:
             lines.append(labeled_line(u, gold[u["index"]]))
     return "\n".join(lines)
+
+
+def reference_digest(prompt: str) -> str:
+    """sha256 of the whole request as sorted JSON: the prompt hash's definition."""
+    payload = json.dumps(
+        {"model": DIGEST_MODEL["model_id"], "temperature": DIGEST_MODEL["temperature"],
+         "prompt": prompt},
+        sort_keys=True,
+        ensure_ascii=False,
+    )
+    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+
+
+def window_digests() -> dict:
+    """Each window run's prompt hashes over the escapes transcript, target by target.
+
+    ``thread_window.fed`` shows gold labels on the context lines, as gold
+    feedback does and self feedback does against an oracle; ``.none`` shows none.
+    The threaded abcde variant labels every line, the target's too.
+    """
+    utts = read_jsonl(GOLDEN / "escapes.jsonl")
+    gold = {r["index"]: r["respond_line"] for r in read_jsonl(GOLDEN / "escapes.gold.jsonl")}
+    runs: dict[str, list[str]] = {name: [] for name in (
+        "thread_window.fed", "thread_window.none", "abcde_window_plain",
+        "abcde_window_threaded", "baseline_lee", "baseline_qamar",
+    )}
+    for k, last in enumerate(utts):
+        shown = utts[max(0, k + 1 - DIGEST_WINDOW_N) : k + 1]
+        context = shown[:-1]
+        target_vars = {
+            "target_timestamp": last["timestamp"],
+            "target_speaker": last["speaker"],
+            "target_text": last["text"],
+        }
+        for feedback, labels in (("fed", gold), ("none", None)):
+            prefix = block(context, labels) + "\n" if context else ""
+            runs[f"thread_window.{feedback}"].append(fill("thread_window", {
+                "window_n": DIGEST_WINDOW_N, "transcript_block": prefix + bare_line(last),
+            }))
+        runs["abcde_window_plain"].append(
+            fill("abcde_window_plain", {"transcript_block": block(shown), **target_vars})
+        )
+        runs["abcde_window_threaded"].append(
+            fill("abcde_window_threaded", {"transcript_block": block(shown, gold), **target_vars})
+        )
+        runs["baseline_lee"].append(fill("baseline_lee", {
+            "transcript_block": block(shown),
+            "target_speaker": last["speaker"],
+            "target_text": last["text"],
+        }))
+        runs["baseline_qamar"].append(fill("baseline_qamar", {"transcript_block": block(shown)}))
+    return {
+        **DIGEST_MODEL,
+        "window_n": DIGEST_WINDOW_N,
+        "digests": {name: list(map(reference_digest, texts)) for name, texts in runs.items()},
+    }
 
 
 def main() -> int:
@@ -124,7 +189,9 @@ def main() -> int:
     OUT.mkdir(parents=True, exist_ok=True)
     for name, text in sorted(fixtures.items()):
         (OUT / f"{name}.txt").write_text(text, encoding="utf-8")
-    print(f"wrote {len(fixtures)} prompt fixtures -> {OUT}")
+    digests = json.dumps(window_digests(), indent=2, sort_keys=True) + "\n"
+    (OUT / "window_digests.json").write_text(digests, encoding="utf-8")
+    print(f"wrote {len(fixtures)} prompt fixtures and window_digests.json -> {OUT}")
     return 0
 
 
