@@ -22,7 +22,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, BinaryIO, Mapping, Protocol
 
 from .corpus import GoldAnnotations
-from .prompts import TRANSCRIPT_START, RenderedPrompt
+from .prompts import RenderedPrompt
 from .schema import json_line, objects, read, record_reader, typed
 
 if TYPE_CHECKING:
@@ -137,17 +137,14 @@ def _digest_head(model_id: str, temperature: float, head: str) -> tuple[hashlib.
     return state, ('", "temperature": ' + json.dumps(temperature) + "}").encode("utf-8")
 
 
-# The last call's model and the head its prompt started with: the head's text,
-# length, _digest_head state and tail. A run's prompts share one head and one
-# ModelConfig, so most calls reuse the head's state instead of hashing it
-# again. The model is matched by identity: ModelConfig is frozen, so the same
+# The last call's model and head, with the head's _digest_head state and tail.
+# A run's prompts share one head and one ModelConfig, so most calls reuse the
+# head's state instead of hashing it again. Both are matched by identity: a
+# template's head is one cached string, and ModelConfig is frozen, so the same
 # object means the same model id and temperature (0.0 and -0.0, equal but
-# written differently, are separate objects). A head never holds the marker.
-# The slot is swapped whole and its state is shared across threads: copy it,
-# never update it.
-_last: tuple[ModelConfig | None, str, int, hashlib._Hash | None, bytes] = (None, "", 0, None, b"")
-# UTF-8 bytes that JSON escapes other than the quote, the backslash and "\n".
-_RARE_ESCAPES = bytes(b for b in range(0x20) if b != 0x0A)
+# written differently, are separate objects). The slot is swapped whole and
+# its state is shared across threads: copy it, never update it.
+_last: tuple[ModelConfig | None, str, hashlib._Hash | None, bytes] = (None, "", None, b"")
 
 
 def prompt_digest(
@@ -158,48 +155,20 @@ def prompt_digest(
     The sha256 of ``json.dumps({"model": model_id, "temperature": temperature,
     "prompt": prompt_text}, sort_keys=True, ensure_ascii=False)``. JSON escapes
     each character of a string on its own, so the payload is hashed in three
-    pieces: the model id and the prompt's head (whose hash state is cached),
-    the rest of the prompt, escaped, and the temperature. A window prompt
-    brings its template's ``head`` and ``escaped_tail``, the escaped rest of
-    ``prompt_text``, which its renderer sliced from its transcript's buffers;
-    the head is then matched by identity, and nothing is escaped here. Any
-    other prompt is cut at the first ``<<<TRANSCRIPT_START>>>`` and its rest
-    escaped here.
+    pieces: the model id and the prompt's ``head`` (whose hash state is
+    cached), ``escaped_tail``, the bytes JSON writes for the rest of
+    ``prompt_text``, and the temperature. Every renderer gives both; a prompt
+    given alone is its own tail, escaped here, with an empty head.
     """
     global _last
+    if escaped_tail is None:
+        escaped_tail, head = encode_basestring(prompt_text)[1:-1].encode("utf-8"), ""
     last = _last
-    if escaped_tail is not None:
-        if last[0] is not model or last[1] is not head:
-            last = _last = (
-                model, head, len(head), *_digest_head(model.model_id, model.temperature, head)
-            )
-        rest = escaped_tail
-    else:
-        # The head (a template's fixed instructions, up to the marker) is
-        # shared by every prompt of a run. The marker cannot overlap itself, so
-        # a prompt that starts with the last head and has the marker right
-        # after it has its first marker there.
-        if last[0] is not model or not (
-            prompt_text.startswith(last[1]) and prompt_text.startswith(TRANSCRIPT_START, last[2])
-        ):
-            cut = max(prompt_text.find(TRANSCRIPT_START), 0)
-            head_text = prompt_text[:cut]
-            last = _last = (
-                model, head_text, cut, *_digest_head(model.model_id, model.temperature, head_text)
-            )
-        # With ensure_ascii=False JSON escapes only ASCII characters: the quote,
-        # the backslash and the control characters. Multi-byte UTF-8 sequences
-        # hold no ASCII byte, so the encoded rest is escaped in place when "\n"
-        # is its only control character; any other one takes encode_basestring.
-        cut = last[2]
-        rest = prompt_text[cut:].encode("utf-8")
-        if len(rest.translate(None, _RARE_ESCAPES)) == len(rest):
-            rest = rest.replace(b"\\", b"\\\\").replace(b'"', b'\\"').replace(b"\n", b"\\n")
-        else:
-            rest = encode_basestring(prompt_text[cut:])[1:-1].encode("utf-8")
-    h = last[3].copy()
-    h.update(rest)
-    h.update(last[4])
+    if last[0] is not model or last[1] is not head:
+        last = _last = (model, head, *_digest_head(model.model_id, model.temperature, head))
+    h = last[2].copy()
+    h.update(escaped_tail)
+    h.update(last[3])
     return h.hexdigest()
 
 

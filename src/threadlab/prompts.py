@@ -69,13 +69,19 @@ _TARGET_DELIMITERS = ("<<<TARGET_START>>>", "<<<TARGET_END>>>")
 
 
 @lru_cache(maxsize=None)
-def _compile(template_id: str, template_dir: str | Path | None) -> tuple[str, ...]:
+def _compile(
+    template_id: str, template_dir: str | Path | None, window_n: int | None = None
+) -> tuple[str, tuple[tuple[str, str, bytes], ...]]:
     """A template's text, read and checked once, cut at its declared placeholders.
 
-    Literal text sits at even positions and placeholder names at odd ones.
-    Filling the names keeps every literal, so a template with its delimiters
-    and every declared placeholder renders prompts that have them too. Errors
-    are not cached, so a faulty template raises on every render.
+    Gives the head, the template's whole first literal, then for each
+    placeholder but ``window_n`` its name, the literal after it and the bytes
+    JSON writes for that literal. ``window_n`` (the configured window size,
+    which ``thread_window`` states) is filled in where it stands, joining the
+    literals around it. Filling the names keeps every literal, so a template
+    with its delimiters and every declared placeholder renders prompts that
+    have them too. Errors are not cached, so a faulty template raises on every
+    render.
     """
     path = (Path(template_dir) if template_dir else TEMPLATES_DIR) / f"{template_id}.txt"
     text = read(path, decoded).replace("\r\n", "\n")
@@ -90,15 +96,15 @@ def _compile(template_id: str, template_dir: str | Path | None) -> tuple[str, ..
     if absent:
         raise TemplateError(f"{path}: template never mentions {absent}")
     pattern = re.compile(r"\{(" + "|".join(re.escape(name) for name in declared) + r")\}")
-    return tuple(pattern.split(text))
-
-
-def _fill(template_id: str, template_dir: str | Path | None, values: Mapping[str, object]) -> str:
-    """The template filled in one pass: utterance text cannot smuggle in placeholders."""
-    parts = list(_compile(template_id, template_dir))
-    for i in range(1, len(parts), 2):
-        parts[i] = str(values[parts[i]])
-    return "".join(parts)
+    parts = [""]
+    for k, part in enumerate(pattern.split(text)):
+        if k % 2 and part != "window_n":
+            parts += part, ""
+        else:
+            parts[-1] += str(window_n) if k % 2 else part
+    return parts[0], tuple(
+        (name, literal, _escaped(literal)) for name, literal in zip(parts[1::2], parts[2::2])
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -145,14 +151,22 @@ def _block(lines: Sequence[str | None], first: int) -> str:
     return "\n".join(lines)
 
 
+# UTF-8 bytes that JSON escapes other than the quote, the backslash and "\n".
+_RARE_ESCAPES = bytes(b for b in range(0x20) if b != 0x0A)
+
+
 def _escaped(text: str) -> bytes:
-    """The UTF-8 bytes JSON writes for ``text`` inside a string."""
+    """The UTF-8 bytes JSON writes for ``text`` inside a string.
+
+    With ensure_ascii=False JSON escapes only ASCII characters: the quote, the
+    backslash and the control characters. Multi-byte UTF-8 sequences hold no
+    ASCII byte, so the encoded text is escaped in place when "\\n" is its only
+    control character; any other one takes encode_basestring.
+    """
+    data = text.encode("utf-8")
+    if len(data.translate(None, _RARE_ESCAPES)) == len(data):
+        return data.replace(b"\\", b"\\\\").replace(b'"', b'\\"').replace(b"\n", b"\\n")
     return encode_basestring(text)[1:-1].encode("utf-8")
-
-
-# What JSON escapes inside a string, but "\n": the other control characters,
-# the quote and the backslash.
-_ESCAPED_BUT_NEWLINE = (*(chr(c) for c in range(0x20) if c != 0x0A), '"', "\\")
 
 
 class WindowLines:
@@ -167,8 +181,8 @@ class WindowLines:
     line k being utterance ``first`` + k.
 
     Lines that hold nothing JSON escapes and no character beyond ASCII are
-    ``plain``: they are escaped as one text, where only the line ends grow.
-    Other lines are escaped one by one.
+    ``plain``: escaped as one text, only their line ends grow. Other lines are
+    escaped one by one.
     """
 
     __slots__ = ("text", "escaped", "starts", "escaped_starts", "plain")
@@ -178,11 +192,9 @@ class WindowLines:
             raise MissingThreadLabel(first + lines.index(None))
         self.text = text = "\n".join(lines) + "\n" if lines else ""
         self.starts = list(accumulate(map((1).__add__, map(len, lines)), initial=0))
-        self.plain = text.isascii() and text.count("\n") == len(lines) and not any(
-            c in text for c in _ESCAPED_BUT_NEWLINE
-        )
+        self.plain = text.isascii() and len(escaped := _escaped(text)) == len(text) + len(lines)
         if self.plain:
-            self.escaped = text.encode("ascii").replace(b"\n", b"\\n")
+            self.escaped = escaped
             self.escaped_starts = [start + k for k, start in enumerate(self.starts)]
         else:
             escaped = [_escaped(line) + b"\\n" for line in lines]
@@ -233,10 +245,10 @@ class RenderedPrompt:
     block prompt's transcript. ``target_index``/``target_speaker`` repeat a
     window prompt's target and are None on block prompts.
 
-    A window prompt also carries ``head``, its template's fixed text up to the
-    transcript marker, and ``escaped_tail``, the UTF-8 bytes JSON writes for
-    the rest of its text: what :func:`llm.prompt_digest` hashes after the
-    head. Block prompts leave it None.
+    Every renderer also gives ``head``, its template's first literal, which
+    starts ``text``, and ``escaped_tail``, the UTF-8 bytes JSON writes for the
+    rest of ``text``: what :func:`llm.prompt_digest` hashes after the head. A
+    prompt built without them is hashed from ``text`` whole.
     """
 
     text: str
@@ -288,30 +300,19 @@ def window_renderer(
 
     Every window template renders here: ``thread_window``, the two
     ``abcde_window`` variants, ``baseline_lee`` and ``baseline_qamar``. The
-    template's parts are cut once, with ``window_n`` (the configured window
-    size, which ``thread_window`` states) filled in and neighbouring literals
-    joined, and its literals are escaped once. The function takes a
-    transcript's :class:`WindowText`, the target utterance and the transcript
-    id. A prompt's text, and the escaped bytes of its text after the head, are
-    each joined from the literals, slices of the WindowText and the target's
-    fields.
+    template is cut once, with ``n`` filled in as ``window_n``, and its
+    literals are escaped once. The function takes a transcript's
+    :class:`WindowText`, the target utterance and the transcript id. A
+    prompt's text, and the escaped bytes of its text after the head, are each
+    joined from the literals, slices of the WindowText and the target's fields.
     """
-    parts = [""]
-    for k, part in enumerate(_compile(template_id, template_dir)):
-        if k % 2 and part != "window_n":
-            parts += part, ""
-        else:
-            parts[-1] += str(n) if k % 2 else part
+    head, split = _compile(template_id, template_dir, n)
     contract = _THREAD_LINE if template_id == "thread_window" else _CODE_LINE
-    # The fixed text up to the transcript marker, whose hash state the digest
-    # keeps, then each placeholder's value (None for the transcript block, else
-    # the target field's getter) and the literal after it.
-    lead = parts[0]
-    head = lead[:lead.find(TRANSCRIPT_START)] if TRANSCRIPT_START in lead else lead
-    lead_escaped = _escaped(lead[len(head):])
+    # Each placeholder's value (None for the transcript block, else the target
+    # field's getter) and the literal after it.
     plan = [
-        (None if name == "transcript_block" else _TARGET_FIELDS[name], literal, _escaped(literal))
-        for name, literal in zip(parts[1::2], parts[2::2])
+        (None if name == "transcript_block" else _TARGET_FIELDS[name], literal, literal_escaped)
+        for name, literal, literal_escaped in split
     ]
 
     def render(text: WindowText, target: Utterance, transcript_id: str = "") -> RenderedPrompt:
@@ -331,7 +332,7 @@ def window_renderer(
                 cs, ce = context.starts, context.escaped_starts
                 block = context.text[cs[a]:cs[i - 1]], line
                 escaped = context.escaped[ce[a]:ce[i - 1]], line_escaped
-        out, out_escaped = [lead], [lead_escaped]
+        out, out_escaped = [head], []
         for field, literal, literal_escaped in plan:
             if field is None:
                 out += block
@@ -367,17 +368,24 @@ def render_full(
     MissingThreadLabel. ``shots`` are the labeled example transcripts that
     only ``thread_all_at_once`` embeds.
     """
-    values: dict[str, object] = {
+    values = {
         "transcript_block": _block(transcript_lines(t.utterances, labels), 1),
-        "num_utterances": len(t),
+        "num_utterances": str(len(t)),
     }
     contract = _CODE_BLOCK
     if template_id == "thread_all_at_once":
         values["shots_block"] = _shots_block(shots)
         contract = _THREAD_BLOCK
-    text = _fill(template_id, template_dir, values)
+    # Filled in one pass: utterance text cannot smuggle in placeholders.
+    head, split = _compile(template_id, template_dir)
+    out, out_escaped = [head], []
+    for name, literal, literal_escaped in split:
+        value = values[name]
+        out += value, literal
+        out_escaped += _escaped(value), literal_escaped
     return RenderedPrompt(
-        text, contract, None, None, t.id, tuple((u.index, u.speaker) for u in t.utterances)
+        "".join(out), contract, None, None, t.id,
+        tuple((u.index, u.speaker) for u in t.utterances), b"".join(out_escaped), head,
     )
 
 

@@ -415,6 +415,8 @@ def _run(
     pricing: PricingTable | None,
     runs_dir: str | Path | None,
 ) -> RunLog:
+    if concurrency < 1:
+        raise RunnerError(f"concurrency must be at least 1, got {concurrency}")
     for tid in spec.transcripts:
         _gold_pair(corpus, tid)
     if pricing is not None:
@@ -434,7 +436,7 @@ def _run(
     parsed_label = attrgetter("label" if thread_task else "codes")
     # Self-feedback windows must run in order. Other windows are independent:
     # the pool takes them one by one, and the serial path one transcript at a time.
-    chained = feedback == "self" or concurrency <= 1
+    chained = feedback == "self" or concurrency == 1
     # A chain of a whole transcript builds its window buffers as it starts and
     # drops them as it ends; windows the pool takes one by one share buffers
     # built before it.

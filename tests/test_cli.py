@@ -334,6 +334,7 @@ INPUT_FAULTS = {
     "replay without fixtures": (
         None, ["--provider", "replay"], "replay provider needs a 'fixtures' path in the config",
     ),
+    "concurrency below one": (None, ["--concurrency", "0"], "concurrency must be at least 1, got 0"),
 }
 # the file, beside the config, that each fault's config names
 FAULT_FILES = {

@@ -14,7 +14,7 @@ import pytest
 import requests
 from hypothesis import example, given, strategies as st
 
-from threadlab import llm
+from threadlab import llm, prompts
 from threadlab.corpus import CodeSet, GoldAnnotations, ThreadLabel
 from threadlab.llm import (
     AuthError,
@@ -549,21 +549,19 @@ _SLOW_CHARS = ["\t", "\r", "\x00"]
 
 
 @pytest.mark.parametrize("slow", [False, True], ids=["in-place escape", "encode_basestring"])
-@pytest.mark.parametrize("head", ["", "Label the line.\t \"Why\"\n"], ids=["no head", "head"])
-def test_prompt_digest_equals_its_formula_on_both_routes(monkeypatch, slow, head):
-    escaped = []  # texts given to encode_basestring, head aside
-    monkeypatch.setattr(llm, "encode_basestring",
+def test_escaped_equals_the_json_escape_on_both_routes(monkeypatch, slow):
+    escaped = []  # texts given to encode_basestring
+    monkeypatch.setattr(prompts, "encode_basestring",
                         lambda text: escaped.append(text) or encode_basestring(text))
     rng = random.Random(20261018)
-    model = ModelConfig(model_id="m")
     for _ in range(200):
         tail = rng.choices(_FAST_CHARS, k=rng.randrange(60))
         if slow:
             tail.insert(rng.randrange(len(tail) + 1), rng.choice(_SLOW_CHARS))
-        prompt = head + MARKER + "".join(tail) if head else "".join(tail)
+        text = "".join(tail)
         escaped.clear()
-        assert prompt_digest(model, prompt) == reference_digest(model, prompt), prompt
-        assert [text for text in escaped if text != head] == ([prompt[len(head):]] if slow else [])
+        assert prompts._escaped(text) == encode_basestring(text)[1:-1].encode("utf-8"), text
+        assert escaped == ([text] if slow else [])
 
 
 def test_prompt_digest_tells_equal_temperatures_apart():
@@ -637,35 +635,32 @@ def test_prompt_digest_alternating_heads_under_threads():
     assert bad == []
 
 
-@pytest.mark.parametrize("head", [
-    "fixed hexd instructions, 10 prior lines\n",  # one character changed
-    "fixed head instructions, 10 prior lines",  # one character shorter
-    "fixed head instructions, 10 prior lines\n!",  # one character longer
-    "",  # no head
-], ids=["changed", "shorter", "longer", "empty"])
-def test_prompt_digest_hashes_a_head_one_character_off_from_the_last(monkeypatch, head):
-    # The last head a model hashed is checked in place; any other head goes
-    # through the slow path and still gets the formula's digest.
+def test_digest_head_runs_once_per_change_of_model_or_head(monkeypatch, bundled):
+    # A window run, then a whole-transcript run, then prompts given alone: each
+    # hashes its head once, and a new model hashes it again.
     model = ModelConfig(model_id="head-check")
-    last = "fixed head instructions, 10 prior lines\n"
-    slow = []
+    heads, wrong = [], []
     digest_head = llm._digest_head
+    monkeypatch.setattr(llm, "_digest_head", lambda *args: heads.append(args[-1]) or digest_head(*args))
+    oracle = OracleProvider({tid: g for tid, (_, g) in bundled.items()})
 
-    def counted(*args):
-        slow.append(args[-1])
-        return digest_head(*args)
+    class Checking:
+        name = "oracle"
 
-    monkeypatch.setattr(llm, "_digest_head", counted)
-    for prompt in (last + MARKER + "\n#1 A: hi", last + MARKER + "\n#2 B: yo " + MARKER):
-        assert prompt_digest(model, prompt) == reference_digest(model, prompt)
-    assert slow in ([], [last])  # the second prompt reused the first one's head
-    slow.clear()
-    prompt = head + MARKER + "\n#2 B: yo"
-    assert prompt_digest(model, prompt) == reference_digest(model, prompt)
-    assert slow == [head]
-    prompt = head + "?" + MARKER  # the last head, then text before the first marker
-    assert prompt_digest(model, prompt) == reference_digest(model, prompt)
-    assert slow == [head, head + "?"]
+        def send(self, prompt, model, prompt_hash):
+            if prompt_hash != reference_digest(model, prompt.text):
+                wrong.append((prompt.transcript_id, prompt.target_index))
+            return oracle.send(prompt, model, prompt_hash)
+
+    for strategy, window in (("window", WindowConfig(n=10)), ("all_at_once", None)):
+        spec = ExperimentSpec(task="threading", strategy=strategy, model=model,
+                              transcripts=("ws01", "ws02"), window=window)
+        run_threading(spec, bundled, Checking(), concurrency=1)
+    assert wrong == []
+    for m in (model, model, ModelConfig(model_id="head-check")):
+        assert prompt_digest(m, "#1 A: hi") == reference_digest(m, "#1 A: hi")
+    assert heads == [prompts._compile("thread_window", None, 10)[0],
+                     prompts._compile("thread_all_at_once", None)[0], "", ""]
 
 
 # --- replay ----------------------------------------------------------------

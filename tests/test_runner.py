@@ -1177,7 +1177,21 @@ _WINDOW_RUNS = {
 }
 
 
-def _window_spec(name, transcripts, n):
+# (task, shots, thread source, template override) of each whole-transcript run.
+_WHOLE_RUNS = {
+    "thread_all_at_once.shots_0": ("threading", 0, "none", None),
+    "thread_all_at_once.shots_1": ("threading", 1, "none", None),
+    "abcde_full_plain": ("abcde", 0, "none", None),
+    "abcde_full_threaded": ("abcde", 0, "human", None),
+    "baseline_martinenghi": ("abcde", 0, "none", "baseline_martinenghi"),
+}
+
+
+def _run_spec(name, transcripts, n):
+    if name in _WHOLE_RUNS:
+        task, shots, source, override = _WHOLE_RUNS[name]
+        return _spec(task=task, strategy="all_at_once", transcripts=transcripts, shots=shots,
+                     thread_source=source, template_override=override)
     task, feedback, source, override = _WINDOW_RUNS[name]
     return _spec(task=task, transcripts=transcripts, window=WindowConfig(n=n, feedback=feedback),
                  thread_source=source, template_override=override)
@@ -1188,13 +1202,27 @@ def test_window_runs_hash_the_frozen_window_digests(golden_escapes):
     model = ModelConfig(model_id=frozen["model_id"], temperature=frozen["temperature"])
     corpus = {"escapes": golden_escapes}
     for name in _WINDOW_RUNS:
-        spec = dataclasses.replace(_window_spec(name, ("escapes",), frozen["window_n"]),
+        spec = dataclasses.replace(_run_spec(name, ("escapes",), frozen["window_n"]),
                                    model=model)
         run = run_threading if spec.task == "threading" else run_abcde
         log = run(spec, corpus, _oracle(corpus), concurrency=1)
         # against the oracle, self feedback feeds the gold labels that gold feedback shows
         key = name.replace(".self", ".fed").replace(".gold", ".fed")
         assert [r.prompt_hash for r in log.records] == frozen["digests"][key], name
+
+
+def test_whole_transcript_runs_hash_the_frozen_digests(golden_escapes, golden_shot):
+    frozen = json.loads((FIXTURES / "prompts" / "window_digests.json").read_text("utf-8"))
+    model = ModelConfig(model_id=frozen["model_id"], temperature=frozen["temperature"])
+    # the one-shot run labels each transcript with the other as its example
+    corpus = {"escapes": golden_escapes, "shot": golden_shot}
+    for name in _WHOLE_RUNS:
+        transcripts = tuple(corpus) if name.endswith("shots_1") else ("escapes",)
+        spec = dataclasses.replace(_run_spec(name, transcripts, None), model=model)
+        run = run_threading if spec.task == "threading" else run_abcde
+        log = run(spec, corpus, _oracle(corpus), concurrency=1)
+        digests = list(dict.fromkeys(r.prompt_hash for r in log.records))
+        assert digests == frozen["digests"][name], name
 
 
 class DigestCheckingProvider(FlakyThreadProvider):
@@ -1239,8 +1267,8 @@ def _escaped_corpora(draw):
 @given(corpus=_escaped_corpora(), n=st.integers(2, 4), bad=st.sets(st.integers(1, 7)))
 @settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 def test_window_prompt_digests_equal_the_formula_on_escaped_text(corpus, n, bad):
-    for name in _WINDOW_RUNS:
-        spec = _window_spec(name, tuple(corpus), n)
+    for name in (*_WINDOW_RUNS, *_WHOLE_RUNS):
+        spec = _run_spec(name, tuple(corpus), n)
         run = run_threading if spec.task == "threading" else run_abcde
         texts = set()
         for concurrency in (1, 4):

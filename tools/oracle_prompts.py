@@ -8,9 +8,10 @@ If the package's renderer drifts from the documented serialization, the
 fixtures written here will catch it.
 
 It also writes ``window_digests.json``: the prompt hashes a run of each
-window template makes over ``golden/escapes.jsonl``, a transcript of
-characters JSON escapes or encodes in more than one byte, computed from the
-hash's defining formula.
+template makes over ``golden/escapes.jsonl``, a transcript of characters JSON
+escapes or encodes in more than one byte, computed from the hash's defining
+formula. Window runs hash one prompt per target, whole-transcript runs one
+per transcript.
 """
 
 from __future__ import annotations
@@ -74,15 +75,33 @@ def reference_digest(prompt: str) -> str:
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
-def window_digests() -> dict:
-    """Each window run's prompt hashes over the escapes transcript, target by target.
+def shots_block(shots: list[tuple[list[dict], dict[int, str]]]) -> str:
+    """The lead-in sentence and labeled example transcripts of thread_all_at_once."""
+    if not shots:
+        return " Then I will provide the transcript for threading."
+    noun = "an example transcript" if len(shots) == 1 else "example transcripts"
+    text = f" Then I will provide {noun} with labels and a new transcript without labels for threading."
+    for k, (utts, gold) in enumerate(shots, start=1):
+        text += f"\n\n<<<EXAMPLE_{k}_START>>>\n{block(utts, gold)}\n<<<EXAMPLE_{k}_END>>>"
+    return text
 
-    ``thread_window.fed`` shows gold labels on the context lines, as gold
-    feedback does and self feedback does against an oracle; ``.none`` shows none.
-    The threaded abcde variant labels every line, the target's too.
+
+def window_digests() -> dict:
+    """Each run's prompt hashes over the escapes transcript.
+
+    Window runs hash one prompt per target. ``thread_window.fed`` shows gold
+    labels on the context lines, as gold feedback does and self feedback does
+    against an oracle; ``.none`` shows none. The threaded abcde variants label
+    every line, the target's too.
+
+    Whole-transcript runs hash one prompt per transcript.
+    ``thread_all_at_once.shots_1`` labels escapes with the shot transcript as
+    its example, then the shot transcript with escapes as its example.
     """
     utts = read_jsonl(GOLDEN / "escapes.jsonl")
     gold = {r["index"]: r["respond_line"] for r in read_jsonl(GOLDEN / "escapes.gold.jsonl")}
+    shot = read_jsonl(GOLDEN / "shot.jsonl")
+    shot_gold = {r["index"]: r["respond_line"] for r in read_jsonl(GOLDEN / "shot.gold.jsonl")}
     runs: dict[str, list[str]] = {name: [] for name in (
         "thread_window.fed", "thread_window.none", "abcde_window_plain",
         "abcde_window_threaded", "baseline_lee", "baseline_qamar",
@@ -112,6 +131,22 @@ def window_digests() -> dict:
             "target_text": last["text"],
         }))
         runs["baseline_qamar"].append(fill("baseline_qamar", {"transcript_block": block(shown)}))
+
+    def thread_all(target: list[dict], shots: list[tuple[list[dict], dict[int, str]]]) -> str:
+        return fill("thread_all_at_once", {
+            "shots_block": shots_block(shots), "transcript_block": block(target),
+            "num_utterances": len(target),
+        })
+
+    runs["thread_all_at_once.shots_0"] = [thread_all(utts, [])]
+    runs["thread_all_at_once.shots_1"] = [
+        thread_all(utts, [(shot, shot_gold)]), thread_all(shot, [(utts, gold)]),
+    ]
+    for name, labels in (("abcde_full_plain", None), ("abcde_full_threaded", gold),
+                         ("baseline_martinenghi", None)):
+        runs[name] = [fill(name, {
+            "transcript_block": block(utts, labels), "num_utterances": len(utts),
+        })]
     return {
         **DIGEST_MODEL,
         "window_n": DIGEST_WINDOW_N,
@@ -141,15 +176,10 @@ def main() -> int:
     )
 
     # whole-transcript threading with one labeled example
-    shots_block = (
-        " Then I will provide an example transcript with labels and a new "
-        "transcript without labels for threading."
-        f"\n\n<<<EXAMPLE_1_START>>>\n{block(shot, shot_gold)}\n<<<EXAMPLE_1_END>>>"
-    )
     fixtures["thread_all_at_once"] = fill(
         "thread_all_at_once",
         {
-            "shots_block": shots_block,
+            "shots_block": shots_block([(shot, shot_gold)]),
             "transcript_block": block(target),
             "num_utterances": n_utts,
         },
