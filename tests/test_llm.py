@@ -549,19 +549,26 @@ _SLOW_CHARS = ["\t", "\r", "\x00"]
 
 
 @pytest.mark.parametrize("slow", [False, True], ids=["in-place escape", "encode_basestring"])
-def test_escaped_equals_the_json_escape_on_both_routes(monkeypatch, slow):
+@pytest.mark.parametrize("head", ["", "Label the line.\t \"Why\"\n"], ids=["no head", "head"])
+def test_prompt_digest_equals_its_formula_on_both_routes(monkeypatch, slow, head):
+    # A renderer's prompt is its head and the tail prompts._escaped writes;
+    # the digest of both equals the formula's on either escape route.
     escaped = []  # texts given to encode_basestring
     monkeypatch.setattr(prompts, "encode_basestring",
                         lambda text: escaped.append(text) or encode_basestring(text))
     rng = random.Random(20261018)
+    model = ModelConfig(model_id="m")
     for _ in range(200):
         tail = rng.choices(_FAST_CHARS, k=rng.randrange(60))
         if slow:
             tail.insert(rng.randrange(len(tail) + 1), rng.choice(_SLOW_CHARS))
         text = "".join(tail)
         escaped.clear()
-        assert prompts._escaped(text) == encode_basestring(text)[1:-1].encode("utf-8"), text
+        escaped_tail = prompts._escaped(text)
+        assert escaped_tail == encode_basestring(text)[1:-1].encode("utf-8"), text
         assert escaped == ([text] if slow else [])
+        prompt = head + text
+        assert prompt_digest(model, prompt, escaped_tail, head) == reference_digest(model, prompt), prompt
 
 
 def test_prompt_digest_tells_equal_temperatures_apart():
@@ -633,6 +640,38 @@ def test_prompt_digest_alternating_heads_under_threads():
         sys.setswitchinterval(old)
     assert not any(t.is_alive() for t in threads)
     assert bad == []
+
+
+@pytest.mark.parametrize("head", [
+    "fixed hexd instructions, 10 prior lines\n",  # one character changed
+    "fixed head instructions, 10 prior lines",  # one character shorter
+    "fixed head instructions, 10 prior lines\n!",  # one character longer
+    "",  # no head
+], ids=["changed", "shorter", "longer", "empty"])
+def test_prompt_digest_hashes_a_head_one_character_off_from_the_last(monkeypatch, head):
+    # The last head a model hashed is reused only for that same head; any
+    # other head is hashed anew and still gets the formula's digest.
+    model = ModelConfig(model_id="head-check")
+    last = "fixed head instructions, 10 prior lines\n"
+    slow = []
+    digest_head = llm._digest_head
+
+    def counted(*args):
+        slow.append(args[-1])
+        return digest_head(*args)
+
+    def check(prompt_head, tail):
+        prompt = prompt_head + tail
+        assert prompt_digest(model, prompt, prompts._escaped(tail), prompt_head) == reference_digest(model, prompt)
+
+    monkeypatch.setattr(llm, "_digest_head", counted)
+    for tail in ("\n#1 A: hi", "\n#2 B: yo " + MARKER):
+        check(last, tail)
+    assert slow == [last]  # the second prompt reused the first one's head
+    check(head, "\n#2 B: yo")
+    assert slow == [last, head]
+    check(head + "?", MARKER)  # the last head and one more character
+    assert slow == [last, head, head + "?"]
 
 
 def test_digest_head_runs_once_per_change_of_model_or_head(monkeypatch, bundled):
