@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import enum
 import json
+import math
 import re
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
@@ -155,8 +156,9 @@ class ThreadLabel:
         """
         return self._canonical
 
-    # Each rendering is computed once per label and kept in the instance's
-    # __dict__, outside the fields, so equality, hashing and repr ignore it.
+    # Each rendering, and the highest line referenced, is computed once per
+    # label and kept in the instance's __dict__, outside the fields, so
+    # equality, hashing and repr ignore it.
     @cached_property
     def _surface(self) -> str:
         targets = self.targets
@@ -184,6 +186,12 @@ class ThreadLabel:
         if len(self.targets) == 1:
             return self._surface
         return self.normalized()._surface.replace(" ", "")
+
+    @cached_property
+    def _max_line(self) -> float:
+        """The highest line a target refers to; -inf with no line reference, so
+        ``label._max_line >= index`` is the forward-link test for any int index."""
+        return max((t.line for t in self.targets if t is not NEW_THREAD), default=-math.inf)
 
 
 _NEW_THREAD_LABEL = ThreadLabel((NEW_THREAD,))
@@ -361,10 +369,17 @@ def parse_timestamp(value: object) -> int:
     raise ValueError(f"bad timestamp {value!r}")
 
 
+# "00" to "99": each clock field's two digits, by its value.
+_TWO_DIGITS = tuple(f"{n:02d}" for n in range(100))
+
+
 def format_timestamp(ms: int) -> str:
     """Render milliseconds as ``HH:MM:SS`` (sub-second remainder dropped)."""
     s = ms // 1000
-    return "%02d:%02d:%02d" % (s // 3600, s // 60 % 60, s % 60)
+    hours = s // 3600
+    if 0 <= hours < 100:
+        return f"{_TWO_DIGITS[hours]}:{_TWO_DIGITS[s // 60 % 60]}:{_TWO_DIGITS[s % 60]}"
+    return "%02d:%02d:%02d" % (hours, s // 60 % 60, s % 60)
 
 
 # ---------------------------------------------------------------------------
@@ -374,9 +389,9 @@ def format_timestamp(ms: int) -> str:
 _TRANSCRIPT_FIELDS = ("index", "timestamp", "speaker", "text")
 # The milliseconds of each field of the ``HH:MM:SS`` clock form every serialized
 # transcript uses, by its two ASCII digits; any other timestamp takes parse_timestamp.
-_HOURS_MS = {f"{n:02d}": n * 3_600_000 for n in range(100)}
-_MINUTES_MS = {f"{n:02d}": n * 60_000 for n in range(60)}
-_SECONDS_MS = {f"{n:02d}": n * 1000 for n in range(60)}
+_HOURS_MS = {digits: n * 3_600_000 for n, digits in enumerate(_TWO_DIGITS)}
+_MINUTES_MS = {digits: n * 60_000 for n, digits in enumerate(_TWO_DIGITS[:60])}
+_SECONDS_MS = {digits: n * 1000 for n, digits in enumerate(_TWO_DIGITS[:60])}
 
 
 def _record_index(line_no: int, raw: object, seen: Container[int]) -> int:
@@ -512,9 +527,8 @@ def parse_gold(
             raise MalformedRecord(
                 line_no, f"respond_line {raw_label!r} is not a thread label"
             ) from None
-        for target in label.targets:
-            if target is not NEW_THREAD and target.line >= idx:
-                raise MalformedRecord(line_no, f"respond_line {raw_label!r} links forward")
+        if label._max_line >= idx:
+            raise MalformedRecord(line_no, f"respond_line {raw_label!r} links forward")
         thread[idx] = label
 
         raw_codes = rec.get("abcde")

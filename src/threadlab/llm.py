@@ -187,7 +187,10 @@ class CompletionCache:
 
     The on-disk format is identical to replay fixtures, so a cache file from
     one run can be handed to the replay provider as-is. Writes append; the
-    last record for a hash wins on load.
+    last record for a hash wins on load. Reads take no lock, since one dict
+    read is atomic; :meth:`put` serialises writers under a lock, so its
+    check-then-insert keeps the first record per hash and lines append whole,
+    in the order they were kept.
     """
 
     def __init__(self, path: str | Path | None = None):
@@ -219,8 +222,7 @@ class CompletionCache:
         return len(self._records)
 
     def get(self, prompt_hash: str) -> CompletionRecord | None:
-        with self._lock:
-            return self._records.get(prompt_hash)
+        return self._records.get(prompt_hash)  # one dict read: atomic, so no lock
 
     def put(self, record: CompletionRecord) -> None:
         """Keep ``record`` and append its line to the file in one write, so a new

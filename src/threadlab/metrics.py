@@ -17,8 +17,9 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import reduce
 from itertools import compress, repeat
-from operator import eq, itemgetter, mul
+from operator import add, eq, itemgetter, mul
 from typing import Iterable, Mapping, Sequence
 
 from .corpus import CodeSet
@@ -118,10 +119,12 @@ class AggregateReport:
 
 
 def _summarize(values: Sequence[float]) -> MetricSummary:
+    # Added left to right on every Python: since 3.12 ``sum`` compensates float
+    # sums, which moves the last digit and with it the report's bytes.
     n = len(values)
-    mean = sum(values) / n
+    mean = reduce(add, values, 0.0) / n
     if n > 1:
-        var = sum((v - mean) ** 2 for v in values) / (n - 1)
+        var = reduce(add, ((v - mean) ** 2 for v in values), 0.0) / (n - 1)
         std = var**0.5
     else:
         std = 0.0

@@ -21,7 +21,7 @@ from functools import lru_cache
 from itertools import combinations
 from typing import Sequence
 
-from .corpus import VALID_CODES, CodeSet, LineRef, ThreadLabel, parse_respond_line
+from .corpus import VALID_CODES, CodeSet, ThreadLabel, parse_respond_line
 
 STRICTNESS_LEVELS = ("strict", "lenient")
 
@@ -162,33 +162,32 @@ def _finish(
     strictness: str,
 ) -> ParseOutcome:
     """The outcome of a line read as (index, speaker, payload) for one expected entry."""
-    if strictness == "strict":
+    if strictness == "strict" and (index != expected_index or speaker != expected_speaker):
         if index != expected_index:
             return ParseOutcome(False, None, INDEX_MISMATCH)
-        if speaker is None or (
-            speaker != expected_speaker
-            and _norm_speaker(speaker) != _norm_speaker(expected_speaker)
-        ):
+        if speaker is None or _norm_speaker(speaker) != _norm_speaker(expected_speaker):
             return ParseOutcome(False, None, SPEAKER_MISMATCH)
     if kind == "code":
-        codes = _parse_code_list(payload, strictness)
-        if isinstance(codes, str):
-            return ParseOutcome(False, None, codes)
+        codes = _CODE_SETS.get(payload)
+        if codes is None:
+            codes = _parse_code_list(payload, strictness)
+            if isinstance(codes, str):
+                return ParseOutcome(False, None, codes)
         return ParseOutcome(True, ParsedCodeLine(codes), None)
     try:
         label = parse_respond_line(payload)
     except ValueError:
         return ParseOutcome(False, None, NO_MATCH)
-    for target in label.targets:
-        if isinstance(target, LineRef) and target.line >= expected_index:
-            return ParseOutcome(False, None, FORWARD_LINK)
+    if label._max_line >= expected_index:
+        return ParseOutcome(False, None, FORWARD_LINK)
     return ParseOutcome(True, ParsedThreadLine(label), None)
 
 
 def _parse_line(
     kind: str, raw: str, expected_index: int, expected_speaker: str, strictness: str
 ) -> ParseOutcome:
-    _check_strictness(strictness)
+    if strictness not in STRICTNESS_LEVELS:
+        _check_strictness(strictness)
     line = raw.strip()
     head = _head(expected_index, expected_speaker, kind)
     payload = None if head is None else _read(line, head)

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate
 from json.encoder import encode_basestring
-from operator import attrgetter
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
@@ -267,11 +266,12 @@ _THREAD_BLOCK = OutputContract("thread_block")
 _CODE_BLOCK = OutputContract("code_block")
 
 
-# The target utterance's fields that window templates show, by placeholder name.
-_TARGET_FIELDS: dict[str, Callable[[Utterance], str]] = {
-    "target_speaker": attrgetter("speaker"),
-    "target_text": attrgetter("text"),
-    "target_timestamp": lambda u: format_timestamp(u.timestamp_ms),
+# The target utterance's fields that window templates show, by placeholder
+# name, as expressions of ``target`` in a window renderer's compiled function.
+_TARGET_FIELDS = {
+    "target_speaker": "target.speaker",
+    "target_text": "target.text",
+    "target_timestamp": "format_timestamp(target.timestamp_ms)",
 }
 
 
@@ -292,6 +292,30 @@ class WindowText:
 WindowRenderer = Callable[[WindowText, Utterance, str], RenderedPrompt]
 
 
+# The start of every window renderer's compiled function: the transcript block
+# of ``target``'s window, as pieces of text and of escaped bytes sliced from
+# ``text``'s buffers.
+_WINDOW_BLOCK = (
+    "    i = target.index - text.first + 1",  # the target's line is position i - 1
+    "    a = i - n if i > n else 0",
+    "    context, lines = text.context, text.lines",
+    "    s, e = lines.starts, lines.escaped_starts",
+    "    if context is lines:",
+    "        block = lines.text[s[a]:s[i] - 1],",
+    "        block_escaped = lines.escaped[e[a]:e[i] - 2],",
+    "    else:",
+    "        line = lines.text[s[i - 1]:s[i] - 1]",
+    "        line_escaped = lines.escaped[e[i - 1]:e[i] - 2]",
+    "        if type(context) is FedLines:",
+    "            block = *context.text, line",
+    "            block_escaped = *context.escaped, line_escaped",
+    "        else:",
+    "            cs, ce = context.starts, context.escaped_starts",
+    "            block = context.text[cs[a]:cs[i - 1]], line",
+    "            block_escaped = context.escaped[ce[a]:ce[i - 1]], line_escaped",
+)
+
+
 @lru_cache(maxsize=None)
 def window_renderer(
     template_id: str, n: int, template_dir: str | Path | None = None
@@ -304,53 +328,44 @@ def window_renderer(
     literals are escaped once. The function takes a transcript's
     :class:`WindowText`, the target utterance and the transcript id. A
     prompt's text, and the escaped bytes of its text after the head, are each
-    joined from the literals, slices of the WindowText and the target's fields.
+    one join of the literals, slices of the WindowText and the target's
+    fields. The function is compiled once per template, as :mod:`dataclasses`
+    compiles ``__init__``, so a call walks no list of placeholders.
     """
     head, split = _compile(template_id, template_dir, n)
-    contract = _THREAD_LINE if template_id == "thread_window" else _CODE_LINE
-    # Each placeholder's value (None for the transcript block, else the target
-    # field's getter) and the literal after it.
-    plan = [
-        (None if name == "transcript_block" else _TARGET_FIELDS[name], literal, literal_escaped)
-        for name, literal, literal_escaped in split
-    ]
-
-    def render(text: WindowText, target: Utterance, transcript_id: str = "") -> RenderedPrompt:
-        i = target.index - text.first + 1  # the target's line is position i - 1
-        a = max(0, i - n)
-        context, lines = text.context, text.lines
-        s, e = lines.starts, lines.escaped_starts
-        # The transcript block, as pieces of text and of escaped bytes.
-        if context is lines:
-            block = lines.text[s[a]:s[i] - 1],
-            escaped = lines.escaped[e[a]:e[i] - 2],
+    scope = {
+        "RenderedPrompt": RenderedPrompt, "FedLines": FedLines, "_escaped": _escaped,
+        "format_timestamp": format_timestamp, "head": head, "n": n,
+        "contract": _THREAD_LINE if template_id == "thread_window" else _CODE_LINE,
+    }
+    # Each placeholder's value, then the literal after it, named in the scope.
+    fields, text_parts, escaped_parts = [], ["head"], []
+    for k, (name, literal, literal_escaped) in enumerate(split):
+        scope[f"literal{k}"], scope[f"escaped{k}"] = literal, literal_escaped
+        if name == "transcript_block":
+            text_parts.append("*block")
+            escaped_parts.append("*block_escaped")
         else:
-            line, line_escaped = lines.text[s[i - 1]:s[i] - 1], lines.escaped[e[i - 1]:e[i] - 2]
-            if type(context) is FedLines:
-                block, escaped = (*context.text, line), (*context.escaped, line_escaped)
-            else:
-                cs, ce = context.starts, context.escaped_starts
-                block = context.text[cs[a]:cs[i - 1]], line
-                escaped = context.escaped[ce[a]:ce[i - 1]], line_escaped
-        out, out_escaped = [head], []
-        for field, literal, literal_escaped in plan:
-            if field is None:
-                out += block
-                out_escaped += escaped
-            else:
-                # The target's fields are parts of its line, so they hold
-                # nothing JSON escapes when the line's buffer holds nothing.
-                value = field(target)
-                out.append(value)
-                out_escaped.append(value.encode() if lines.plain else _escaped(value))
-            out.append(literal)
-            out_escaped.append(literal_escaped)
-        return RenderedPrompt(
-            "".join(out), contract, target.index, target.speaker, transcript_id,
-            ((target.index, target.speaker),), b"".join(out_escaped), head,
-        )
-
-    return render
+            fields.append(f"    value{k} = {_TARGET_FIELDS[name]}")
+            text_parts.append(f"value{k}")
+            escaped_parts.append(f"encode(value{k})")
+        text_parts.append(f"literal{k}")
+        escaped_parts.append(f"escaped{k}")
+    if fields:
+        # The target's fields are parts of its line, so they hold nothing
+        # JSON escapes when the line's buffer holds nothing.
+        fields.insert(0, "    encode = str.encode if text.lines.plain else _escaped")
+    exec("\n".join([
+        "def render(text, target, transcript_id=''):",
+        *_WINDOW_BLOCK,
+        *fields,
+        "    return RenderedPrompt(",
+        f"        ''.join([{', '.join(text_parts)}]), contract, target.index, target.speaker,",
+        "        transcript_id, ((target.index, target.speaker),),",
+        f"        b''.join([{', '.join(escaped_parts)}]), head,",
+        "    )",
+    ]), scope)
+    return scope["render"]
 
 
 def render_full(

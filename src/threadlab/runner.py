@@ -24,7 +24,7 @@ from typing import Callable, Iterator, Mapping, Sequence
 
 from . import metrics, outparse, prompts
 from .corpus import (
-    SUBCATEGORY_TAGS, VALID_CODES, CodeSet, GoldAnnotations, ThreadLabel, Transcript,
+    SUBCATEGORY_TAGS, VALID_CODES, CodeSet, GoldAnnotations, ThreadLabel, Transcript, Utterance,
     parse_respond_line,
 )
 from .llm import (
@@ -330,6 +330,9 @@ def resolve_thread_labels(
     return predicted, fallbacks
 
 
+_NEW_THREAD_LABEL = ThreadLabel.new_thread()
+
+
 def _fed_label(predicted: str) -> ThreadLabel:
     """The label a later prompt shows for a logged thread prediction: its
     canonical form, or the new-thread marker for the parse-error label."""
@@ -344,19 +347,21 @@ def _fed_label(predicted: str) -> ThreadLabel:
 _FAULTS = (ContextOverflow, RateLimited, TransportError)
 _FAULT_NAMES = frozenset(f.__name__ for f in _FAULTS)
 
-# A chain is a transcript id plus the targets to complete in order: utterance
-# indices for windows, None for the whole transcript.
-Chain = tuple[str, Sequence[int | None]]
-# A renderer makes the prompt for (transcript, target) from the transcript's
-# window buffers; whole-transcript prompts have none.
-Renderer = Callable[[Transcript, int | None, prompts.WindowText | None], prompts.RenderedPrompt]
+# A chain is a transcript id plus the targets to complete in order: target
+# utterances for windows, the transcript itself for a whole-transcript prompt.
+Chain = tuple[str, Sequence[Utterance | Transcript]]
+# A renderer makes the prompt for (window buffers, target, transcript id), the
+# call shape of prompts.window_renderer; whole-transcript prompts have no buffers.
+Renderer = Callable[
+    [prompts.WindowText | None, Utterance | Transcript, str], prompts.RenderedPrompt
+]
 
 
 def _renderer(
     spec: ExperimentSpec, corpus: Corpus, thread_labels: Mapping[str, Mapping[int, ThreadLabel]]
 ) -> tuple[Renderer, Callable[[str], prompts.WindowText | None]]:
-    """The run's one prompt function of (transcript, target, window buffers), and
-    the function that builds a transcript's window buffers."""
+    """The run's one prompt function of (window buffers, target, transcript id),
+    and the function that builds a transcript's window buffers."""
     if spec.task == "threading":
         template_id = f"thread_{spec.strategy}"  # thread_all_at_once or thread_window
     else:
@@ -367,9 +372,13 @@ def _renderer(
     if spec.strategy == "all_at_once":
         # Every transcript's examples, resolved before the run's first call.
         shots = {tid: _resolve_shots(spec, corpus, exclude=tid) for tid in spec.transcripts}
-        return lambda t, _, __: prompts.render_full(
-            template_id, t, thread_labels.get(t.id), shots[t.id], spec.template_dir
-        ), lambda _: None
+
+        def render_whole(_: None, t: Transcript, tid: str) -> prompts.RenderedPrompt:
+            return prompts.render_full(
+                template_id, t, thread_labels.get(tid), shots[tid], spec.template_dir
+            )
+
+        return render_whole, lambda _: None
 
     n, feedback = spec.window.n, spec.window.feedback
     render_window = prompts.window_renderer(template_id, n, spec.template_dir)
@@ -388,7 +397,7 @@ def _renderer(
             )
         return prompts.WindowText(context, lines)
 
-    return lambda t, i, text: render_window(text, t.utterances[i - 1], t.id), window_text
+    return render_window, window_text
 
 
 def _chains(spec: ExperimentSpec, corpus: Corpus, chained: bool) -> list[Chain]:
@@ -396,13 +405,13 @@ def _chains(spec: ExperimentSpec, corpus: Corpus, chained: bool) -> list[Chain]:
     a whole-transcript prompt is its own chain."""
     chains: list[Chain] = []
     for tid in spec.transcripts:
-        indices = range(1, len(corpus[tid][0]) + 1)
+        t = corpus[tid][0]
         if spec.strategy == "all_at_once":
-            chains.append((tid, (None,)))
+            chains.append((tid, (t,)))
         elif chained:
-            chains.append((tid, indices))
+            chains.append((tid, t.utterances))
         else:
-            chains.extend((tid, (i,)) for i in indices)
+            chains.extend((tid, (u,)) for u in t.utterances)
     return chains
 
 
@@ -446,13 +455,13 @@ def _run(
 
     def run_chain(chain: Chain) -> tuple[list[UtteranceRecord], int, int]:
         tid, targets = chain
-        t, golds, text = corpus[tid][0], gold[tid], texts[tid] if texts else window_text(tid)
+        golds, text = gold[tid], texts[tid] if texts else window_text(tid)
         records: list[UtteranceRecord] = []
         input_tokens = output_tokens = 0
         for target in targets:
             if lost.is_set():
                 break
-            p = render(t, target, text)
+            p = render(text, target, tid)
             try:
                 rec = complete(p, spec.model, provider, cache)
             except _FAULTS as exc:
@@ -466,12 +475,14 @@ def _run(
                 output_tokens += n_out
                 # Mine a live model's reply; hold other writers' to the format, however served.
                 mode = "lenient" if rec.provider == HttpProvider.name else "strict"
-                if target is None:
+                if p.target_index is None:
                     outcomes = outparse.parse_block_response(
                         rec.response_text, p.expected_entries, block_kind, mode
                     ).outcomes
                 else:
-                    outcomes = (parse_line(rec.response_text, target, p.target_speaker, mode),)
+                    outcomes = (
+                        parse_line(rec.response_text, p.target_index, p.target_speaker, mode),
+                    )
             # Positional arguments and no generator: this builds one record per
             # utterance, and a window prompt has one.
             for (i, _), o in zip(p.expected_entries, outcomes):
@@ -481,10 +492,12 @@ def _run(
                     golds[i - 1], o.ok, o.reason, n_in, n_out, latency_ms,
                 ))
             if feedback == "self":
-                # Fed from the logged prediction, so the prompt stream is a
-                # pure function of the log; the target's line is labeled
-                # with it once, here.
-                text.context.feed(text.lines, target - 1, _fed_label(records[-1].predicted))
+                # Fed the parsed label in canonical order, or the new-thread
+                # marker on a failure or fault: what _fed_label reads back from
+                # the logged prediction, so the prompt stream is a pure function
+                # of the log. The target's line is labeled with it once, here.
+                label = o.value.label.normalized() if o.ok else _NEW_THREAD_LABEL
+                text.context.feed(text.lines, p.target_index - 1, label)
         return records, input_tokens, output_tokens
 
     chains = _chains(spec, corpus, chained)

@@ -133,6 +133,23 @@ def test_format_timestamp_round_trip():
     assert parse_timestamp(format_timestamp(5000)) == 5000
 
 
+def _clock_formula(ms):
+    s = ms // 1000
+    return "%02d:%02d:%02d" % (s // 3600, s // 60 % 60, s % 60)
+
+
+@pytest.mark.parametrize("ms", [0, 59_999, 3_599_999, 359_999_999, 360_000_000, 10**12, -1,
+                                -3_600_001])
+def test_format_timestamp_equals_the_two_digit_formula(ms):
+    # Hours 0-99 read a two-digit table; every other value takes the formula.
+    assert format_timestamp(ms) == _clock_formula(ms)
+
+
+@given(st.integers(-10**13, 10**13))
+def test_format_timestamp_equals_the_two_digit_formula_anywhere(ms):
+    assert format_timestamp(ms) == _clock_formula(ms)
+
+
 # --- transcript parsing ----------------------------------------------------
 
 

@@ -10,6 +10,7 @@ from threadlab.metrics import (
     PRESENT,
     EmptyInput,
     LengthMismatch,
+    MetricReport,
     aggregate,
     presence,
     score,
@@ -85,6 +86,17 @@ def test_aggregate_mean_and_sample_std():
     # sample std with ddof=1: sqrt(((1-.9)^2 + (.8-.9)^2) / 1)
     assert agg.accuracy.std == pytest.approx(0.02**0.5)
     assert agg.n_conversations == 2
+
+
+def test_aggregate_adds_left_to_right_on_every_python():
+    # Left to right, 1e16 + 1.0 rounds back to 1e16, so the mean is 0.0; the
+    # compensated float sum of Python >= 3.12 would give 1/3 and move report bytes.
+    values = (1e16, 1.0, -1e16)
+    agg = aggregate([MetricReport(v, v, v, n=1, n_classes=1) for v in values])
+    for summary in (agg.accuracy, agg.macro_f1, agg.kappa):
+        assert summary.values == values
+        assert summary.mean == 0.0
+        assert summary.std == 1e16
 
 
 def test_aggregate_single_report_std_zero():

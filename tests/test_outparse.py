@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from threadlab import outparse
 from threadlab.corpus import NEW_THREAD, CodeSet, LineRef, parse_respond_line
@@ -10,11 +10,14 @@ from threadlab.outparse import (
     INDEX_MISMATCH,
     NO_MATCH,
     SPEAKER_MISMATCH,
+    STRICTNESS_LEVELS,
     UNKNOWN_CODE,
     parse_block_response,
     parse_code_response,
     parse_thread_response,
 )
+
+from reference_outparse import ref_parse_block, ref_parse_line
 
 
 # --- thread lines ----------------------------------------------------------
@@ -325,3 +328,95 @@ def test_exact_line_reader_gives_the_regex_outcome(monkeypatch):
     assert {o.reason for o in outcomes} == {
         None, NO_MATCH, INDEX_MISMATCH, SPEAKER_MISMATCH, FORWARD_LINK, UNKNOWN_CODE
     }
+
+
+# --- every outcome rule against the plain reference ------------------------
+
+REF_SPEAKERS = ["Ana", "Red Morgan", "Zoë", "R2D2", "Al [x]", " Bob", ""]
+REF_PAYLOADS = {
+    "thread": st.one_of(
+        st.sampled_from(["-", "0", "(-, -)", "(3, 3)", "x", "", " 5", "(3,9)", "-1"]),
+        st.integers(1, 34).map(str),  # links back and forward
+        st.tuples(st.integers(1, 34), st.integers(1, 34)).map("({0[0]}, {0[1]})".format),
+        st.integers(1, 34).flatmap(lambda a: st.sampled_from([f"({a}, -)", f"(-, {a})"])),
+    ),
+    "code": st.one_of(
+        st.lists(st.sampled_from("ABCDEabexX"), max_size=4).map(", ".join),
+        st.sampled_from(["A,,B", "A B", " A ", "[A", "E, E", "A,C", "A]", "thinking"]),
+    ),
+}
+REF_OPENERS = {
+    "thread": ["[respond line = ", "[Respond Line = ", "[respond_line= ", "[respond line ="],
+    "code": ["[", "[ "],
+}
+
+
+@st.composite
+def _ref_line(draw, kind, index, speaker):
+    """A reply line for (index, speaker): each part mostly as instructed, else drifted."""
+
+    def part(instructed, drifted):
+        return draw(st.sampled_from([instructed, instructed, instructed, *drifted]))
+
+    head_index = part(f"{index} ", [f"{index + 1} ", f"{index - 1} ", f"#{index} ",
+                                    f"0{index} ", f"{index}. ", ""])
+    head_speaker = part(speaker, [speaker.upper(), speaker.lower(), speaker.replace(" ", "  "),
+                                  f"{speaker} ", *REF_SPEAKERS])
+    opener = part(REF_OPENERS[kind][0], REF_OPENERS[kind][1:])
+    tail = part("]", ["].", "] ", ""])
+    return f"{head_index}{head_speaker} {opener}{draw(REF_PAYLOADS[kind])}{tail}"
+
+
+_REF_INDICES = st.one_of(st.sampled_from([-1, 0, 1]), st.integers(2, 30))
+
+
+@st.composite
+def _ref_line_case(draw):
+    kind = draw(st.sampled_from(["thread", "code"]))
+    index, speaker = draw(_REF_INDICES), draw(st.sampled_from(REF_SPEAKERS))
+    raw = draw(_ref_line(kind, index, speaker))
+    before, after = draw(st.sampled_from([
+        ("", ""), ("", ""), ("", ""), ("", ""), (" ", "\n"), ("Sure:\n", ""),
+        ("", "\nThat is all."), ("", "\n" + raw),
+    ]))
+    return kind, before + raw + after, index, speaker, draw(st.sampled_from(STRICTNESS_LEVELS))
+
+
+@given(_ref_line_case())
+@example(("thread", "0 A [respond line = -]", 0, "A", "strict"))
+@example(("thread", "-1 A [respond line = -]", -1, "A", "lenient"))
+@example(("thread", "1 A [respond line = (-, 1)]", 1, "A", "strict"))
+@example(("code", "7 Ana [a, c]", 7, "Ana", "strict"))
+@example(("code", "7 ana [A, X]", 7, "Ana", "lenient"))
+@settings(max_examples=400)
+def test_line_outcomes_equal_the_plain_reference(case):
+    kind, raw, index, speaker, strictness = case
+    parse = parse_thread_response if kind == "thread" else parse_code_response
+    assert parse(raw, index, speaker, strictness) == ref_parse_line(*case)
+
+
+@st.composite
+def _ref_block_case(draw):
+    kind = draw(st.sampled_from(["thread", "code"]))
+    first = draw(_REF_INDICES)
+    expected = [(first + k, draw(st.sampled_from(REF_SPEAKERS[:4])))
+                for k in range(draw(st.integers(1, 5)))]
+    lines = []
+    for index, speaker in expected:
+        copies = draw(st.sampled_from([1, 1, 1, 0, 2]))  # missing and duplicate lines
+        lines += [draw(_ref_line(kind, index, speaker)) for _ in range(copies)]
+    lines += draw(st.lists(st.sampled_from([
+        "That is all.", "", "[respond line = 1]", "Ana [respond line = -]", "[E]", "Ana [a, c]",
+        "[thinking]", f"40 Zed {REF_OPENERS[kind][0]}-]",
+    ]), max_size=3))  # prose, index-less and surplus lines
+    if draw(st.booleans()):
+        lines = draw(st.permutations(lines))
+    return "\n".join(lines), expected, kind, draw(st.sampled_from(STRICTNESS_LEVELS))
+
+
+@given(_ref_block_case())
+@example(("0 A [respond line = -]\n1 B [respond line = (-, 1)]", [(0, "A"), (1, "B")], "thread",
+          "strict"))
+@settings(max_examples=300)
+def test_block_outcomes_equal_the_plain_reference(case):
+    assert parse_block_response(*case) == ref_parse_block(*case)

@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import itertools
 import json
@@ -9,7 +10,8 @@ import time
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from threadlab import prompts
+from threadlab import outparse, prompts
+from threadlab import runner as runner_module
 from threadlab.corpus import (
     NEW_THREAD,
     SUBCATEGORY_TAGS,
@@ -52,6 +54,7 @@ from threadlab.runner import (
     RunLog,
     RunnerError,
     StrayRecord,
+    _fed_label,
     eval_path,
     evaluate_run,
     resolve_thread_labels,
@@ -830,6 +833,53 @@ def test_self_feedback_and_an_llm_thread_source_feed_the_same_labels(bundled, tm
         assert fed.endswith(f" [respond_line= {shown}]")
         assert line(coder.texts[("ws01", i + 1)], i) == fed
     assert code_log.n_fallback_labels == thread_log.n_fallback_labels == 2
+
+
+def test_self_feedback_feeds_every_later_window_the_logged_label(bundled):
+    t = bundled["ws01"][0]
+    plan = {12: f"12 {t[12].speaker} [respond line = (9, 3)]", 5: "no idea, sorry",
+            8: TransportError}
+    provider = PlannedReplyProvider(bundled, plan)
+    spec = _spec(transcripts=("ws01",), window=WindowConfig(n=4))
+    log = run_threading(spec, bundled, provider, concurrency=1)
+    fed = {r.index: _fed_label(r.predicted) for r in log.records}
+    assert fed[12].surface() == "(3, 9)" and fed[5] == fed[8] == ThreadLabel.new_thread()
+    assert sorted(provider.texts) == sorted(fed)
+    for i, text in provider.texts.items():
+        shown = [ln for ln in text.splitlines() if ln.startswith("#")]
+        # The window's context lines, each labeled from the log, then the bare target.
+        assert shown == [prompts.utterance_line(t[j], fed[j]) for j in range(max(1, i - 3), i)
+                         ] + [prompts.utterance_line(t[i])]
+
+
+# The names perfbench/spans.py wraps for llm.complete and outparse.parse spans.
+TRACED = [(runner_module, "complete"), (outparse, "parse_thread_response"),
+          (outparse, "parse_code_response"), (outparse, "parse_block_response")]
+
+
+@pytest.mark.parametrize("kw, parse", [
+    (dict(task="threading", window=WindowConfig(n=5)), "parse_thread_response"),
+    (dict(task="abcde", window=WindowConfig(n=5, feedback="none")), "parse_code_response"),
+    (dict(task="threading", strategy="all_at_once", window=None), "parse_block_response"),
+    (dict(task="abcde", strategy="all_at_once", window=None), "parse_block_response"),
+], ids=["thread_window", "abcde_window", "thread_all_at_once", "abcde_all_at_once"])
+def test_a_run_reaches_the_traced_names_once_per_prompt(bundled, monkeypatch, kw, parse):
+    calls = collections.Counter()
+
+    def counted(name, fn):
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return call
+
+    for module, name in TRACED:
+        monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    spec = _spec(transcripts=("ws01", "cs01"), **kw)
+    provider = CountingOracle(bundled)
+    log = (run_threading if spec.task == "threading" else run_abcde)(spec, bundled, provider)
+    assert all(r.ok for r in log.records)
+    assert provider.calls == len({r.prompt_hash for r in log.records}) > 1
+    assert calls == {"complete": provider.calls, parse: provider.calls}
 
 
 def test_abcde_llm_thread_source_missing(bundled, tmp_path):
